@@ -35,6 +35,7 @@ from .fl_core import (
     LrSchedule,
     RoundConfig,
     RoundTrace,
+    loss_diverged,
     run_federated,
     trace_diverged,
 )
@@ -392,7 +393,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             if rows:
                 last = float(rows[-1]["train_loss"])
                 finals.append(last)
-                if not math.isfinite(last) or last > 1e12:
+                if loss_diverged(last):
                     diverged += 1
         label = os.path.relpath(dirpath, args.rundir)
         final_txt = f"{statistics.median(finals):.6g}" if finals else "-"

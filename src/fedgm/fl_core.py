@@ -1,4 +1,4 @@
-"""Federated simulation loop with pluggable robust aggregation.
+"""The federated round loop, with pluggable robust aggregation.
 
 Each round samples a subset of devices uniformly without replacement,
 broadcasts the model, runs a faithful local update on every selected
@@ -8,14 +8,14 @@ aggregators are the weighted mean, the smoothed-Weiszfeld geometric
 median ("rfa"), median-of-means (group means through the oracle, then a
 server-side geometric median of the group means), and a single-gradient-
 step baseline ("sgd_step"). Metrics are always evaluated on uncorrupted
-pooled data.
+pooled data. Doubling local steps is a ``TailAveragedSGD`` step schedule;
+``run_rfa_doubling`` is a preset of ``run_federated``.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,19 +65,28 @@ class LocalSGD:
             raise ValueError("batch_size and epochs must be positive")
 
 
+def steps_at_round(base_steps: int, t: int, schedule: str = "doubling") -> int:
+    """Local step count for round t: base * 2^t when doubling, else base."""
+    if schedule not in ("doubling", "constant"):
+        raise ValueError("schedule must be 'doubling' or 'constant'")
+    if base_steps < 2:
+        raise ValueError("base_steps must be at least 2")
+    return base_steps * (2**t) if schedule == "doubling" else base_steps
+
+
 @dataclass(frozen=True)
 class TailAveragedSGD:
-    """Single-sample SGD for ``steps`` steps, averaging the last half.
+    """Single-sample SGD averaging the last half of its iterates.
 
-    ``lr`` None means use 1 / (2 * feature_bound^2) for the task at hand.
+    Round t runs ``steps_at_round(steps, t, schedule)`` steps: ``steps``
+    every round when constant, ``steps * 2^t`` when doubling.
     """
 
     steps: int
-    lr: float | None = None
+    schedule: str = "constant"
 
     def __post_init__(self) -> None:
-        if self.steps < 2:
-            raise ValueError("steps must be at least 2")
+        steps_at_round(self.steps, 0, self.schedule)
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,8 @@ class RoundConfig:
     def __post_init__(self) -> None:
         if self.devices_per_round < 1:
             raise ValueError("devices_per_round must be positive")
+        if self.aggregator.kind == "sgd_step" and not isinstance(self.local, LocalSGD):
+            raise ValueError("sgd_step requires a LocalSGD spec for its batch size")
 
 
 @dataclass
@@ -144,7 +155,6 @@ class RoundTrace:
     oracle_calls: int
     corrupted_selected: int
     selected: tuple[int, ...]
-    wall_time: float
 
     def csv_row(self) -> list:
         return [
@@ -287,12 +297,6 @@ def _build_devices(partition, seed: int) -> list[DeviceState]:
     ]
 
 
-def _tail_avg_lr(local: TailAveragedSGD, task) -> float:
-    if local.lr is not None:
-        return local.lr
-    return 1.0 / (2.0 * task.feature_bound**2)
-
-
 def run_federated(
     task,
     partition,
@@ -309,9 +313,9 @@ def run_federated(
     each round's broadcast model; the omniscient attack intercepts the
     aggregation itself. Train/test losses and the squared distance to the
     task's pooled optimum are recorded after every round on uncorrupted
-    data. If a round's train loss exceeds 1e12 or turns non-finite the run
-    is marked diverged by its trace and, with ``halt_on_divergence``,
-    stops early. rounds = 0 returns an empty trace.
+    data. If a round's train loss exceeds ``DIVERGENCE_LOSS`` or turns
+    non-finite the run is marked diverged by its trace and, with
+    ``halt_on_divergence``, stops early. rounds = 0 returns an empty trace.
     """
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
@@ -327,47 +331,37 @@ def run_federated(
 
     if spec.kind == "static_data":
         for k in corrupted_ids:
-            feats, labs = poison_static(devices[k].features, devices[k].labels)
-            devices[k].features = feats
-            devices[k].labels = labs
+            dev = devices[k]
+            dev.features, dev.labels = poison_static(dev.features, dev.labels)
     originals = {k: (devices[k].features, devices[k].labels) for k in corrupted_ids}
 
     counts = np.asarray(partition.counts, dtype=float)
     w = np.zeros(task.train_features.shape[1])
     traces: list[RoundTrace] = []
+    local = config.local
     for t in range(rounds):
-        tic = time.perf_counter()
         selected = sample_devices(partition.devices, config.devices_per_round, server_rng)
         round_weights = renormalized_weights(counts, selected)
         gamma = config.lr.gamma_at(t)
 
         if spec.kind == "adaptive_data":
-            for k in corrupted_ids:
-                if k in set(int(s) for s in selected):
-                    feats, labs = poison_adaptive(*originals[k], w)
-                    devices[k].features = feats
-                    devices[k].labels = labs
+            for k in corrupted_ids.intersection(selected.tolist()):
+                devices[k].features, devices[k].labels = poison_adaptive(*originals[k], w)
 
+        if isinstance(local, TailAveragedSGD):
+            steps = steps_at_round(local.steps, t, local.schedule)
         updates = []
         for k in selected:
             dev = devices[int(k)]
             if config.aggregator.kind == "sgd_step":
-                if not isinstance(config.local, LocalSGD):
-                    raise ValueError("sgd_step requires a LocalSGD spec for its batch size")
-                idx = dev.rng.choice(dev.n, size=config.local.batch_size, replace=False)
+                idx = dev.rng.choice(dev.n, size=local.batch_size, replace=False)
                 updates.append(w - gamma * task.gradient(w, dev.features[idx], dev.labels[idx]))
-            elif isinstance(config.local, LocalSGD):
+            elif isinstance(local, LocalSGD):
                 updates.append(
-                    local_update_sgd(
-                        task, dev, w, gamma, config.local.batch_size, config.local.epochs
-                    )
+                    local_update_sgd(task, dev, w, gamma, local.batch_size, local.epochs)
                 )
             else:
-                updates.append(
-                    local_update_tail_avg_sgd(
-                        task, dev, w, _tail_avg_lr(config.local, task), config.local.steps
-                    )
-                )
+                updates.append(local_update_tail_avg_sgd(task, dev, w, gamma, steps))
         updates = np.asarray(updates)
 
         corrupted_mask = np.array([int(k) in corrupted_ids for k in selected])
@@ -376,118 +370,6 @@ def run_federated(
 
         calls_before = oracle.call_count
         w = aggregate(updates, round_weights, config.aggregator, oracle)
-        round_calls = oracle.call_count - calls_before
-
-        train_loss = task.loss(w, task.train_features, task.train_labels)
-        test_loss = task.loss(w, task.test_features, task.test_labels)
-        dist_sq = float(np.sum((w - task.optimum) ** 2))
-        traces.append(
-            RoundTrace(
-                round=t,
-                train_loss=train_loss,
-                test_loss=test_loss,
-                dist_to_opt_sq=dist_sq,
-                oracle_calls=round_calls,
-                corrupted_selected=int(corrupted_mask.sum()),
-                selected=tuple(int(k) for k in selected),
-                wall_time=time.perf_counter() - tic,
-            )
-        )
-        if not math.isfinite(train_loss) or train_loss > DIVERGENCE_LOSS:
-            if config.halt_on_divergence:
-                break
-    return traces
-
-
-def trace_diverged(traces: list[RoundTrace]) -> bool:
-    """A run is diverged when its last recorded loss is non-finite or huge."""
-    if not traces:
-        return False
-    last = traces[-1].train_loss
-    return not math.isfinite(last) or last > DIVERGENCE_LOSS
-
-
-def steps_at_round(base_steps: int, t: int, schedule: str = "doubling") -> int:
-    """Local step count for round t: base * 2^t when doubling, else base."""
-    if schedule not in ("doubling", "constant"):
-        raise ValueError("schedule must be 'doubling' or 'constant'")
-    if base_steps < 2:
-        raise ValueError("base_steps must be at least 2")
-    return base_steps * (2**t) if schedule == "doubling" else base_steps
-
-
-def run_rfa_doubling(
-    task,
-    partition,
-    corruption: CorruptionSpec,
-    devices_per_round: int,
-    base_steps: int,
-    rounds: int,
-    q: float = 0.1,
-    seed: int = 0,
-    schedule: str = "doubling",
-    nu: float = 1e-6,
-    budget: int = 200,
-    rel_tol: float = 1e-13,
-    oracle: SecureAverageOracle | None = None,
-) -> list[RoundTrace]:
-    """Geometric-median aggregation with tail-averaged local SGD, steps doubling.
-
-    Round t runs ``base_steps * 2^t`` single-sample SGD steps per selected
-    device (constant ``base_steps`` when schedule="constant") at the fixed
-    rate 1 / (2 * feature_bound^2), then aggregates with a tight-tolerance
-    geometric-median solve. ``q`` is the sampling-failure budget used when
-    sizing devices_per_round and base_steps; it is validated but does not
-    enter the dynamics.
-    """
-    if not 0.0 < q < 0.5:
-        raise ValueError("q must lie in (0, 0.5)")
-    if rounds < 0:
-        raise ValueError("rounds must be nonnegative")
-    oracle = oracle if oracle is not None else SecureAverageOracle("plain")
-    server_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E7]))
-    devices = _build_devices(partition, seed)
-    spec = corruption
-    if spec.realized_set is None:
-        spec = realize(spec, partition.alphas, fallback_seed=seed)
-    corrupted_ids = set(spec.realized_set)
-    if spec.kind == "static_data":
-        for k in corrupted_ids:
-            feats, labs = poison_static(devices[k].features, devices[k].labels)
-            devices[k].features = feats
-            devices[k].labels = labs
-    originals = {k: (devices[k].features, devices[k].labels) for k in corrupted_ids}
-
-    gamma = 1.0 / (2.0 * task.feature_bound**2)
-    agg = AggregatorSpec(kind="rfa", nu=nu, budget=budget, rel_tol=rel_tol)
-    counts = np.asarray(partition.counts, dtype=float)
-    w = np.zeros(task.train_features.shape[1])
-    traces: list[RoundTrace] = []
-    for t in range(rounds):
-        tic = time.perf_counter()
-        steps = steps_at_round(base_steps, t, schedule)
-        selected = sample_devices(partition.devices, devices_per_round, server_rng)
-        round_weights = renormalized_weights(counts, selected)
-
-        if spec.kind == "adaptive_data":
-            for k in corrupted_ids:
-                if k in set(int(s) for s in selected):
-                    feats, labs = poison_adaptive(*originals[k], w)
-                    devices[k].features = feats
-                    devices[k].labels = labs
-
-        updates = np.asarray(
-            [
-                local_update_tail_avg_sgd(task, devices[int(k)], w, gamma, steps)
-                for k in selected
-            ]
-        )
-        corrupted_mask = np.array([int(k) in corrupted_ids for k in selected])
-        if spec.kind == "omniscient" and corrupted_mask.any():
-            updates = omniscient_updates(updates, round_weights, corrupted_mask)
-
-        calls_before = oracle.call_count
-        w = aggregate(updates, round_weights, agg, oracle)
         round_calls = oracle.call_count - calls_before
 
         train_loss = task.loss(w, task.train_features, task.train_labels)
@@ -501,9 +383,48 @@ def run_rfa_doubling(
                 oracle_calls=round_calls,
                 corrupted_selected=int(corrupted_mask.sum()),
                 selected=tuple(int(k) for k in selected),
-                wall_time=time.perf_counter() - tic,
             )
         )
-        if not math.isfinite(train_loss) or train_loss > DIVERGENCE_LOSS:
+        if config.halt_on_divergence and loss_diverged(train_loss):
             break
     return traces
+
+
+def loss_diverged(loss: float) -> bool:
+    """A loss marks divergence when it is non-finite or above ``DIVERGENCE_LOSS``."""
+    return not math.isfinite(loss) or loss > DIVERGENCE_LOSS
+
+
+def trace_diverged(traces: list[RoundTrace]) -> bool:
+    """A run is diverged when its last recorded loss is non-finite or huge."""
+    return bool(traces) and loss_diverged(traces[-1].train_loss)
+
+
+def run_rfa_doubling(
+    task,
+    partition,
+    corruption: CorruptionSpec,
+    devices_per_round: int,
+    base_steps: int,
+    rounds: int,
+    seed: int = 0,
+    schedule: str = "doubling",
+    nu: float = 1e-6,
+    budget: int = 200,
+    rel_tol: float = 1e-13,
+    oracle: SecureAverageOracle | None = None,
+) -> list[RoundTrace]:
+    """Geometric-median aggregation with tail-averaged local SGD, steps doubling.
+
+    A preset of ``run_federated``: round t runs ``base_steps * 2^t``
+    single-sample SGD steps per selected device (constant ``base_steps``
+    when schedule="constant") at the fixed rate 1 / (2 * feature_bound^2),
+    then aggregates with a tight-tolerance geometric-median solve.
+    """
+    config = RoundConfig(
+        devices_per_round=devices_per_round,
+        local=TailAveragedSGD(base_steps, schedule),
+        lr=LrSchedule(gamma0=1.0 / (2.0 * task.feature_bound**2)),
+        aggregator=AggregatorSpec(kind="rfa", nu=nu, budget=budget, rel_tol=rel_tol),
+    )
+    return run_federated(task, partition, corruption, config, rounds, seed, oracle)

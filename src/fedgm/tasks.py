@@ -84,6 +84,20 @@ def partition_data(
     )
 
 
+def _bounded_features(rng: np.random.Generator, n: int, d: int, bound: float) -> np.ndarray:
+    """n random directions with radii in [0.3, 1] * bound, centred, max norm = bound."""
+    raw = rng.standard_normal((n, d))
+    norms = np.linalg.norm(raw, axis=1)
+    norms[norms == 0.0] = 1.0
+    radii = bound * rng.uniform(0.3, 1.0, size=n)
+    phi = raw / norms[:, None] * radii[:, None]
+    phi = phi - phi.mean(axis=0)
+    max_norm = float(np.linalg.norm(phi, axis=1).max())
+    if max_norm > 0.0:
+        phi = phi * (bound / max_norm)
+    return phi
+
+
 @dataclass(frozen=True)
 class SyntheticLSTask:
     """Well-specified least-squares problem over bounded features.
@@ -143,15 +157,7 @@ def generate_ls_task(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A5C]))
     n = devices * samples_per_device + test_samples
 
-    raw = rng.standard_normal((n, d))
-    norms = np.linalg.norm(raw, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = feature_bound * rng.uniform(0.3, 1.0, size=n)
-    phi = raw / norms[:, None] * radii[:, None]
-    phi = phi - phi.mean(axis=0)
-    max_norm = float(np.linalg.norm(phi, axis=1).max())
-    if max_norm > 0.0:
-        phi = phi * (feature_bound / max_norm)
+    phi = _bounded_features(rng, n, d, feature_bound)
 
     direction = rng.standard_normal(d)
     w_star = direction / np.linalg.norm(direction)
@@ -240,15 +246,7 @@ def generate_logistic_task(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x10615]))
     n = devices * samples_per_device + test_samples
 
-    raw = rng.standard_normal((n, d))
-    norms = np.linalg.norm(raw, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = feature_bound * rng.uniform(0.3, 1.0, size=n)
-    phi = raw / norms[:, None] * radii[:, None]
-    phi = phi - phi.mean(axis=0)
-    max_norm = float(np.linalg.norm(phi, axis=1).max())
-    if max_norm > 0.0:
-        phi = phi * (feature_bound / max_norm)
+    phi = _bounded_features(rng, n, d, feature_bound)
 
     w_star = rng.standard_normal((classes, d)) * 3.0
     logits = phi @ w_star.T

@@ -69,6 +69,8 @@ class TestSchedulesAndSpecs:
             LocalSGD(batch_size=5, epochs=0)
         with pytest.raises(ValueError):
             TailAveragedSGD(steps=1)
+        with pytest.raises(ValueError):
+            TailAveragedSGD(steps=2, schedule="tripling")
 
     def test_aggregator_spec_validation(self):
         with pytest.raises(ValueError):
@@ -278,7 +280,6 @@ class TestRunFederated:
         assert [t.round for t in traces] == list(range(5))
         assert all(t.corrupted_selected == 0 for t in traces)
         assert all(len(t.selected) == 5 for t in traces)
-        assert all(t.wall_time >= 0.0 for t in traces)
         row = traces[0].csv_row()
         assert len(row) == 6 and row[0] == 0
 
@@ -403,15 +404,13 @@ class TestRunFederated:
         assert len(traces) == 5
 
     def test_sgd_step_requires_local_sgd_spec(self):
-        task, part = small_task()
-        config = RoundConfig(
-            devices_per_round=5,
-            local=TailAveragedSGD(steps=4),
-            lr=LrSchedule(gamma0=0.1),
-            aggregator=AggregatorSpec(kind="sgd_step"),
-        )
         with pytest.raises(ValueError):
-            run_federated(task, part, CorruptionSpec(), config, rounds=1)
+            RoundConfig(
+                devices_per_round=5,
+                local=TailAveragedSGD(steps=4),
+                lr=LrSchedule(gamma0=0.1),
+                aggregator=AggregatorSpec(kind="sgd_step"),
+            )
 
     def test_tail_averaged_local_runs(self):
         task, part = small_task()
@@ -423,6 +422,9 @@ class TestRunFederated:
         )
         traces = run_federated(task, part, CorruptionSpec(), config, rounds=3, seed=1)
         assert len(traces) == 3
+        # gamma = 0 keeps w at its start 0, so every round sits at |optimum|^2.
+        opt_sq = float(np.sum(task.optimum**2))
+        assert all(t.dist_to_opt_sq == opt_sq for t in traces)
 
 
 class TestTraceDiverged:
@@ -452,11 +454,6 @@ class TestDoublingRunner:
             steps_at_round(1, 0)
         with pytest.raises(ValueError):
             steps_at_round(2, 0, "tripling")
-
-    def test_q_validation(self):
-        task, part = small_task()
-        with pytest.raises(ValueError):
-            run_rfa_doubling(task, part, CorruptionSpec(), 5, 2, 2, q=0.5)
 
     def test_noiseless_run_contracts(self):
         task, part = generate_ls_task(5, 10, 40, 0.0, seed=0, test_samples=20)
