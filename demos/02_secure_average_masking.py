@@ -1,11 +1,14 @@
 """The secure-average oracle: masked aggregation and call accounting.
 
 Every aggregation in this package flows through one primitive, a weighted
-average of device vectors. In masked mode each ordered pair of devices
-shares a random mask added on one side and subtracted on the other, so
-individual contributions are hidden while the total is unchanged up to
-floating-point rounding. Counters record how many averages were taken and
-a modeled communication cost of m*d + m^2 units per call.
+average of device vectors. In masked mode each device encodes its
+contribution as 64-bit fixed-point integers, and each ordered pair of
+devices shares a mask, uniform mod 2^64, added on one side and subtracted
+on the other. Individual contributions are hidden, while the masks cancel
+exactly in the wrapping sum: the result equals the unmasked fixed-point sum
+bit for bit, whatever the mask seed, and differs from plain mode only by
+the quantization. Counters record how many averages were taken and a
+modeled communication cost of m*d + m^2 units per call.
 """
 
 import numpy as np

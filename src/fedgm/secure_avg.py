@@ -1,11 +1,17 @@
 """Simulated secure weighted-average oracle with call accounting.
 
 The oracle computes sum_k beta_k v_k / sum_k beta_k over device
-contributions. In "masked" mode each contribution is perturbed with
-pairwise antisymmetric masks before summation, mimicking additive secret
-sharing: the mask drawn for an ordered pair (j, k) with j < k is added to
-j's contribution and subtracted from k's, so all masks cancel in the total
-and the result matches plain mode up to floating-point rounding.
+contributions. In "masked" mode it follows the modular pairwise masking of
+Bonawitz et al., *Practical Secure Aggregation* (CCS 2017). Each device
+encodes its stacked contribution [beta_k v_k, beta_k] as 64-bit fixed-point
+integers, with one public power-of-two scale per column chosen so that the
+column sum cannot overflow. For every ordered pair (j, k) with j < k a mask
+drawn uniformly from Z/2^64 is added to j's encoding and subtracted from k's.
+Each masked vector is then uniform on its own, and all masks cancel in the
+wrapping sum. The result is exact after quantization: it equals the sum of
+the unmasked fixed-point encodings bit for bit and does not depend on the
+mask seed. Contributions holding inf or NaN cannot be encoded and get the
+plain result.
 
 Counters track how many averages were requested and a modeled
 communication cost of m * d + m^2 units per call (vectors up and pairwise
@@ -15,6 +21,9 @@ key agreement).
 from __future__ import annotations
 
 import numpy as np
+
+# Column sums of the fixed-point encodings stay below 2**_SUM_BITS < 2**63.
+_SUM_BITS = 62
 
 
 class SecureAverageOracle:
@@ -26,8 +35,9 @@ class SecureAverageOracle:
         "plain" computes the weighted mean directly; "masked" simulates the
         mask-and-sum protocol described in the module docstring.
     seed : int, optional
-        Seed for mask generation in masked mode. Fixed seed gives
-        bit-identical behaviour across runs.
+        Seed for the masks in masked mode, drawn uniformly from Z/2^64. The
+        masks cancel exactly, so the result does not depend on the seed; a
+        fixed seed makes the masks themselves reproducible.
     """
 
     def __init__(self, mode: str = "plain", seed: int | None = None):
@@ -65,14 +75,27 @@ class SecureAverageOracle:
         # Masked mode aggregates the stacked vector [beta * v, beta] so the
         # weight total is never revealed in the clear either.
         contrib = np.concatenate([values * weights[:, None], weights[:, None]], axis=1)
-        span = 1.0 + float(np.abs(contrib[np.isfinite(contrib)]).max(initial=0.0))
-        masked = contrib.copy()
-        for j in range(m):
-            for k in range(j + 1, m):
-                mask = self._rng.standard_normal(d + 1) * span
-                masked[j] += mask
-                masked[k] -= mask
-        total = masked.sum(axis=0)
+        if not np.all(np.isfinite(contrib)):
+            # Masks cannot hide an inf and the quantizer cannot encode one;
+            # the plain result lets a diverging run halt as it does in plain mode.
+            return (weights @ values) / weights.sum()
+
+        # Column c is encoded as rint(x * 2**shift_c). frexp bounds the column
+        # maximum below 2**e_c and (m - 1).bit_length() is ceil(log2 m), so
+        # the m encodings of a column sum to less than 2**_SUM_BITS in
+        # magnitude. ldexp applies the shift without forming 2**shift_c,
+        # which is not a finite double for tiny or subnormal columns.
+        colmax = np.abs(contrib).max(axis=0)
+        shift = _SUM_BITS - np.frexp(colmax)[1] - (m - 1).bit_length()
+        shift[colmax == 0.0] = 0
+        masked = np.rint(np.ldexp(contrib, shift)).astype(np.int64).view(np.uint64)
+        for j in range(m - 1):
+            # Masks for the pairs (j, j+1), ..., (j, m-1); uint64 wraps mod 2**64.
+            masks = self._rng.bit_generator.random_raw((m - 1 - j, d + 1))
+            masked[j] += masks.sum(axis=0, dtype=np.uint64)
+            masked[j + 1 :] -= masks
+        total = masked.sum(axis=0, dtype=np.uint64).view(np.int64)
+        total = np.ldexp(total.astype(float), -shift)
         return total[:d] / total[d]
 
     def reset_counters(self) -> None:

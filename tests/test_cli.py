@@ -205,6 +205,26 @@ class TestSimulate:
         assert main(["simulate", cfg, "--seeds", "1,x"]) == 1
         assert "seeds" in capsys.readouterr().err
 
+    def test_masked_oracle_matches_plain(self, tmp_path):
+        traces = {}
+        for mode in ("plain", "masked"):
+            outdir = tmp_path / mode
+            cfg = write_config(
+                tmp_path,
+                algorithm={"aggregator": "rfa"},
+                run={"seeds": [0], "outdir": str(outdir), "oracle_mode": mode},
+            )
+            assert main(["simulate", cfg]) == 0
+            with open(outdir / "0.csv", newline="") as fh:
+                traces[mode] = list(csv.DictReader(fh))
+        assert len(traces["masked"]) == len(traces["plain"]) == 5
+        for plain, masked in zip(traces["plain"], traces["masked"]):
+            assert masked["oracle_calls"] == plain["oracle_calls"]
+            for column in ("train_loss", "test_loss", "dist_to_opt_sq"):
+                assert float(masked[column]) == pytest.approx(
+                    float(plain[column]), rel=1e-12, abs=0.0
+                )
+
     def test_omniscient_mean_marked_diverged(self, tmp_path):
         cfg = write_config(
             tmp_path,

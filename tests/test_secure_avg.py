@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,25 @@ from fedgm.geomed import WeightedPointSet, weiszfeld_step
 from fedgm.secure_avg import SecureAverageOracle
 
 RNG_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def quantized_sum_average(values, weights):
+    """Unmasked reference for masked mode, in exact Python integers.
+
+    Column c of [beta * v, beta] is encoded as round(x * 2**shift_c) with
+    shift_c = 62 - frexp(colmax_c) - ceil(log2 m), or 0 for a zero column;
+    the column sums are decoded and divided.
+    """
+    contrib = np.column_stack([values * weights[:, None], weights])
+    sums = []
+    for col in contrib.T.tolist():
+        colmax = max(abs(x) for x in col)
+        shift = 0
+        if colmax:
+            shift = 62 - math.frexp(colmax)[1] - math.ceil(math.log2(len(col)))
+        total = sum(round(math.ldexp(x, shift)) for x in col)
+        sums.append(math.ldexp(float(total), -shift))
+    return np.array(sums[:-1]) / sums[-1]
 
 
 class TestPlainMode:
@@ -70,6 +91,68 @@ class TestMaskedMode:
         a = SecureAverageOracle("masked", seed=11).average(vals, wts)
         b = SecureAverageOracle("masked", seed=11).average(vals, wts)
         assert np.array_equal(a, b)
+
+    def test_exact_and_independent_of_seed(self):
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal((40, 7)) * 1e-3
+        wts = rng.uniform(0.1, 5.0, 40)
+        a = SecureAverageOracle("masked", seed=0).average(vals, wts)
+        b = SecureAverageOracle("masked", seed=1).average(vals, wts)
+        assert a.tobytes() == b.tobytes()
+        assert np.array_equal(a, quantized_sum_average(vals, wts))
+
+    def test_error_does_not_grow_with_m(self):
+        rng = np.random.default_rng(8)
+        vals = rng.standard_normal((300, 100)) * 1e-3
+        wts = rng.uniform(0.1, 5.0, 300)
+        plain = SecureAverageOracle("plain").average(vals, wts)
+        masked = SecureAverageOracle("masked", seed=8).average(vals, wts)
+        assert np.abs(masked - plain).max() <= 1e-14 * np.abs(plain).max()
+
+    def test_one_mask_per_pair_and_coordinate_is_drawn(self):
+        oracle = SecureAverageOracle("masked", seed=21)
+        oracle.average(np.ones((5, 3)), np.ones(5))
+        expected = np.random.PCG64(21)
+        expected.advance(10 * 4)  # 5*4/2 device pairs, d + 1 = 4 words each
+        assert oracle._rng.bit_generator.state == expected.state
+
+    @pytest.mark.parametrize(
+        "bad,weight",
+        [(np.inf, 1.0), (-np.inf, 1.0), (np.nan, 1.0), (1e300, 1e10)],
+    )
+    def test_non_finite_contribution_gives_plain_result(self, bad, weight):
+        vals = np.array([[1.0, 2.0], [bad, 0.5], [-1.0, 3.0]])
+        wts = np.array([1.0, weight, 2.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = SecureAverageOracle("plain").average(vals, wts)
+            masked = SecureAverageOracle("masked", seed=4).average(vals, wts)
+        assert np.array_equal(masked, plain, equal_nan=True)
+
+    def test_subnormal_column_is_exact(self):
+        vals = np.array([[5e-324, 1.0], [1e-320, 2.0], [2e-310, 3.0]])
+        wts = np.ones(3)
+        masked = SecureAverageOracle("masked", seed=2).average(vals, wts)
+        assert np.array_equal(masked, SecureAverageOracle("plain").average(vals, wts))
+
+    @given(
+        seed=RNG_SEEDS,
+        exponent=st.integers(min_value=-300, max_value=300),
+        zero_columns=st.lists(st.booleans(), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_finite_magnitudes_stay_accurate(self, seed, exponent, zero_columns):
+        rng = np.random.default_rng(seed)
+        m, d = int(rng.integers(1, 9)), len(zero_columns)
+        vals = rng.standard_normal((m, d)) * 10.0**exponent
+        vals[:, zero_columns] = 0.0
+        wts = rng.uniform(0.1, 5.0, m)
+        plain = SecureAverageOracle("plain").average(vals, wts)
+        masked = SecureAverageOracle("masked", seed=seed).average(vals, wts)
+        assert np.all(np.isfinite(masked))
+        assert np.all(masked[zero_columns] == 0.0)
+        # The average of column c is bounded by max_k |v_kc|; both modes
+        # round relative to that magnitude.
+        assert np.all(np.abs(masked - plain) <= 1e-12 * np.abs(vals).max(axis=0))
 
     def test_single_contribution_identity_masked(self):
         oracle = SecureAverageOracle("masked", seed=0)
