@@ -3,18 +3,23 @@
 Each round samples a subset of devices uniformly without replacement,
 broadcasts the model, runs a faithful local update on every selected
 device (on whatever data that device holds, poisoned or not), then
-aggregates the returned models through a secure-average oracle. The
-aggregators are the weighted mean, the smoothed-Weiszfeld geometric
-median ("rfa"), median-of-means (group means through the oracle, then a
-server-side geometric median of the group means), and a single-gradient-
-step baseline ("sgd_step"). Metrics are always evaluated on uncorrupted
-pooled data. Doubling local steps is a ``TailAveragedSGD`` step schedule;
-``run_rfa_doubling`` is a preset of ``run_federated``.
+aggregates the returned models through a secure-average oracle. Local
+updates are batched across the round's devices: their equal-size shards
+are stacked, each device draws all of its sample indices for the round
+from its own rng in one call, and every local step updates the m models
+as one (m, p) array. The aggregators are the weighted mean, the
+smoothed-Weiszfeld geometric median ("rfa"), median-of-means (group
+means through the oracle, then a server-side geometric median of the
+group means), and a single-gradient-step baseline ("sgd_step"). Metrics
+are always evaluated on uncorrupted pooled data. Doubling local steps is
+a ``TailAveragedSGD`` step schedule; ``run_rfa_doubling`` is a preset of
+``run_federated``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,61 +185,90 @@ def renormalized_weights(alphas: np.ndarray, selected: np.ndarray) -> np.ndarray
     return sub / sub.sum()
 
 
+def _shard_size(devices: Sequence[DeviceState]) -> int:
+    """The one shard size shared by all ``devices``."""
+    sizes = {dev.n for dev in devices}
+    if len(sizes) != 1:
+        raise ValueError("devices must be a nonempty sequence with equal shard sizes")
+    return sizes.pop()
+
+
+def _local_steps(
+    task,
+    devices: Sequence[DeviceState],
+    w0: np.ndarray,
+    gamma: float,
+    idx: np.ndarray,
+    tail: int,
+) -> np.ndarray:
+    """SGD from w0 on every device at once, one stacked (m, p) update per step.
+
+    The devices hold equal shard sizes. ``idx`` has shape (steps, m, b):
+    step s uses rows ``idx[s, k]`` of device k's shard. Returns the (m, p) average of the last ``tail``
+    iterates (the final iterate when tail = 1).
+    """
+    features = np.concatenate([dev.features for dev in devices])
+    labels = np.concatenate([dev.labels for dev in devices])
+    # Row numbers into the concatenated shards, gathered one step at a time.
+    rows = idx + devices[0].n * np.arange(len(devices))[:, None]
+    w = np.tile(np.asarray(w0, dtype=float), (len(devices), 1))
+    acc = np.zeros_like(w)
+    for s, batch in enumerate(rows):
+        w -= gamma * task.gradient(w, features[batch], labels[batch])
+        if s >= len(rows) - tail:
+            acc += w
+    return acc / tail
+
+
 def local_update_sgd(
     task,
-    device: DeviceState,
+    devices: Sequence[DeviceState],
     w0: np.ndarray,
     gamma: float,
     batch_size: int,
     epochs: int = 1,
 ) -> np.ndarray:
-    """Minibatch SGD from w0 on the device's shard.
+    """Minibatch SGD from w0 on each device's shard, batched across devices.
 
-    Runs ceil(n_k * epochs / batch_size) steps; every minibatch is a fresh
-    uniform subset (without replacement) of the shard drawn from the
-    device's own rng. gamma = 0 returns w0 unchanged.
+    The devices must hold equal shard sizes n_k. Each runs
+    ceil(n_k * epochs / batch_size) steps; every minibatch is a fresh
+    uniform subset (without replacement) of the shard. One rng call per
+    device draws all of its minibatches for the round. Returns the (m, p)
+    final iterates, row k for ``devices[k]``; gamma = 0 returns w0 in
+    every row.
     """
-    if batch_size < 1 or batch_size > device.n:
+    n = _shard_size(devices)
+    if batch_size < 1 or batch_size > n:
         raise ValueError("batch_size must lie in [1, n_k]")
     if epochs < 1:
         raise ValueError("epochs must be positive")
-    steps = math.ceil(device.n * epochs / batch_size)
-    w = np.array(w0, dtype=float, copy=True)
-    for _ in range(steps):
-        idx = device.rng.choice(device.n, size=batch_size, replace=False)
-        w -= gamma * task.gradient(w, device.features[idx], device.labels[idx])
-    return w
+    steps = math.ceil(n * epochs / batch_size)
+    idx = np.stack(
+        [dev.rng.random((steps, n)).argsort(axis=1)[:, :batch_size] for dev in devices], axis=1
+    )
+    return _local_steps(task, devices, w0, gamma, idx, tail=1)
 
 
 def local_update_tail_avg_sgd(
     task,
-    device: DeviceState,
+    devices: Sequence[DeviceState],
     w0: np.ndarray,
     gamma: float,
     steps: int,
 ) -> np.ndarray:
-    """Single-sample SGD, returning the average of the last half of iterates.
+    """Single-sample SGD on each device, batched across devices.
 
-    Performs ``steps`` steps on samples drawn i.i.d. (with replacement)
-    from the device's shard, then averages iterates ceil(steps/2)+1
-    through steps.
+    The devices must hold equal shard sizes. Each performs ``steps``
+    steps on samples drawn i.i.d. (with replacement) from its shard by one
+    rng call per device, then averages iterates ceil(steps/2)+1 through
+    steps. Returns the (m, p) averages, row k for ``devices[k]``.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    idx = device.rng.integers(0, device.n, size=steps)
-    w = np.array(w0, dtype=float, copy=True)
-    tail_start = (steps + 1) // 2 + 1
-    acc = np.zeros_like(w)
-    count = 0
-    feats = device.features
-    labs = device.labels
-    for i in range(steps):
-        j = idx[i]
-        w -= gamma * task.gradient(w, feats[j : j + 1], labs[j : j + 1])
-        if i + 1 >= tail_start:
-            acc += w
-            count += 1
-    return acc / count
+    n = _shard_size(devices)
+    idx = np.stack([dev.rng.integers(0, n, size=steps) for dev in devices], axis=1)
+    tail = steps - (steps + 1) // 2
+    return _local_steps(task, devices, w0, gamma, idx[:, :, None], tail)
 
 
 def aggregate(
@@ -319,6 +353,8 @@ def run_federated(
     """
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
+    if corruption.kind == "adaptive_data" and task.kind != "least_squares":
+        raise ValueError("adaptive_data poisoning needs a least-squares task")
     if config.devices_per_round > partition.devices:
         raise ValueError("devices_per_round exceeds the population")
     oracle = oracle if oracle is not None else SecureAverageOracle("plain")
@@ -336,7 +372,7 @@ def run_federated(
     originals = {k: (devices[k].features, devices[k].labels) for k in corrupted_ids}
 
     counts = np.asarray(partition.counts, dtype=float)
-    w = np.zeros(task.train_features.shape[1])
+    w = np.zeros_like(task.optimum)
     traces: list[RoundTrace] = []
     local = config.local
     for t in range(rounds):
@@ -348,21 +384,18 @@ def run_federated(
             for k in corrupted_ids.intersection(selected.tolist()):
                 devices[k].features, devices[k].labels = poison_adaptive(*originals[k], w)
 
-        if isinstance(local, TailAveragedSGD):
+        chosen = [devices[int(k)] for k in selected]
+        if config.aggregator.kind == "sgd_step":
+            n = _shard_size(chosen)
+            idx = np.stack(
+                [dev.rng.choice(n, size=local.batch_size, replace=False) for dev in chosen]
+            )
+            updates = _local_steps(task, chosen, w, gamma, idx[None], tail=1)
+        elif isinstance(local, LocalSGD):
+            updates = local_update_sgd(task, chosen, w, gamma, local.batch_size, local.epochs)
+        else:
             steps = steps_at_round(local.steps, t, local.schedule)
-        updates = []
-        for k in selected:
-            dev = devices[int(k)]
-            if config.aggregator.kind == "sgd_step":
-                idx = dev.rng.choice(dev.n, size=local.batch_size, replace=False)
-                updates.append(w - gamma * task.gradient(w, dev.features[idx], dev.labels[idx]))
-            elif isinstance(local, LocalSGD):
-                updates.append(
-                    local_update_sgd(task, dev, w, gamma, local.batch_size, local.epochs)
-                )
-            else:
-                updates.append(local_update_tail_avg_sgd(task, dev, w, gamma, steps))
-        updates = np.asarray(updates)
+            updates = local_update_tail_avg_sgd(task, chosen, w, gamma, steps)
 
         corrupted_mask = np.array([int(k) in corrupted_ids for k in selected])
         if spec.kind == "omniscient" and corrupted_mask.any():

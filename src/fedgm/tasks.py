@@ -27,9 +27,13 @@ def least_squares_loss(w: np.ndarray, features: np.ndarray, labels: np.ndarray) 
 def least_squares_gradient(
     w: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """Gradient of ``least_squares_loss`` with respect to w."""
-    r = features @ w - labels
-    return features.T @ r / features.shape[0]
+    """Gradient of ``least_squares_loss`` with respect to w.
+
+    Leading batch axes are allowed: w (..., d), features (..., b, d) and
+    labels (..., b) give one gradient per batch entry, shape (..., d).
+    """
+    r = np.einsum("...bd,...d->...b", features, w) - labels
+    return np.einsum("...bd,...b->...d", features, r) / features.shape[-2]
 
 
 def exact_optimum(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -221,14 +225,20 @@ class MultinomialLogisticTask:
         return float(np.mean(logz - picked))
 
     def gradient(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        n = features.shape[0]
-        logits = features @ w.reshape(self.classes, self.d).T
-        logits = logits - logits.max(axis=1, keepdims=True)
+        """Gradient of ``loss``; batched like ``least_squares_gradient``.
+
+        w (..., classes * d), features (..., b, d) and labels (..., b) give
+        shape (..., classes * d).
+        """
+        weights = w.reshape(*w.shape[:-1], self.classes, self.d)
+        logits = np.einsum("...bd,...cd->...bc", features, weights)
+        logits = logits - logits.max(axis=-1, keepdims=True)
         p = np.exp(logits)
-        p = p / p.sum(axis=1, keepdims=True)
+        p = p / p.sum(axis=-1, keepdims=True)
         hot = np.zeros_like(p)
-        hot[np.arange(n), labels.astype(int)] = 1.0
-        return ((p - hot).T @ features / n).ravel()
+        np.put_along_axis(hot, labels.astype(int)[..., None], 1.0, axis=-1)
+        grad = np.einsum("...bc,...bd->...cd", p - hot, features) / features.shape[-2]
+        return grad.reshape(w.shape)
 
 
 def generate_logistic_task(

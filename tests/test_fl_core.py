@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from fedgm.fl_core import (
 from fedgm.fl_core import DeviceState
 from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
 from fedgm.secure_avg import SecureAverageOracle
-from fedgm.tasks import generate_ls_task
+from fedgm.tasks import generate_logistic_task, generate_ls_task
 
 
 def small_task(seed=0, noise=0.1, d=3, devices=10, n_k=20):
@@ -119,23 +120,23 @@ class TestLocalUpdates:
         task, _ = small_task()
         dev = make_device()
         w0 = np.ones(3)
-        out = local_update_sgd(task, dev, w0, 0.0, batch_size=5)
-        assert np.array_equal(out, w0)
+        out = local_update_sgd(task, [dev], w0, 0.0, batch_size=5)
+        assert np.array_equal(out[0], w0)
 
     def test_full_batch_single_epoch_is_one_gradient_step(self):
         task, _ = small_task()
         dev = make_device(n=16)
         w0 = np.full(3, 0.5)
         gamma = 0.2
-        out = local_update_sgd(task, dev, w0, gamma, batch_size=16, epochs=1)
+        out = local_update_sgd(task, [dev], w0, gamma, batch_size=16, epochs=1)
         expected = w0 - gamma * task.gradient(w0, dev.features, dev.labels)
-        assert np.allclose(out, expected, atol=1e-12)
+        assert np.allclose(out[0], expected, atol=1e-12)
 
     def test_step_count_scales_with_epochs(self):
         task, _ = small_task()
         w0 = np.zeros(3)
-        a = local_update_sgd(task, make_device(seed=3), w0, 0.05, batch_size=4, epochs=1)
-        b = local_update_sgd(task, make_device(seed=3), w0, 0.05, batch_size=4, epochs=3)
+        a = local_update_sgd(task, [make_device(seed=3)], w0, 0.05, batch_size=4, epochs=1)[0]
+        b = local_update_sgd(task, [make_device(seed=3)], w0, 0.05, batch_size=4, epochs=3)[0]
         # more passes from the same starting rng pull the iterate further
         assert not np.allclose(a, b)
 
@@ -143,25 +144,78 @@ class TestLocalUpdates:
         task, _ = small_task()
         dev = make_device(n=10)
         with pytest.raises(ValueError):
-            local_update_sgd(task, dev, np.zeros(3), 0.1, batch_size=11)
+            local_update_sgd(task, [dev], np.zeros(3), 0.1, batch_size=11)
         with pytest.raises(ValueError):
-            local_update_sgd(task, dev, np.zeros(3), 0.1, batch_size=0)
+            local_update_sgd(task, [dev], np.zeros(3), 0.1, batch_size=0)
 
     def test_tail_avg_zero_rate_returns_start(self):
         task, _ = small_task()
-        out = local_update_tail_avg_sgd(task, make_device(), np.ones(3), 0.0, steps=8)
-        assert np.allclose(out, np.ones(3))
+        out = local_update_tail_avg_sgd(task, [make_device()], np.ones(3), 0.0, steps=8)
+        assert np.allclose(out[0], np.ones(3))
 
     def test_tail_avg_reproducible_given_device_rng(self):
         task, _ = small_task()
-        a = local_update_tail_avg_sgd(task, make_device(seed=7), np.zeros(3), 0.3, steps=10)
-        b = local_update_tail_avg_sgd(task, make_device(seed=7), np.zeros(3), 0.3, steps=10)
+        a = local_update_tail_avg_sgd(task, [make_device(seed=7)], np.zeros(3), 0.3, steps=10)[0]
+        b = local_update_tail_avg_sgd(task, [make_device(seed=7)], np.zeros(3), 0.3, steps=10)[0]
         assert np.array_equal(a, b)
 
     def test_tail_avg_step_validation(self):
         task, _ = small_task()
         with pytest.raises(ValueError):
-            local_update_tail_avg_sgd(task, make_device(), np.zeros(3), 0.1, steps=1)
+            local_update_tail_avg_sgd(task, [make_device()], np.zeros(3), 0.1, steps=1)
+
+    def test_unequal_shards_rejected(self):
+        task, _ = small_task()
+        devices = [make_device(n=10), make_device(n=12)]
+        with pytest.raises(ValueError, match="equal shard sizes"):
+            local_update_sgd(task, devices, np.zeros(3), 0.1, batch_size=5)
+        with pytest.raises(ValueError, match="equal shard sizes"):
+            local_update_tail_avg_sgd(task, devices, np.zeros(3), 0.1, steps=4)
+        with pytest.raises(ValueError, match="equal shard sizes"):
+            local_update_tail_avg_sgd(task, [], np.zeros(3), 0.1, steps=4)
+
+
+class TestBatchedLocalUpdates:
+    """Each row of a batched local update matches a one-device Python loop."""
+
+    def devices(self):
+        return [make_device(seed=s) for s in (0, 10, 20)]
+
+    def test_tail_avg_rows_match_one_row_loop(self):
+        task, _ = small_task()
+        devices = self.devices()
+        rngs = [copy.deepcopy(dev.rng) for dev in devices]
+        w0, gamma, steps = np.full(3, 0.2), 0.3, 9
+        out = local_update_tail_avg_sgd(task, devices, w0, gamma, steps)
+        assert out.shape == (3, 3)
+        for k, (dev, rng) in enumerate(zip(devices, rngs)):
+            idx = rng.integers(0, dev.n, size=steps)
+            w = w0.copy()
+            tail = []
+            for i, j in enumerate(idx):
+                w = w - gamma * task.gradient(w, dev.features[j : j + 1], dev.labels[j : j + 1])
+                if i + 1 >= (steps + 1) // 2 + 1:
+                    tail.append(w)
+            assert np.abs(out[k] - np.mean(tail, axis=0)).max() <= 1e-12
+            # one rng call per device per round
+            assert dev.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_sgd_rows_match_sequential_minibatch_sgd(self):
+        task, _ = small_task()
+        devices = self.devices()
+        rngs = [copy.deepcopy(dev.rng) for dev in devices]
+        w0, gamma, batch, epochs = np.full(3, -0.1), 0.2, 6, 2
+        out = local_update_sgd(task, devices, w0, gamma, batch, epochs)
+        assert out.shape == (3, 3)
+        steps = math.ceil(20 * epochs / batch)
+        for k, (dev, rng) in enumerate(zip(devices, rngs)):
+            draws = rng.random((steps, dev.n)).argsort(axis=1)[:, :batch]
+            w = w0.copy()
+            for idx in draws:
+                assert len(set(idx.tolist())) == batch
+                w = w - gamma * task.gradient(w, dev.features[idx], dev.labels[idx])
+            assert np.abs(out[k] - w).max() <= 1e-12
+            assert dev.rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestAggregate:
@@ -364,6 +418,28 @@ class TestRunFederated:
         )
         assert len(traces) == 6
         assert all(math.isfinite(t.train_loss) for t in traces)
+
+    @pytest.mark.parametrize("kind", ["none", "static_data", "omniscient"])
+    def test_logistic_task_runs(self, kind):
+        task, part = generate_logistic_task(3, 3, 10, 20)
+        rho = 0.0 if kind == "none" else 0.3
+        traces = run_federated(
+            task, part, CorruptionSpec(kind=kind, rho=rho, seed=1), clean_config(), rounds=3
+        )
+        assert len(traces) == 3
+        assert all(math.isfinite(t.train_loss) and math.isfinite(t.test_loss) for t in traces)
+        assert all(math.isfinite(t.dist_to_opt_sq) for t in traces)
+
+    def test_adaptive_corruption_rejected_on_logistic_task(self):
+        task, part = generate_logistic_task(3, 3, 10, 20)
+        with pytest.raises(ValueError, match="least-squares"):
+            run_federated(
+                task,
+                part,
+                CorruptionSpec(kind="adaptive_data", rho=0.3, seed=1),
+                clean_config(),
+                rounds=1,
+            )
 
     def test_omniscient_attack_diverges_mean_at_high_rate(self):
         task, part = generate_ls_task(10, 100, 50, 0.1, seed=0)

@@ -146,6 +146,25 @@ class TestLogisticTask:
         assert set(np.unique(labels)) <= set(range(4))
 
 
+class TestBatchedGradient:
+    """Leading batch axes give the per-device gradients, stacked."""
+
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+    def test_batched_equals_stacked_per_device(self, kind):
+        if kind == "least_squares":
+            task, part = generate_ls_task(4, 5, 7, 0.1, seed=21, test_samples=5)
+        else:
+            task, part = generate_logistic_task(4, 3, 5, 7, seed=21, test_samples=5)
+        rng = np.random.default_rng(22)
+        w = rng.standard_normal((part.devices, task.optimum.size))
+        x = np.stack(part.device_features)
+        y = np.stack(part.device_labels)
+        batched = task.gradient(w, x, y)
+        stacked = np.stack([task.gradient(w[k], x[k], y[k]) for k in range(part.devices)])
+        assert batched.shape == w.shape
+        assert np.abs(batched - stacked).max() <= 1e-12
+
+
 class TestSerialization:
     def test_ls_round_trip_is_exact(self):
         task, part = generate_ls_task(3, 4, 6, 0.2, seed=11, test_samples=8)
