@@ -312,7 +312,6 @@ def aggregate(
         nu=spec.nu,
         budget=max(spec.budget, 50),
         rel_tol=min(spec.rel_tol, 1e-9),
-        oracle=None,
     )
     return result.z
 

@@ -6,9 +6,11 @@ smoothed objective g_nu in which each distance is replaced by a quadratic
 inside a ball of radius nu, so every update is a plain weighted average
 with bounded reweights and no division by a vanishing distance can occur.
 
-Each iteration consumes exactly one weighted-average aggregation. The
-average can be routed through a secure-average oracle (any object with an
-``average(values, weights)`` method), which is what makes the solver usable
+Each iteration computes the m distances once, derives the objective
+values and the reweights from them, and consumes exactly one
+weighted-average aggregation. Every average goes through a secure-average
+oracle (any object with an ``average(values, weights)`` method; a plain
+``SecureAverageOracle`` by default), which is what makes the solver usable
 on top of privacy-preserving summation: the coordinator only ever sees
 weighted averages of the points, never an individual point.
 """
@@ -20,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
+
+from .secure_avg import SecureAverageOracle
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,11 @@ def gm_objective(z: np.ndarray, point_set: WeightedPointSet) -> float:
     return float(point_set.weights @ dists)
 
 
+def _smoothed_distances(r: np.ndarray, nu: float) -> np.ndarray:
+    """Apply the smoothed norm's quadratic cap to distances r."""
+    return np.where(r <= nu, r * r / (2.0 * nu) + nu / 2.0, r)
+
+
 def smoothed_norm(v: np.ndarray, nu: float) -> float:
     """Norm with a quadratic cap inside radius nu.
 
@@ -130,10 +139,7 @@ def smoothed_norm(v: np.ndarray, nu: float) -> float:
     """
     if nu <= 0.0:
         raise ValueError("nu must be positive")
-    r = float(np.linalg.norm(np.asarray(v, dtype=float)))
-    if r <= nu:
-        return r * r / (2.0 * nu) + nu / 2.0
-    return r
+    return float(_smoothed_distances(np.linalg.norm(np.asarray(v, dtype=float)), nu))
 
 
 def smoothed_objective(z: np.ndarray, point_set: WeightedPointSet, nu: float) -> float:
@@ -142,8 +148,7 @@ def smoothed_objective(z: np.ndarray, point_set: WeightedPointSet, nu: float) ->
         raise ValueError("nu must be positive")
     z = np.asarray(z, dtype=float).ravel()
     r = np.linalg.norm(point_set.points - z, axis=1)
-    vals = np.where(r <= nu, r * r / (2.0 * nu) + nu / 2.0, r)
-    return float(point_set.weights @ vals)
+    return float(point_set.weights @ _smoothed_distances(r, nu))
 
 
 def surrogate_objective(
@@ -186,33 +191,6 @@ def lipschitz_constant(eta: np.ndarray, point_set: WeightedPointSet) -> float:
     return float((point_set.weights / eta).sum())
 
 
-def _weighted_average(
-    points: np.ndarray, weights: np.ndarray, oracle
-) -> np.ndarray:
-    if oracle is not None:
-        return np.asarray(oracle.average(points, weights), dtype=float)
-    return (weights @ points) / weights.sum()
-
-
-def weiszfeld_step(
-    z: np.ndarray,
-    point_set: WeightedPointSet,
-    nu: float,
-    oracle=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One smoothed Weiszfeld update from z.
-
-    Computes reweights beta_k = a_k / max(nu, ||z - w_k||) and returns the
-    beta-weighted average of the points together with beta itself. Exactly
-    one oracle call is made when an oracle is supplied.
-    """
-    z = np.asarray(z, dtype=float).ravel()
-    eta = eta_update(z, point_set, nu)
-    beta = point_set.weights / eta
-    z_next = _weighted_average(point_set.points, beta, oracle)
-    return z_next, beta
-
-
 def smoothed_weiszfeld(
     point_set: WeightedPointSet,
     nu: float = 1e-6,
@@ -242,9 +220,8 @@ def smoothed_weiszfeld(
         Defaults to the weighted mean, which costs one extra oracle call.
     oracle : object, optional
         Anything with ``average(values, weights)``; every weighted average
-        is routed through it so calls can be counted or masked. When None,
-        averages are computed directly (the reported ``oracle_calls`` still
-        counts the averages the run required).
+        is routed through it so calls can be counted or masked. Defaults to
+        a fresh ``SecureAverageOracle("plain")``.
 
     Returns
     -------
@@ -254,6 +231,9 @@ def smoothed_weiszfeld(
 
     Notes
     -----
+    Each iterate computes the m distances once and derives g, g_nu, the
+    reweights beta_k = a_k / max(nu, ||z - w_k||) and their sum L from
+    them; the next iterate is the beta-weighted average of the points.
     Each step minimizes the quadratic surrogate at the current iterate, so
     the smoothed objective never increases; iterates stay in the convex
     hull of the points. With a single point the exact answer is returned
@@ -265,72 +245,51 @@ def smoothed_weiszfeld(
         raise ValueError("rel_tol must be nonnegative")
     if nu <= 0.0:
         raise ValueError("nu must be positive")
+    if z0 is not None:
+        z0 = np.asarray(z0, dtype=float).ravel()
+        if z0.shape[0] != point_set.d:
+            raise ValueError("z0 dimension does not match the points")
+    if oracle is None:
+        oracle = SecureAverageOracle("plain")
 
     pts = point_set.points
     wts = point_set.weights
-
-    if point_set.m == 1:
-        z = pts[0].copy()
-        g = gm_objective(z, point_set)
-        g_nu = smoothed_objective(z, point_set, nu)
-        rec = IterationRecord(
-            0, z.copy(), g, g_nu, lipschitz_constant(eta_update(z, point_set, nu), point_set)
-        )
-        return GMResult(
-            z=z,
-            g_value=g,
-            g_nu_value=g_nu,
-            iterations=0,
-            beta=wts.copy(),
-            converged_by="relative_improvement",
-            oracle_calls=0,
-            trace=[rec],
-        )
-
+    beta = wts.copy()
     calls = 0
-    if z0 is None:
-        z = _weighted_average(pts, wts, oracle)
+    converged_by = "budget"
+    if point_set.m == 1:
+        # A single point is its own median: no step is taken.
+        z, budget, converged_by = pts[0].copy(), 0, "relative_improvement"
+    elif z0 is None:
+        z = np.asarray(oracle.average(pts, wts), dtype=float)
         calls += 1
     else:
-        z = np.asarray(z0, dtype=float).ravel()
-        if z.shape[0] != point_set.d:
-            raise ValueError("z0 dimension does not match the points")
-        z = z.copy()
+        z = z0.copy()
 
-    def record(t: int, zt: np.ndarray) -> IterationRecord:
-        eta_t = eta_update(zt, point_set, nu)
-        return IterationRecord(
-            t,
-            zt.copy(),
-            gm_objective(zt, point_set),
-            smoothed_objective(zt, point_set, nu),
-            lipschitz_constant(eta_t, point_set),
+    trace: list[IterationRecord] = []
+    for t in range(budget + 1):
+        r = np.linalg.norm(pts - z, axis=1)
+        g_nu = float(wts @ _smoothed_distances(r, nu))
+        step_beta = wts / np.maximum(r, nu)
+        trace.append(
+            IterationRecord(t, z.copy(), float(wts @ r), g_nu, float(step_beta.sum()))
         )
-
-    trace = [record(0, z)]
-    beta = wts.copy()
-    converged_by = "budget"
-    iterations = 0
-    g_nu_prev = trace[0].g_nu
-    for t in range(budget):
-        z, beta = weiszfeld_step(z, point_set, nu, oracle)
-        calls += 1
-        iterations = t + 1
-        rec = record(iterations, z)
-        trace.append(rec)
         # g_nu >= nu/2 always, so the ratio below is well defined
-        if abs(g_nu_prev - rec.g_nu) / rec.g_nu <= rel_tol:
+        if t > 0 and abs(trace[-2].g_nu - g_nu) / g_nu <= rel_tol:
             converged_by = "relative_improvement"
-            g_nu_prev = rec.g_nu
             break
-        g_nu_prev = rec.g_nu
+        if t == budget:
+            break
+        beta = step_beta
+        z = np.asarray(oracle.average(pts, beta), dtype=float)
+        calls += 1
 
     final = trace[-1]
     return GMResult(
         z=final.z.copy(),
         g_value=final.g,
         g_nu_value=final.g_nu,
-        iterations=iterations,
+        iterations=final.t,
         beta=beta,
         converged_by=converged_by,
         oracle_calls=calls,

@@ -144,6 +144,17 @@ class TestGmSolve:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_distances_exit_1(self, tmp_path, capsys):
+        # A tenth of the weight near 1e200: every distance overflows, so no
+        # reweighted average exists and no NaN result may be written.
+        rows = [f"{k},{-k},1" for k in range(9)] + ["1e200,1e200,1"]
+        path = write_points(tmp_path, "\n".join(rows) + "\n")
+        rc = main(["gm-solve", path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "error:" in captured.err
+
 
 class TestSimulate:
     def test_writes_trace_per_seed_and_summary(self, tmp_path, capsys):

@@ -23,7 +23,6 @@ from fedgm.geomed import (
     smoothed_objective,
     smoothed_weiszfeld,
     surrogate_objective,
-    weiszfeld_step,
 )
 from fedgm.secure_avg import SecureAverageOracle
 
@@ -245,21 +244,27 @@ class TestLipschitzConstant:
         assert np.isclose(lipschitz_constant(eta, ps), expected, rtol=1e-12)
 
 
+def one_step(z, ps, nu, oracle=None):
+    """One smoothed Weiszfeld step from z: the new iterate and its reweights."""
+    res = smoothed_weiszfeld(ps, nu, budget=1, rel_tol=0.0, z0=z, oracle=oracle)
+    return res.z, res.beta
+
+
 class TestWeiszfeldStep:
     def test_fixed_point_at_equilateral_centroid(self):
         ps = equilateral()
         centroid = ps.points.mean(axis=0)
-        z_next, _ = weiszfeld_step(centroid, ps, 1e-6)
+        z_next, _ = one_step(centroid, ps, 1e-6)
         assert np.allclose(z_next, centroid, atol=1e-12)
 
     def test_single_point_returns_it(self):
         ps = WeightedPointSet(np.array([[4.0, 5.0]]), np.ones(1))
-        z_next, _ = weiszfeld_step(np.array([100.0, -3.0]), ps, 1e-6)
+        z_next, _ = one_step(np.array([100.0, -3.0]), ps, 1e-6)
         assert np.allclose(z_next, [4.0, 5.0])
 
     def test_hand_computed_two_point_step(self):
         ps = WeightedPointSet(np.array([[0.0], [1.0]]), np.array([0.7, 0.3]))
-        z_next, beta = weiszfeld_step(np.array([0.5]), ps, 1e-6)
+        z_next, beta = one_step(np.array([0.5]), ps, 1e-6)
         # beta = (0.7/0.5, 0.3/0.5); average = (0.6/0.5) / (1.0/0.5) * ... = 0.3
         assert z_next[0] == pytest.approx(0.3, rel=1e-12)
         assert np.allclose(beta, [1.4, 0.6])
@@ -267,7 +272,7 @@ class TestWeiszfeldStep:
     def test_exactly_one_oracle_call(self):
         ps = random_set(5)
         oracle = SecureAverageOracle("plain")
-        weiszfeld_step(np.zeros(ps.d), ps, 1e-6, oracle)
+        one_step(np.zeros(ps.d), ps, 1e-6, oracle)
         assert oracle.call_count == 1
 
     @given(seed=RNG_SEEDS)
@@ -275,7 +280,7 @@ class TestWeiszfeldStep:
     def test_lands_in_convex_hull(self, seed):
         ps = random_set(seed)
         z = np.random.default_rng(seed + 4).standard_normal(ps.d) * 5
-        z_next, _ = weiszfeld_step(z, ps, 1e-6)
+        z_next, _ = one_step(z, ps, 1e-6)
         assert hull_distance(z_next, ps.points) <= 1e-7
 
 
@@ -357,6 +362,43 @@ class TestSmoothedWeiszfeld:
             smoothed_weiszfeld(ps, rel_tol=-1.0)
         with pytest.raises(ValueError):
             smoothed_weiszfeld(ps, z0=np.zeros(ps.d + 1))
+        single = WeightedPointSet(np.array([[2.0, 3.0]]), np.ones(1))
+        with pytest.raises(ValueError):
+            smoothed_weiszfeld(single, z0=np.zeros(3))
+
+    @pytest.mark.parametrize("seed", [71, 73, 79])
+    def test_trace_matches_reference_helpers(self, seed):
+        ps = random_set(seed)
+        nu = 1e-3
+        res = smoothed_weiszfeld(ps, nu=nu, budget=25, rel_tol=0.0)
+        assert res.iterations >= 1
+        for rec in res.trace:
+            assert rec.g == gm_objective(rec.z, ps)
+            assert rec.g_nu == smoothed_objective(rec.z, ps, nu)
+            assert rec.lipschitz == lipschitz_constant(eta_update(rec.z, ps, nu), ps)
+        dists = np.linalg.norm(res.trace[-2].z - ps.points, axis=1)
+        assert np.array_equal(res.beta, ps.weights / np.maximum(dists, nu))
+
+    def test_default_oracle_is_plain(self):
+        ps = random_set(83)
+        res = smoothed_weiszfeld(ps, budget=30, rel_tol=1e-9)
+        res_plain = smoothed_weiszfeld(
+            ps, budget=30, rel_tol=1e-9, oracle=SecureAverageOracle("plain")
+        )
+        assert np.array_equal(res.z, res_plain.z)
+        assert np.array_equal(res.beta, res_plain.beta)
+        assert res.to_json_dict() == res_plain.to_json_dict()
+
+    def test_overflowing_distances_raise_with_or_without_oracle(self):
+        # A tenth of the weight near 1e200 makes every distance overflow to
+        # inf, so every reweight is 0 and no average is defined.
+        honest = np.random.default_rng(0).standard_normal((9, 2))
+        pts = np.vstack([honest, [1e200, 1e200]])
+        ps = WeightedPointSet(pts, np.ones(10))
+        with pytest.raises(ValueError):
+            smoothed_weiszfeld(ps)
+        with pytest.raises(ValueError):
+            smoothed_weiszfeld(ps, oracle=SecureAverageOracle("plain"))
 
     def test_json_dict_round_trips(self):
         ps = random_set(67)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgm.geomed import WeightedPointSet, weiszfeld_step
+from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
 from fedgm.secure_avg import SecureAverageOracle
 
 RNG_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -186,6 +186,8 @@ class TestCounters:
         rng = np.random.default_rng(9)
         ps = WeightedPointSet(rng.standard_normal((6, 3)), rng.uniform(0.5, 1.5, 6))
         oracle = SecureAverageOracle("plain")
-        weiszfeld_step(np.zeros(3), ps, 1e-6, oracle)
-        weiszfeld_step(np.zeros(3), ps, 1e-6, oracle)
+        for _ in range(2):
+            smoothed_weiszfeld(
+                ps, 1e-6, budget=1, rel_tol=0.0, z0=np.zeros(3), oracle=oracle
+            )
         assert oracle.call_count == 2
