@@ -246,21 +246,23 @@ def write_trace_csv(path: str, traces: list[RoundTrace]) -> None:
 
 
 def _seed_summary(seed: int, traces: list[RoundTrace]) -> dict:
-    last = traces[-1] if traces else None
-    return {
+    summary = {
         "seed": seed,
         "rounds_completed": len(traces),
-        "final_train_loss": last.train_loss if last else None,
-        "final_test_loss": last.test_loss if last else None,
-        "final_dist_to_opt_sq": last.dist_to_opt_sq if last else None,
         "oracle_calls_total": sum(t.oracle_calls for t in traces),
         "diverged": trace_diverged(traces),
     }
+    for key in ("train_loss", "test_loss", "dist_to_opt_sq"):
+        value = getattr(traces[-1], key) if traces else None
+        # JSON has no inf or NaN; "diverged" already records a blow-up.
+        finite = value is not None and math.isfinite(value)
+        summary[f"final_{key}"] = value if finite else None
+    return summary
 
 
 def _aggregate(per_seed: list[dict], key: str) -> dict | None:
-    values = [row[key] for row in per_seed if row[key] is not None]
-    finite = [v for v in values if math.isfinite(v)]
+    # _seed_summary writes every non-finite final as None
+    finite = [row[key] for row in per_seed if row[key] is not None]
     if not finite:
         return None
     return {
@@ -282,7 +284,7 @@ def write_summary_json(path: str, config: dict, per_seed: list[dict]) -> None:
         "diverged_seeds": sum(row["diverged"] for row in per_seed),
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -42,15 +42,6 @@ class CorruptionSpec:
         if self.kind != "none" and self.rho == 0.0:
             object.__setattr__(self, "kind", "none")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rho": self.rho,
-            "seed": self.seed,
-            "realized_set": list(self.realized_set) if self.realized_set is not None else None,
-            "realized_weight": self.realized_weight,
-        }
-
 
 def select_corrupted(alphas: np.ndarray, rho: float, rng: np.random.Generator) -> list[int]:
     """Sample device ids until their cumulative weight strictly exceeds rho.

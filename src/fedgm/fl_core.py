@@ -136,12 +136,10 @@ class RoundConfig:
 
 @dataclass
 class DeviceState:
-    """One simulated device: its shard, population weight and private rng."""
+    """One simulated device: its shard and private rng."""
 
-    id: int
     features: np.ndarray
     labels: np.ndarray
-    alpha: float
     rng: np.random.Generator
 
     @property
@@ -320,10 +318,8 @@ def _build_devices(partition, seed: int) -> list[DeviceState]:
     children = np.random.SeedSequence([int(seed), 0xFED]).spawn(partition.devices)
     return [
         DeviceState(
-            id=k,
             features=partition.device_features[k],
             labels=partition.device_labels[k],
-            alpha=float(partition.alphas[k]),
             rng=np.random.default_rng(children[k]),
         )
         for k in range(partition.devices)

@@ -126,69 +126,22 @@ def gm_objective(z: np.ndarray, point_set: WeightedPointSet) -> float:
 
 
 def _smoothed_distances(r: np.ndarray, nu: float) -> np.ndarray:
-    """Apply the smoothed norm's quadratic cap to distances r."""
+    """Apply the quadratic cap of g_nu inside radius nu to distances r."""
     return np.where(r <= nu, r * r / (2.0 * nu) + nu / 2.0, r)
 
 
-def smoothed_norm(v: np.ndarray, nu: float) -> float:
-    """Norm with a quadratic cap inside radius nu.
-
-    Returns ||v||^2/(2 nu) + nu/2 when ||v|| <= nu, else ||v||. The two
-    branches touch with matching value and slope at ||v|| = nu, and the
-    result always lies in [||v||, ||v|| + nu/2].
-    """
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
-    return float(_smoothed_distances(np.linalg.norm(np.asarray(v, dtype=float)), nu))
-
-
 def smoothed_objective(z: np.ndarray, point_set: WeightedPointSet, nu: float) -> float:
-    """g_nu(z) = sum_k a_k * smoothed_norm(z - w_k, nu)."""
+    """g_nu(z) = sum_k a_k h_nu(||z - w_k||).
+
+    h_nu(r) = r^2/(2 nu) + nu/2 when r <= nu, else r. The two branches
+    touch with matching value and slope at r = nu, and h_nu(r) always lies
+    in [r, r + nu/2], so g(z) <= g_nu(z) <= g(z) + nu/2.
+    """
     if nu <= 0.0:
         raise ValueError("nu must be positive")
     z = np.asarray(z, dtype=float).ravel()
     r = np.linalg.norm(point_set.points - z, axis=1)
     return float(point_set.weights @ _smoothed_distances(r, nu))
-
-
-def surrogate_objective(
-    z: np.ndarray, eta: np.ndarray, point_set: WeightedPointSet
-) -> float:
-    """Quadratic upper model 0.5 * sum_k a_k (||z - w_k||^2 / eta_k + eta_k).
-
-    For eta_k >= nu this majorizes the smoothed objective, with equality
-    when eta = eta_update(z, point_set, nu).
-    """
-    eta = np.asarray(eta, dtype=float).ravel()
-    if eta.shape[0] != point_set.m:
-        raise ValueError("eta length must match number of points")
-    if np.any(eta <= 0.0):
-        raise ValueError("eta entries must be positive")
-    z = np.asarray(z, dtype=float).ravel()
-    sq = ((point_set.points - z) ** 2).sum(axis=1)
-    return float(0.5 * (point_set.weights @ (sq / eta + eta)))
-
-
-def eta_update(z: np.ndarray, point_set: WeightedPointSet, nu: float) -> np.ndarray:
-    """Per-point auxiliary distances eta_k = max(nu, ||z - w_k||)."""
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
-    z = np.asarray(z, dtype=float).ravel()
-    dists = np.linalg.norm(point_set.points - z, axis=1)
-    return np.maximum(dists, nu)
-
-
-def lipschitz_constant(eta: np.ndarray, point_set: WeightedPointSet) -> float:
-    """Averaging weight sum L = sum_k a_k / eta_k.
-
-    For eta produced by ``eta_update`` on a point z in the convex hull,
-    L lies in [1/diameter-scale, 1/nu]; it is the curvature of the local
-    quadratic model at z.
-    """
-    eta = np.asarray(eta, dtype=float).ravel()
-    if np.any(eta <= 0.0):
-        raise ValueError("eta entries must be positive")
-    return float((point_set.weights / eta).sum())
 
 
 def smoothed_weiszfeld(
@@ -397,47 +350,3 @@ def displacement_bound(theta: float, eps: float, max_honest_dist: float) -> floa
     if eps < 0.0 or max_honest_dist < 0.0:
         raise ValueError("eps and max_honest_dist must be nonnegative")
     return (2.0 * (1.0 - theta) * max_honest_dist + eps) / (1.0 - 2.0 * theta)
-
-
-def robustness_bound(
-    theta: float, eps: float, smoothness: float, max_honest_dist: float
-) -> float:
-    """Function-value form of the corruption bound for an L-smooth objective.
-
-    Combines the displacement bound with smoothness: the suboptimality of
-    the corrupted eps-approximate geometric median, measured by an L-smooth
-    function minimized at the honest reference point, is at most
-    smoothness / (1 - 2 theta)^2 * (4 * max_honest_dist^2 + eps^2).
-    """
-    if not 0.0 <= theta < 0.5:
-        raise ValueError("theta must lie in [0, 0.5)")
-    if eps < 0.0 or max_honest_dist < 0.0 or smoothness < 0.0:
-        raise ValueError("eps, smoothness and max_honest_dist must be nonnegative")
-    return smoothness / (1.0 - 2.0 * theta) ** 2 * (
-        4.0 * max_honest_dist**2 + eps**2
-    )
-
-
-def hull_distance(z: np.ndarray, points: np.ndarray) -> float:
-    """Euclidean distance from z to the convex hull of the given points.
-
-    Solved as a bounded-variable least-squares problem with a penalty row
-    that pins the coefficient sum to one; adequate for verification purposes.
-    """
-    z = np.asarray(z, dtype=float).ravel()
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    m = pts.shape[0]
-    penalty = 1e5 * (1.0 + float(np.abs(pts).max()))
-    a = np.vstack([pts.T, np.full((1, m), penalty)])
-    b = np.concatenate([z, [penalty]])
-    res = optimize.lsq_linear(
-        a, b, bounds=(0.0, np.inf), method="bvls", tol=1e-14, max_iter=10 * m
-    )
-    lam = res.x
-    s = lam.sum()
-    if s <= 0.0:
-        return float(np.linalg.norm(pts[0] - z))
-    combo = (lam / s) @ pts
-    return float(np.linalg.norm(combo - z))

@@ -97,7 +97,3 @@ class SecureAverageOracle:
         total = masked.sum(axis=0, dtype=np.uint64).view(np.int64)
         total = np.ldexp(total.astype(float), -shift)
         return total[:d] / total[d]
-
-    def reset_counters(self) -> None:
-        self.call_count = 0
-        self.bytes_modeled = 0

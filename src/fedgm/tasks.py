@@ -9,13 +9,10 @@ qualitative runs; it shares the partitioner and the gradient conventions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-
-TASK_SCHEMA_VERSION = 1
 
 
 def least_squares_loss(w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -70,6 +67,8 @@ def partition_data(
     features: np.ndarray, labels: np.ndarray, devices: int, samples_per_device: int
 ) -> FederatedPartition:
     """Split pooled data into contiguous equally sized device shards."""
+    if devices < 1 or samples_per_device < 1:
+        raise ValueError("devices and samples_per_device must be positive")
     need = devices * samples_per_device
     if features.shape[0] < need:
         raise ValueError("not enough samples to fill every device")
@@ -90,6 +89,8 @@ def partition_data(
 
 def _bounded_features(rng: np.random.Generator, n: int, d: int, bound: float) -> np.ndarray:
     """n random directions with radii in [0.3, 1] * bound, centred, max norm = bound."""
+    if d < 1 or bound <= 0.0:
+        raise ValueError("d and feature_bound must be positive")
     raw = rng.standard_normal((n, d))
     norms = np.linalg.norm(raw, axis=1)
     norms[norms == 0.0] = 1.0
@@ -154,10 +155,8 @@ def generate_ls_task(
     standard deviation ``noise_std``. Everything is deterministic given
     ``seed``.
     """
-    if d < 1 or devices < 1 or samples_per_device < 1:
-        raise ValueError("d, devices and samples_per_device must be positive")
-    if noise_std < 0.0 or feature_bound <= 0.0:
-        raise ValueError("noise_std must be >= 0 and feature_bound > 0")
+    if noise_std < 0.0:
+        raise ValueError("noise_std must be nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A5C]))
     n = devices * samples_per_device + test_samples
 
@@ -172,6 +171,7 @@ def generate_ls_task(
     n_train = devices * samples_per_device
     train_x, test_x = phi[:n_train], phi[n_train:]
     train_y, test_y = labels[:n_train], labels[n_train:]
+    partition = partition_data(train_x, train_y, devices, samples_per_device)
 
     gram = train_x.T @ train_x / n_train
     eigs = np.linalg.eigvalsh(gram)
@@ -193,7 +193,7 @@ def generate_ls_task(
         test_features=test_x,
         test_labels=test_y,
     )
-    return task, partition_data(train_x, train_y, devices, samples_per_device)
+    return task, partition
 
 
 @dataclass(frozen=True)
@@ -267,6 +267,7 @@ def generate_logistic_task(
     n_train = devices * samples_per_device
     train_x, test_x = phi[:n_train], phi[n_train:]
     train_y, test_y = labels[:n_train], labels[n_train:]
+    partition = partition_data(train_x, train_y, devices, samples_per_device)
 
     stub = MultinomialLogisticTask(
         d=d,
@@ -297,76 +298,5 @@ def generate_logistic_task(
         train_labels=train_y,
         test_features=test_x,
         test_labels=test_y,
-    )
-    return task, partition_data(train_x, train_y, devices, samples_per_device)
-
-
-def task_to_json(task, partition: FederatedPartition) -> str:
-    """Serialize a task and its partition to portable JSON (no binary blobs)."""
-    header = {
-        "schema_version": TASK_SCHEMA_VERSION,
-        "kind": task.kind,
-        "d": task.d,
-        "feature_bound": task.feature_bound,
-        "devices": partition.devices,
-        "samples_per_device": int(partition.counts[0]),
-    }
-    if task.kind == "least_squares":
-        header.update(
-            {
-                "noise_std": task.noise_std,
-                "mu": task.mu,
-                "smoothness": task.smoothness,
-                "kappa": task.kappa,
-            }
-        )
-    else:
-        header["classes"] = task.classes
-    payload = {
-        "header": header,
-        "w_star": task.w_star.tolist(),
-        "optimum": task.optimum.tolist(),
-        "train_features": task.train_features.tolist(),
-        "train_labels": task.train_labels.tolist(),
-        "test_features": task.test_features.tolist(),
-        "test_labels": task.test_labels.tolist(),
-    }
-    return json.dumps(payload)
-
-
-def task_from_json(text: str):
-    """Inverse of ``task_to_json``; returns (task, partition)."""
-    payload = json.loads(text)
-    header = payload["header"]
-    if header["schema_version"] != TASK_SCHEMA_VERSION:
-        raise ValueError("unsupported task schema version")
-    train_x = np.asarray(payload["train_features"], dtype=float)
-    train_y = np.asarray(payload["train_labels"], dtype=float)
-    test_x = np.asarray(payload["test_features"], dtype=float)
-    test_y = np.asarray(payload["test_labels"], dtype=float)
-    common = dict(
-        d=header["d"],
-        feature_bound=header["feature_bound"],
-        w_star=np.asarray(payload["w_star"], dtype=float),
-        optimum=np.asarray(payload["optimum"], dtype=float),
-        train_features=train_x,
-        train_labels=train_y,
-        test_features=test_x,
-        test_labels=test_y,
-    )
-    if header["kind"] == "least_squares":
-        task = SyntheticLSTask(
-            noise_std=header["noise_std"],
-            mu=header["mu"],
-            smoothness=header["smoothness"],
-            kappa=header["kappa"],
-            **common,
-        )
-    elif header["kind"] == "logistic":
-        task = MultinomialLogisticTask(classes=header["classes"], **common)
-    else:
-        raise ValueError(f"unknown task kind {header['kind']!r}")
-    partition = partition_data(
-        train_x, train_y, header["devices"], header["samples_per_device"]
     )
     return task, partition

@@ -1,4 +1,8 @@
-"""Shared fixtures: a reusable pool of solved geometric-median instances.
+"""Shared fixtures and reference helpers for the geometric-median tests.
+
+``eta_update``, ``lipschitz_constant`` and ``hull_distance`` are
+independent reference implementations that the solver's trace and
+iterates are checked against; the package itself does not need them.
 
 The pool pairs every instance with both solver outputs (iterative and
 brute force) so equivalence, convergence-speed and invariant checks can
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from fedgm.geomed import (
     GMResult,
@@ -28,6 +33,53 @@ POOL_SIZE = 100
 POOL_NU = 1e-6
 POOL_BUDGET = 50
 INTERIOR_MARGIN = 0.1
+
+
+def eta_update(z: np.ndarray, point_set: WeightedPointSet, nu: float) -> np.ndarray:
+    """Per-point auxiliary distances eta_k = max(nu, ||z - w_k||)."""
+    if nu <= 0.0:
+        raise ValueError("nu must be positive")
+    z = np.asarray(z, dtype=float).ravel()
+    dists = np.linalg.norm(point_set.points - z, axis=1)
+    return np.maximum(dists, nu)
+
+
+def lipschitz_constant(eta: np.ndarray, point_set: WeightedPointSet) -> float:
+    """Averaging weight sum L = sum_k a_k / eta_k.
+
+    For eta produced by ``eta_update`` on a point z in the convex hull,
+    L lies in [1/diameter-scale, 1/nu]; it is the curvature of the local
+    quadratic model at z.
+    """
+    eta = np.asarray(eta, dtype=float).ravel()
+    if np.any(eta <= 0.0):
+        raise ValueError("eta entries must be positive")
+    return float((point_set.weights / eta).sum())
+
+
+def hull_distance(z: np.ndarray, points: np.ndarray) -> float:
+    """Euclidean distance from z to the convex hull of the given points.
+
+    Solved as a bounded-variable least-squares problem with a penalty row
+    that pins the coefficient sum to one; adequate for verification purposes.
+    """
+    z = np.asarray(z, dtype=float).ravel()
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    m = pts.shape[0]
+    penalty = 1e5 * (1.0 + float(np.abs(pts).max()))
+    a = np.vstack([pts.T, np.full((1, m), penalty)])
+    b = np.concatenate([z, [penalty]])
+    res = optimize.lsq_linear(
+        a, b, bounds=(0.0, np.inf), method="bvls", tol=1e-14, max_iter=10 * m
+    )
+    lam = res.x
+    s = lam.sum()
+    if s <= 0.0:
+        return float(np.linalg.norm(pts[0] - z))
+    combo = (lam / s) @ pts
+    return float(np.linalg.norm(combo - z))
 
 
 @dataclass(frozen=True)

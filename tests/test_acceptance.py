@@ -27,14 +27,13 @@ from fedgm.geomed import (
     brute_force_gm,
     displacement_bound,
     gm_objective,
-    hull_distance,
     smoothed_objective,
     smoothed_weiszfeld,
 )
 from fedgm.secure_avg import SecureAverageOracle
 from fedgm.tasks import generate_logistic_task, generate_ls_task
 
-from conftest import POOL_NU
+from conftest import POOL_NU, hull_distance
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = "") -> bool:

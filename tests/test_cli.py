@@ -190,6 +190,27 @@ class TestSimulate:
         assert summary["per_seed"][0]["final_train_loss"] is None
         assert summary["aggregate"]["final_train_loss"] is None
 
+    def test_diverged_summary_is_strict_json(self, tmp_path):
+        # Without the halt, an omniscient attack on the mean drives every
+        # final loss to inf, which strict JSON cannot hold.
+        cfg = write_config(
+            tmp_path,
+            corruption={"kind": "omniscient", "rho": 0.25},
+            algorithm={"gamma0": 30.0},
+            run={"rounds": 150, "seeds": [0], "halt_on_divergence": False},
+        )
+        assert main(["simulate", cfg]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (tmp_path / "runs" / "summary.json").read_text()
+        row = json.loads(text, parse_constant=reject)["per_seed"][0]
+        assert row["diverged"] is True
+        assert row["rounds_completed"] == 150
+        for key in ("final_train_loss", "final_test_loss", "final_dist_to_opt_sq"):
+            assert row[key] is None
+
     def test_reruns_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["simulate", cfg])

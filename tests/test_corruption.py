@@ -38,14 +38,6 @@ class TestCorruptionSpec:
         spec = CorruptionSpec(kind="omniscient", rho=0.0)
         assert spec.kind == "none"
 
-    def test_json_dict(self):
-        spec = realize(CorruptionSpec(kind="static_data", rho=0.3, seed=5), np.full(4, 0.25))
-        d = spec.to_json_dict()
-        assert d["kind"] == "static_data"
-        assert d["rho"] == 0.3
-        assert isinstance(d["realized_set"], list)
-        assert d["realized_weight"] == pytest.approx(sum(0.25 for _ in d["realized_set"]))
-
 
 class TestSelectCorrupted:
     def test_rho_zero_selects_nobody(self):

@@ -38,10 +38,8 @@ def small_task(seed=0, noise=0.1, d=3, devices=10, n_k=20):
 def make_device(seed=0, n=20, d=3):
     rng = np.random.default_rng(seed)
     return DeviceState(
-        id=0,
         features=rng.standard_normal((n, d)),
         labels=rng.standard_normal(n),
-        alpha=1.0,
         rng=np.random.default_rng(seed + 1),
     )
 

@@ -14,17 +14,13 @@ from fedgm.geomed import (
     WeightedPointSet,
     brute_force_gm,
     displacement_bound,
-    eta_update,
     gm_objective,
-    hull_distance,
-    lipschitz_constant,
-    robustness_bound,
-    smoothed_norm,
     smoothed_objective,
     smoothed_weiszfeld,
-    surrogate_objective,
 )
 from fedgm.secure_avg import SecureAverageOracle
+
+from conftest import eta_update, hull_distance, lipschitz_constant
 
 RNG_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -107,30 +103,37 @@ class TestGMObjective:
         )
 
 
+def at_origin(d: int) -> WeightedPointSet:
+    """One point at the origin, so g_nu(v) is the smoothed norm of v."""
+    return WeightedPointSet(np.zeros((1, d)), np.ones(1))
+
+
 class TestSmoothedNorm:
+    """The smoothed norm h_nu, read as g_nu on one point at the origin."""
+
     def test_origin_gives_half_nu(self):
-        assert np.isclose(smoothed_norm(np.zeros(3), 0.5), 0.25)
+        assert np.isclose(smoothed_objective(np.zeros(3), at_origin(3), 0.5), 0.25)
 
     def test_outer_branch_is_plain_norm(self):
-        assert np.isclose(smoothed_norm(np.array([2.0, 0.0]), 1.0), 2.0)
+        assert np.isclose(smoothed_objective(np.array([2.0, 0.0]), at_origin(2), 1.0), 2.0)
 
     def test_branches_agree_at_seam(self):
         v = np.array([0.8])
         nu = 0.8
         inner = np.dot(v, v) / (2 * nu) + nu / 2
-        assert np.isclose(smoothed_norm(v, nu), 0.8)
+        assert np.isclose(smoothed_objective(v, at_origin(1), nu), 0.8)
         assert np.isclose(inner, 0.8)
 
     def test_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError):
-            smoothed_norm(np.ones(2), 0.0)
+            smoothed_objective(np.ones(2), at_origin(2), 0.0)
 
     @given(seed=RNG_SEEDS, nu=st.floats(min_value=1e-6, max_value=10.0))
     @settings(max_examples=60, deadline=None)
     def test_sandwich(self, seed, nu):
         v = np.random.default_rng(seed).standard_normal(3)
         plain = float(np.linalg.norm(v))
-        smoothed = smoothed_norm(v, nu)
+        smoothed = smoothed_objective(v, at_origin(3), nu)
         assert plain - 1e-12 <= smoothed <= plain + nu / 2 + 1e-12
 
 
@@ -157,117 +160,82 @@ class TestSmoothedObjective:
         assert -1e-12 <= gap <= nu / 2 + 1e-12
 
 
-class TestSurrogate:
-    def test_equals_objective_when_eta_is_distances(self):
-        ps = random_set(11)
-        z = np.random.default_rng(1).standard_normal(ps.d) + 10.0
-        eta = np.linalg.norm(ps.points - z, axis=1)
-        assert np.isclose(
-            surrogate_objective(z, eta, ps), gm_objective(z, ps), rtol=1e-12
-        )
-
-    def test_single_point_at_nu(self):
-        ps = WeightedPointSet(np.array([[2.0]]), np.ones(1))
-        nu = 0.3
-        assert np.isclose(surrogate_objective(np.array([2.0]), np.array([nu]), ps), nu / 2)
-
-    def test_rejects_nonpositive_eta(self):
-        ps = random_set(5)
-        with pytest.raises(ValueError):
-            surrogate_objective(np.zeros(ps.d), np.zeros(ps.m), ps)
-
-    def test_rejects_eta_length_mismatch(self):
-        ps = random_set(5)
-        with pytest.raises(ValueError):
-            surrogate_objective(np.zeros(ps.d), np.ones(ps.m + 1), ps)
-
-    @given(seed=RNG_SEEDS)
-    @settings(max_examples=60, deadline=None)
-    def test_majorizes_smoothed_objective(self, seed):
-        ps = random_set(seed)
-        rng = np.random.default_rng(seed + 2)
-        z = rng.standard_normal(ps.d)
-        nu = 10 ** rng.uniform(-4, -1)
-        eta = np.maximum(rng.uniform(0.0, 3.0, ps.m), nu)
-        lhs = surrogate_objective(z, eta, ps)
-        rhs = smoothed_objective(z, ps, nu)
-        assert lhs >= rhs - 1e-9 - 1e-7 * abs(rhs)
-
-    @given(seed=RNG_SEEDS)
-    @settings(max_examples=60, deadline=None)
-    def test_tight_at_eta_update(self, seed):
-        ps = random_set(seed)
-        rng = np.random.default_rng(seed + 3)
-        z = rng.standard_normal(ps.d)
-        nu = 10 ** rng.uniform(-4, -1)
-        eta = eta_update(z, ps, nu)
-        assert np.isclose(
-            surrogate_objective(z, eta, ps),
-            smoothed_objective(z, ps, nu),
-            rtol=1e-10,
-        )
+def one_step(z, ps, nu, oracle=None):
+    """One smoothed Weiszfeld step from z; ``beta`` and ``trace[0]`` are taken at z."""
+    return smoothed_weiszfeld(ps, nu, budget=1, rel_tol=0.0, z0=z, oracle=oracle)
 
 
 class TestEtaUpdate:
+    """The reweight clamp beta_k = a_k / max(nu, ||z - w_k||) of a solver step."""
+
     def test_clamps_at_own_point(self):
         ps = WeightedPointSet(np.array([[1.0, 0.0], [3.0, 0.0]]), np.ones(2))
-        eta = eta_update(np.array([1.0, 0.0]), ps, 1e-4)
-        assert eta[0] == pytest.approx(1e-4)
-        assert eta[1] == pytest.approx(2.0)
+        res = one_step(ps.points[0], ps, 1e-4)
+        assert res.beta[0] == ps.weights[0] / 1e-4
+        assert res.beta[1] == pytest.approx(ps.weights[1] / 2.0)
 
     def test_unclamped_branch(self):
         nu = 0.2
-        ps = WeightedPointSet(np.array([[3 * nu]]), np.ones(1))
-        eta = eta_update(np.array([0.0]), ps, nu)
-        assert eta[0] == pytest.approx(3 * nu)
+        ps = WeightedPointSet(np.array([[3 * nu], [-3 * nu]]), np.ones(2))
+        res = one_step(np.zeros(1), ps, nu)
+        assert res.beta == pytest.approx(ps.weights / (3 * nu))
 
     def test_always_at_least_nu(self):
         ps = random_set(17)
-        eta = eta_update(ps.points[0], ps, 0.05)
-        assert (eta >= 0.05 - 1e-15).all()
+        nu = 0.05
+        res = one_step(ps.points[0], ps, nu)
+        assert res.beta[0] == ps.weights[0] / nu
+        assert (res.beta <= ps.weights / nu).all()
 
 
 class TestLipschitzConstant:
+    """The recorded L = sum_k beta_k at the start point of a solver step."""
+
     def test_all_eta_at_nu(self):
-        ps = random_set(2, m=5)
         nu = 1e-3
-        assert np.isclose(lipschitz_constant(np.full(5, nu), ps), 1.0 / nu)
+        ps = random_set(2, m=5)
+        ps = WeightedPointSet(1e-5 * ps.points, ps.weights)
+        res = one_step(ps.points[0], ps, nu)
+        assert res.trace[0].lipschitz == res.beta.sum()
+        assert np.isclose(res.trace[0].lipschitz, 1.0 / nu)
 
     def test_constant_eta(self):
-        ps = random_set(2, m=4)
-        assert np.isclose(lipschitz_constant(np.full(4, 2.5), ps), 1.0 / 2.5)
+        square = 2.5 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        ps = WeightedPointSet(square, np.arange(1.0, 5.0))
+        res = one_step(np.zeros(2), ps, 1e-6)
+        assert res.trace[0].lipschitz == res.beta.sum()
+        assert np.isclose(res.trace[0].lipschitz, 1.0 / 2.5)
 
     def test_matches_direct_summation(self):
         ps = random_set(23, m=6)
-        eta = np.random.default_rng(0).uniform(0.5, 2.0, 6)
-        expected = sum(ps.weights[k] / eta[k] for k in range(6))
-        assert np.isclose(lipschitz_constant(eta, ps), expected, rtol=1e-12)
-
-
-def one_step(z, ps, nu, oracle=None):
-    """One smoothed Weiszfeld step from z: the new iterate and its reweights."""
-    res = smoothed_weiszfeld(ps, nu, budget=1, rel_tol=0.0, z0=z, oracle=oracle)
-    return res.z, res.beta
+        nu = 1e-6
+        z0 = ps.points[0]
+        res = one_step(z0, ps, nu)
+        expected = sum(
+            ps.weights[k] / max(nu, math.dist(z0, ps.points[k])) for k in range(6)
+        )
+        assert res.trace[0].lipschitz == res.beta.sum()
+        assert np.isclose(res.trace[0].lipschitz, expected, rtol=1e-12)
 
 
 class TestWeiszfeldStep:
     def test_fixed_point_at_equilateral_centroid(self):
         ps = equilateral()
         centroid = ps.points.mean(axis=0)
-        z_next, _ = one_step(centroid, ps, 1e-6)
+        z_next = one_step(centroid, ps, 1e-6).z
         assert np.allclose(z_next, centroid, atol=1e-12)
 
     def test_single_point_returns_it(self):
         ps = WeightedPointSet(np.array([[4.0, 5.0]]), np.ones(1))
-        z_next, _ = one_step(np.array([100.0, -3.0]), ps, 1e-6)
+        z_next = one_step(np.array([100.0, -3.0]), ps, 1e-6).z
         assert np.allclose(z_next, [4.0, 5.0])
 
     def test_hand_computed_two_point_step(self):
         ps = WeightedPointSet(np.array([[0.0], [1.0]]), np.array([0.7, 0.3]))
-        z_next, beta = one_step(np.array([0.5]), ps, 1e-6)
+        res = one_step(np.array([0.5]), ps, 1e-6)
         # beta = (0.7/0.5, 0.3/0.5); average = (0.6/0.5) / (1.0/0.5) * ... = 0.3
-        assert z_next[0] == pytest.approx(0.3, rel=1e-12)
-        assert np.allclose(beta, [1.4, 0.6])
+        assert res.z[0] == pytest.approx(0.3, rel=1e-12)
+        assert np.allclose(res.beta, [1.4, 0.6])
 
     def test_exactly_one_oracle_call(self):
         ps = random_set(5)
@@ -280,7 +248,7 @@ class TestWeiszfeldStep:
     def test_lands_in_convex_hull(self, seed):
         ps = random_set(seed)
         z = np.random.default_rng(seed + 4).standard_normal(ps.d) * 5
-        z_next, _ = one_step(z, ps, 1e-6)
+        z_next = one_step(z, ps, 1e-6).z
         assert hull_distance(z_next, ps.points) <= 1e-7
 
 
@@ -456,16 +424,9 @@ class TestRobustnessBounds:
         values = [displacement_bound(t, 0.1, 1.0) for t in (0.0, 0.2, 0.4, 0.49)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_value_bound_formula(self):
-        theta, eps, smooth, dist = 0.25, 0.5, 2.0, 3.0
-        expected = smooth / (1 - 2 * theta) ** 2 * (4 * dist**2 + eps**2)
-        assert robustness_bound(theta, eps, smooth, dist) == pytest.approx(expected)
-
     def test_rejects_theta_at_half(self):
         with pytest.raises(ValueError):
             displacement_bound(0.5, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            robustness_bound(0.6, 0.0, 1.0, 1.0)
 
 
 class TestHullDistance:

@@ -175,13 +175,6 @@ class TestCounters:
         oracle.average(np.ones((2, 5)), np.ones(2))
         assert oracle.bytes_modeled == (3 * 4 + 9) + (2 * 5 + 4)
 
-    def test_reset_counters(self):
-        oracle = SecureAverageOracle("plain")
-        oracle.average(np.ones((2, 2)), np.ones(2))
-        oracle.reset_counters()
-        assert oracle.call_count == 0
-        assert oracle.bytes_modeled == 0
-
     def test_one_weiszfeld_step_is_one_call(self):
         rng = np.random.default_rng(9)
         ps = WeightedPointSet(rng.standard_normal((6, 3)), rng.uniform(0.5, 1.5, 6))

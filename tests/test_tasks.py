@@ -1,4 +1,4 @@
-"""Tests for synthetic task generation, partitioning and serialization."""
+"""Tests for synthetic task generation and partitioning."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from fedgm.tasks import (
     least_squares_gradient,
     least_squares_loss,
     partition_data,
-    task_from_json,
-    task_to_json,
 )
 
 
@@ -104,6 +102,38 @@ class TestGenerateLSTask:
             generate_ls_task(3, 5, 5, 0.1, feature_bound=0.0)
 
 
+def generate(kind: str, **sizes):
+    """Either generator on a small valid task, with ``sizes`` overriding its inputs."""
+    kwargs = dict(d=3, devices=4, samples_per_device=5, feature_bound=1.0, test_samples=6)
+    kwargs.update(sizes)
+    if kind == "least_squares":
+        return generate_ls_task(noise_std=0.1, **kwargs)
+    return generate_logistic_task(classes=3, **kwargs)
+
+
+class TestGeneratorValidation:
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"d": 0},
+            {"devices": 0},
+            {"samples_per_device": 0},
+            {"feature_bound": 0.0},
+            {"feature_bound": -1.0},
+        ],
+        ids=["d", "devices", "samples_per_device", "zero_bound", "negative_bound"],
+    )
+    def test_rejects_bad_input(self, kind, bad):
+        with pytest.raises(ValueError):
+            generate(kind, **bad)
+
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+    def test_valid_input_accepted(self, kind):
+        task, part = generate(kind)
+        assert part.devices == 4 and np.all(np.isfinite(part.alphas))
+
+
 class TestPartition:
     def test_shapes_and_alphas(self):
         task, part = generate_ls_task(3, 8, 12, 0.1, seed=6)
@@ -163,43 +193,3 @@ class TestBatchedGradient:
         stacked = np.stack([task.gradient(w[k], x[k], y[k]) for k in range(part.devices)])
         assert batched.shape == w.shape
         assert np.abs(batched - stacked).max() <= 1e-12
-
-
-class TestSerialization:
-    def test_ls_round_trip_is_exact(self):
-        task, part = generate_ls_task(3, 4, 6, 0.2, seed=11, test_samples=8)
-        text = task_to_json(task, part)
-        back, back_part = task_from_json(text)
-        assert back.kind == "least_squares"
-        assert np.array_equal(back.train_features, task.train_features)
-        assert np.array_equal(back.train_labels, task.train_labels)
-        assert np.array_equal(back.test_features, task.test_features)
-        assert np.array_equal(back.optimum, task.optimum)
-        assert back.mu == task.mu and back.kappa == task.kappa
-        assert back_part.devices == part.devices
-        assert np.array_equal(back_part.alphas, part.alphas)
-
-    def test_logistic_round_trip(self):
-        task, part = generate_logistic_task(2, 3, 3, 10, seed=12, test_samples=5)
-        back, _ = task_from_json(task_to_json(task, part))
-        assert back.kind == "logistic"
-        assert back.classes == 3
-        assert np.array_equal(back.optimum, task.optimum)
-
-    def test_rejects_wrong_schema_version(self):
-        import json as _json
-
-        task, part = generate_ls_task(2, 2, 3, 0.0, seed=13, test_samples=4)
-        payload = _json.loads(task_to_json(task, part))
-        payload["header"]["schema_version"] = 99
-        with pytest.raises(ValueError):
-            task_from_json(_json.dumps(payload))
-
-    def test_rejects_unknown_kind(self):
-        import json as _json
-
-        task, part = generate_ls_task(2, 2, 3, 0.0, seed=14, test_samples=4)
-        payload = _json.loads(task_to_json(task, part))
-        payload["header"]["kind"] = "tree"
-        with pytest.raises(ValueError):
-            task_from_json(_json.dumps(payload))
