@@ -114,7 +114,7 @@ def merge_config(user: dict) -> dict:
 
 
 def validate_config(config: dict) -> dict:
-    """Range-check a merged config, returning it unchanged on success."""
+    """Range-check a merged config, coercing its numbers in place; returns it."""
     task, corr, algo, run = (
         config["task"],
         config["corruption"],
@@ -136,20 +136,15 @@ def validate_config(config: dict) -> dict:
             raise ValueError("corruption.rho > 0 needs an attack kind")
         if algo["aggregator"] not in AGGREGATOR_KINDS:
             raise ValueError(f"algorithm.aggregator must be one of {AGGREGATOR_KINDS}")
-        # Construction performs the remaining numeric checks.
-        AggregatorSpec(
-            kind=algo["aggregator"],
-            nu=float(algo["nu"]),
-            budget=int(algo["budget"]),
-            rel_tol=float(algo["rel_tol"]),
-            groups=int(algo["groups"]),
-        )
-        LocalSGD(batch_size=int(algo["batch_size"]), epochs=int(algo["epochs"]))
-        LrSchedule(
-            gamma0=float(algo["gamma0"]),
-            decay=float(algo["decay"]),
-            decay_every=int(algo["decay_every"]),
-        )
+        integers = ("budget", "groups", "batch_size", "epochs", "decay_every")
+        for key in ("nu", "rel_tol", "gamma0", "decay", *integers):
+            value = algo[key]
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not number or not math.isfinite(value):
+                raise ValueError(f"algorithm.{key} must be a finite number")
+            if key in integers and not float(value).is_integer():
+                raise ValueError(f"algorithm.{key} must be an integer")
+            algo[key] = int(value) if key in integers else float(value)
         if int(run["rounds"]) != run["rounds"] or run["rounds"] < 0:
             raise ValueError("run.rounds must be a nonnegative integer")
         run["rounds"] = int(run["rounds"])
@@ -170,9 +165,11 @@ def validate_config(config: dict) -> dict:
             raise ValueError("run.oracle_mode must be 'plain' or 'masked'")
         if not isinstance(run["halt_on_divergence"], bool):
             raise ValueError("run.halt_on_divergence must be a boolean")
-        if int(algo["batch_size"]) > int(task["samples_per_device"]):
+        if algo["batch_size"] > task["samples_per_device"]:
             raise ValueError("algorithm.batch_size exceeds samples_per_device")
-    except (TypeError, KeyError) as exc:
+        # Construction performs the remaining numeric checks on the values the run uses.
+        _round_config(config)
+    except (TypeError, KeyError, OverflowError) as exc:
         raise UsageError(f"malformed config value: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

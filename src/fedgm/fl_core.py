@@ -3,17 +3,18 @@
 Each round samples a subset of devices uniformly without replacement,
 broadcasts the model, runs a faithful local update on every selected
 device (on whatever data that device holds, poisoned or not), then
-aggregates the returned models through a secure-average oracle. Local
-updates are batched across the round's devices: their equal-size shards
-are stacked, each device draws all of its sample indices for the round
-from its own rng in one call, and every local step updates the m models
-as one (m, p) array. The aggregators are the weighted mean, the
-smoothed-Weiszfeld geometric median ("rfa"), median-of-means (group
-means through the oracle, then a server-side geometric median of the
-group means), and a single-gradient-step baseline ("sgd_step"). Metrics
-are always evaluated on uncorrupted pooled data. Doubling local steps is
-a ``TailAveragedSGD`` step schedule; ``run_rfa_doubling`` is a preset of
-``run_federated``.
+aggregates the returned models through a secure-average oracle. The
+devices are the rows of the partition's stacked (K, n, d) shard array,
+each with its own rng; poisoning works on a copy of that array. Local
+updates take the round's (m, n, d) slice and m rngs: each device draws
+all of its sample indices for the round in one call, and every local
+step updates the m models as one (m, p) array. The aggregators are the
+weighted mean, the smoothed-Weiszfeld geometric median ("rfa"),
+median-of-means (group means through the oracle, then a server-side
+geometric median of the group means), and a single-gradient-step
+baseline ("sgd_step"). Metrics are always evaluated on uncorrupted pooled data.
+Doubling local steps is a ``TailAveragedSGD`` step schedule;
+``run_rfa_doubling`` is a preset of ``run_federated``.
 """
 
 from __future__ import annotations
@@ -132,19 +133,9 @@ class RoundConfig:
             raise ValueError("devices_per_round must be positive")
         if self.aggregator.kind == "sgd_step" and not isinstance(self.local, LocalSGD):
             raise ValueError("sgd_step requires a LocalSGD spec for its batch size")
-
-
-@dataclass
-class DeviceState:
-    """One simulated device: its shard and private rng."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    rng: np.random.Generator
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
+        agg = self.aggregator
+        if agg.kind == "median_of_means" and agg.groups > self.devices_per_round:
+            raise ValueError("median_of_means needs groups <= devices_per_round")
 
 
 @dataclass
@@ -183,33 +174,36 @@ def renormalized_weights(alphas: np.ndarray, selected: np.ndarray) -> np.ndarray
     return sub / sub.sum()
 
 
-def _shard_size(devices: Sequence[DeviceState]) -> int:
-    """The one shard size shared by all ``devices``."""
-    sizes = {dev.n for dev in devices}
-    if len(sizes) != 1:
-        raise ValueError("devices must be a nonempty sequence with equal shard sizes")
-    return sizes.pop()
+def _shard_rows(features: np.ndarray, labels: np.ndarray, rngs: Sequence) -> int:
+    """Rows per shard n, after checking (m, n, d) features, (m, n) labels and m rngs."""
+    if features.ndim != 3 or not len(features) or labels.shape != features.shape[:2]:
+        raise ValueError("need m >= 1 stacked (n, d) shards with (m, n) labels")
+    if len(rngs) != len(features):
+        raise ValueError("need one rng per shard")
+    return features.shape[1]
 
 
 def _local_steps(
     task,
-    devices: Sequence[DeviceState],
+    features: np.ndarray,
+    labels: np.ndarray,
     w0: np.ndarray,
     gamma: float,
     idx: np.ndarray,
     tail: int,
 ) -> np.ndarray:
-    """SGD from w0 on every device at once, one stacked (m, p) update per step.
+    """SGD from w0 on m shards at once, one stacked (m, p) update per step.
 
-    The devices hold equal shard sizes. ``idx`` has shape (steps, m, b):
-    step s uses rows ``idx[s, k]`` of device k's shard. Returns the (m, p) average of the last ``tail``
-    iterates (the final iterate when tail = 1).
+    ``features`` (m, n, d) and ``labels`` (m, n) hold the shards, and
+    ``idx`` (steps, m, b) says which rows each step uses: step s uses rows
+    ``idx[s, k]`` of shard k. Returns the (m, p) average of the last
+    ``tail`` iterates (the final iterate when tail = 1).
     """
-    features = np.concatenate([dev.features for dev in devices])
-    labels = np.concatenate([dev.labels for dev in devices])
-    # Row numbers into the concatenated shards, gathered one step at a time.
-    rows = idx + devices[0].n * np.arange(len(devices))[:, None]
-    w = np.tile(np.asarray(w0, dtype=float), (len(devices), 1))
+    m, n = labels.shape
+    features, labels = features.reshape(m * n, -1), labels.reshape(m * n)
+    # Row numbers into the flattened shards, gathered one step at a time.
+    rows = idx + n * np.arange(m)[:, None]
+    w = np.tile(np.asarray(w0, dtype=float), (m, 1))
     acc = np.zeros_like(w)
     for s, batch in enumerate(rows):
         w -= gamma * task.gradient(w, features[batch], labels[batch])
@@ -220,53 +214,55 @@ def _local_steps(
 
 def local_update_sgd(
     task,
-    devices: Sequence[DeviceState],
+    features: np.ndarray,
+    labels: np.ndarray,
+    rngs: Sequence[np.random.Generator],
     w0: np.ndarray,
     gamma: float,
     batch_size: int,
     epochs: int = 1,
 ) -> np.ndarray:
-    """Minibatch SGD from w0 on each device's shard, batched across devices.
+    """Minibatch SGD from w0 on each of m shards, batched across shards.
 
-    The devices must hold equal shard sizes n_k. Each runs
-    ceil(n_k * epochs / batch_size) steps; every minibatch is a fresh
-    uniform subset (without replacement) of the shard. One rng call per
-    device draws all of its minibatches for the round. Returns the (m, p)
-    final iterates, row k for ``devices[k]``; gamma = 0 returns w0 in
-    every row.
+    ``features`` (m, n, d) and ``labels`` (m, n) stack the shards, and
+    ``rngs[k]`` is shard k's generator. Each shard runs
+    ceil(n * epochs / batch_size) steps; every minibatch is a fresh
+    uniform subset (without replacement) of the shard. One call on each
+    rng draws all of its minibatches for the round. Returns the (m, p)
+    final iterates, row k for shard k; gamma = 0 returns w0 in every row.
     """
-    n = _shard_size(devices)
+    n = _shard_rows(features, labels, rngs)
     if batch_size < 1 or batch_size > n:
         raise ValueError("batch_size must lie in [1, n_k]")
     if epochs < 1:
         raise ValueError("epochs must be positive")
     steps = math.ceil(n * epochs / batch_size)
-    idx = np.stack(
-        [dev.rng.random((steps, n)).argsort(axis=1)[:, :batch_size] for dev in devices], axis=1
-    )
-    return _local_steps(task, devices, w0, gamma, idx, tail=1)
+    idx = np.stack([rng.random((steps, n)).argsort(axis=1)[:, :batch_size] for rng in rngs], 1)
+    return _local_steps(task, features, labels, w0, gamma, idx, tail=1)
 
 
 def local_update_tail_avg_sgd(
     task,
-    devices: Sequence[DeviceState],
+    features: np.ndarray,
+    labels: np.ndarray,
+    rngs: Sequence[np.random.Generator],
     w0: np.ndarray,
     gamma: float,
     steps: int,
 ) -> np.ndarray:
-    """Single-sample SGD on each device, batched across devices.
+    """Single-sample SGD on each of m shards, batched across shards.
 
-    The devices must hold equal shard sizes. Each performs ``steps``
-    steps on samples drawn i.i.d. (with replacement) from its shard by one
-    rng call per device, then averages iterates ceil(steps/2)+1 through
-    steps. Returns the (m, p) averages, row k for ``devices[k]``.
+    Stacked like ``local_update_sgd``. Each shard performs ``steps`` steps
+    on samples drawn i.i.d. (with replacement) by one call on its rng, then
+    averages iterates ceil(steps/2)+1 through steps. Returns the (m, p)
+    averages, row k for shard k.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    n = _shard_size(devices)
-    idx = np.stack([dev.rng.integers(0, n, size=steps) for dev in devices], axis=1)
+    n = _shard_rows(features, labels, rngs)
+    idx = np.stack([rng.integers(0, n, size=steps) for rng in rngs], axis=1)
     tail = steps - (steps + 1) // 2
-    return _local_steps(task, devices, w0, gamma, idx[:, :, None], tail)
+    return _local_steps(task, features, labels, w0, gamma, idx[:, :, None], tail)
 
 
 def aggregate(
@@ -314,18 +310,6 @@ def aggregate(
     return result.z
 
 
-def _build_devices(partition, seed: int) -> list[DeviceState]:
-    children = np.random.SeedSequence([int(seed), 0xFED]).spawn(partition.devices)
-    return [
-        DeviceState(
-            features=partition.device_features[k],
-            labels=partition.device_labels[k],
-            rng=np.random.default_rng(children[k]),
-        )
-        for k in range(partition.devices)
-    ]
-
-
 def run_federated(
     task,
     partition,
@@ -337,11 +321,12 @@ def run_federated(
 ) -> list[RoundTrace]:
     """Simulate the federated loop from w = 0 for the given number of rounds.
 
-    Static data poisoning is applied to the corrupted devices' shards once
-    up front; adaptive poisoning relabels their original shards against
-    each round's broadcast model; the omniscient attack intercepts the
-    aggregation itself. Train/test losses and the squared distance to the
-    task's pooled optimum are recorded after every round on uncorrupted
+    ``partition`` is never written: static data poisoning is applied once
+    to a copy of its stacked shards; adaptive poisoning relabels, in a
+    copy of the labels, each round's selected corrupted shards from their
+    features against the broadcast model; the omniscient attack intercepts
+    the aggregation itself. Train/test losses and the squared distance to
+    the task's pooled optimum are recorded after every round on uncorrupted
     data. If a round's train loss exceeds ``DIVERGENCE_LOSS`` or turns
     non-finite the run is marked diverged by its trace and, with
     ``halt_on_divergence``, stops early. rounds = 0 returns an empty trace.
@@ -354,17 +339,21 @@ def run_federated(
         raise ValueError("devices_per_round exceeds the population")
     oracle = oracle if oracle is not None else SecureAverageOracle("plain")
     server_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E7]))
-    devices = _build_devices(partition, seed)
+    children = np.random.SeedSequence([int(seed), 0xFED]).spawn(partition.devices)
+    rngs = [np.random.default_rng(child) for child in children]
     spec = corruption
     if spec.realized_set is None:
         spec = realize(spec, partition.alphas, fallback_seed=seed)
     corrupted_ids = set(spec.realized_set)
 
+    # The partition's arrays are views of the task's train data, so poison copies.
+    features, labels = partition.device_features, partition.device_labels
     if spec.kind == "static_data":
-        for k in corrupted_ids:
-            dev = devices[k]
-            dev.features, dev.labels = poison_static(dev.features, dev.labels)
-    originals = {k: (devices[k].features, devices[k].labels) for k in corrupted_ids}
+        ids = list(spec.realized_set)
+        features, labels = features.copy(), labels.copy()
+        features[ids], labels[ids] = poison_static(features[ids], labels[ids])
+    elif spec.kind == "adaptive_data":
+        labels = labels.copy()
 
     counts = np.asarray(partition.counts, dtype=float)
     w = np.zeros_like(task.optimum)
@@ -375,24 +364,23 @@ def run_federated(
         round_weights = renormalized_weights(counts, selected)
         gamma = config.lr.gamma_at(t)
 
+        corrupted_mask = np.array([int(k) in corrupted_ids for k in selected])
         if spec.kind == "adaptive_data":
-            for k in corrupted_ids.intersection(selected.tolist()):
-                devices[k].features, devices[k].labels = poison_adaptive(*originals[k], w)
+            hit = selected[corrupted_mask]
+            labels[hit] = poison_adaptive(features[hit], labels[hit], w)[1]
 
-        chosen = [devices[int(k)] for k in selected]
+        x, y, chosen = features[selected], labels[selected], [rngs[k] for k in selected]
         if config.aggregator.kind == "sgd_step":
-            n = _shard_size(chosen)
-            idx = np.stack(
-                [dev.rng.choice(n, size=local.batch_size, replace=False) for dev in chosen]
-            )
-            updates = _local_steps(task, chosen, w, gamma, idx[None], tail=1)
+            n = y.shape[1]
+            idx = np.stack([rng.choice(n, local.batch_size, replace=False) for rng in chosen])
+            updates = _local_steps(task, x, y, w, gamma, idx[None], tail=1)
         elif isinstance(local, LocalSGD):
-            updates = local_update_sgd(task, chosen, w, gamma, local.batch_size, local.epochs)
+            batch, epochs = local.batch_size, local.epochs
+            updates = local_update_sgd(task, x, y, chosen, w, gamma, batch, epochs)
         else:
             steps = steps_at_round(local.steps, t, local.schedule)
-            updates = local_update_tail_avg_sgd(task, chosen, w, gamma, steps)
+            updates = local_update_tail_avg_sgd(task, x, y, chosen, w, gamma, steps)
 
-        corrupted_mask = np.array([int(k) in corrupted_ids for k in selected])
         if spec.kind == "omniscient" and corrupted_mask.any():
             updates = omniscient_updates(updates, round_weights, corrupted_mask)
 

@@ -9,7 +9,7 @@ qualitative runs; it shares the partitioner and the gradient conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -51,10 +51,15 @@ def exact_optimum(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FederatedPartition:
-    """Per-device data shards plus the population weights alpha_k ~ n_k."""
+    """Device shards as rows of stacked arrays, plus the weights alpha_k ~ n_k.
 
-    device_features: tuple
-    device_labels: tuple
+    ``device_features`` (K, n, d) and ``device_labels`` (K, n) are views of
+    the pooled train arrays: row k is device k's shard. Never write into
+    them; evaluation reads the same memory.
+    """
+
+    device_features: np.ndarray
+    device_labels: np.ndarray
     counts: np.ndarray
     alphas: np.ndarray
 
@@ -66,25 +71,28 @@ class FederatedPartition:
 def partition_data(
     features: np.ndarray, labels: np.ndarray, devices: int, samples_per_device: int
 ) -> FederatedPartition:
-    """Split pooled data into contiguous equally sized device shards."""
+    """Split pooled data into contiguous equal device shards, as views stacked row by row."""
     if devices < 1 or samples_per_device < 1:
         raise ValueError("devices and samples_per_device must be positive")
     need = devices * samples_per_device
     if features.shape[0] < need:
         raise ValueError("not enough samples to fill every device")
-    feats = []
-    labs = []
-    for k in range(devices):
-        sl = slice(k * samples_per_device, (k + 1) * samples_per_device)
-        feats.append(features[sl])
-        labs.append(labels[sl])
     counts = np.full(devices, samples_per_device, dtype=float)
     return FederatedPartition(
-        device_features=tuple(feats),
-        device_labels=tuple(labs),
+        device_features=features[:need].reshape(devices, samples_per_device, *features.shape[1:]),
+        device_labels=labels[:need].reshape(devices, samples_per_device),
         counts=counts,
         alphas=counts / counts.sum(),
     )
+
+
+def _split(features: np.ndarray, labels: np.ndarray, devices: int, per_device: int) -> tuple:
+    """(train_x, train_y, test_x, test_y, partition of the train rows); no empty test split."""
+    partition = partition_data(features, labels, devices, per_device)
+    n = devices * per_device
+    if features.shape[0] <= n:
+        raise ValueError("test_samples must be positive")
+    return features[:n], labels[:n], features[n:], labels[n:], partition
 
 
 def _bounded_features(rng: np.random.Generator, n: int, d: int, bound: float) -> np.ndarray:
@@ -168,12 +176,9 @@ def generate_ls_task(
     if noise_std > 0.0:
         labels = labels + noise_std * rng.standard_normal(n)
 
-    n_train = devices * samples_per_device
-    train_x, test_x = phi[:n_train], phi[n_train:]
-    train_y, test_y = labels[:n_train], labels[n_train:]
-    partition = partition_data(train_x, train_y, devices, samples_per_device)
+    train_x, train_y, test_x, test_y, partition = _split(phi, labels, devices, samples_per_device)
 
-    gram = train_x.T @ train_x / n_train
+    gram = train_x.T @ train_x / train_x.shape[0]
     eigs = np.linalg.eigvalsh(gram)
     mu = float(eigs[0])
     smoothness = float(eigs[-1])
@@ -264,10 +269,7 @@ def generate_logistic_task(
     p = p / p.sum(axis=1, keepdims=True)
     labels = np.array([rng.choice(classes, p=row) for row in p], dtype=float)
 
-    n_train = devices * samples_per_device
-    train_x, test_x = phi[:n_train], phi[n_train:]
-    train_y, test_y = labels[:n_train], labels[n_train:]
-    partition = partition_data(train_x, train_y, devices, samples_per_device)
+    train_x, train_y, test_x, test_y, partition = _split(phi, labels, devices, samples_per_device)
 
     stub = MultinomialLogisticTask(
         d=d,
@@ -288,15 +290,4 @@ def generate_logistic_task(
         method="L-BFGS-B",
         options={"maxiter": 500, "gtol": 1e-10},
     )
-    task = MultinomialLogisticTask(
-        d=d,
-        classes=classes,
-        feature_bound=float(feature_bound),
-        w_star=w_star.ravel(),
-        optimum=np.asarray(res.x, dtype=float),
-        train_features=train_x,
-        train_labels=train_y,
-        test_features=test_x,
-        test_labels=test_y,
-    )
-    return task, partition
+    return replace(stub, optimum=np.asarray(res.x, dtype=float)), partition

@@ -237,6 +237,34 @@ class TestSimulate:
         assert main(["simulate", cfg, "--seeds", "1,x"]) == 1
         assert "seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            {"nu": "1e-6"},
+            {"gamma0": "18"},
+            {"gamma0": float("nan")},
+            {"budget": 2.7},
+            {"batch_size": 10.5},
+            {"epochs": True},
+            {"aggregator": "median_of_means", "groups": 20},
+        ],
+        ids=["string_nu", "string_gamma0", "nan_gamma0", "real_budget", "real_batch_size",
+             "bool_epochs", "too_many_groups"],
+    )
+    def test_bad_algorithm_value_exit_1_before_output(self, tmp_path, capsys, algorithm):
+        cfg = write_config(tmp_path, algorithm=algorithm)
+        assert main(["simulate", cfg]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "runs")
+
+    def test_integral_and_real_algorithm_values_are_coerced(self, tmp_path):
+        cfg = write_config(tmp_path, algorithm={"budget": 3.0, "gamma0": 1, "decay": 1})
+        assert main(["simulate", cfg, "--rounds", "2", "--seeds", "0"]) == 0
+        summary = json.loads(open(tmp_path / "runs" / "summary.json").read())
+        algorithm = summary["config"]["algorithm"]
+        assert (algorithm["budget"], algorithm["gamma0"], algorithm["decay"]) == (3, 1.0, 1.0)
+        assert isinstance(algorithm["budget"], int) and isinstance(algorithm["gamma0"], float)
+
     def test_masked_oracle_matches_plain(self, tmp_path):
         traces = {}
         for mode in ("plain", "masked"):

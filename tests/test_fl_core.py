@@ -25,7 +25,6 @@ from fedgm.fl_core import (
     steps_at_round,
     trace_diverged,
 )
-from fedgm.fl_core import DeviceState
 from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
 from fedgm.secure_avg import SecureAverageOracle
 from fedgm.tasks import generate_logistic_task, generate_ls_task
@@ -35,13 +34,12 @@ def small_task(seed=0, noise=0.1, d=3, devices=10, n_k=20):
     return generate_ls_task(d, devices, n_k, noise, seed=seed, test_samples=50)
 
 
-def make_device(seed=0, n=20, d=3):
-    rng = np.random.default_rng(seed)
-    return DeviceState(
-        features=rng.standard_normal((n, d)),
-        labels=rng.standard_normal(n),
-        rng=np.random.default_rng(seed + 1),
-    )
+def make_shards(seeds=(0,), n=20, d=3):
+    """Stacked (m, n, d) features, (m, n) labels and m rngs, one shard per seed."""
+    data = [np.random.default_rng(seed) for seed in seeds]
+    features = np.stack([rng.standard_normal((n, d)) for rng in data])
+    labels = np.stack([rng.standard_normal(n) for rng in data])
+    return features, labels, [np.random.default_rng(seed + 1) for seed in seeds]
 
 
 class TestSchedulesAndSpecs:
@@ -88,6 +86,10 @@ class TestSchedulesAndSpecs:
                 local=LocalSGD(batch_size=5),
                 lr=LrSchedule(gamma0=1.0),
             )
+        spec = AggregatorSpec(kind="median_of_means", groups=6)
+        with pytest.raises(ValueError, match="groups"):
+            RoundConfig(5, LocalSGD(batch_size=5), LrSchedule(gamma0=1.0), spec)
+        RoundConfig(6, LocalSGD(batch_size=5), LrSchedule(gamma0=1.0), spec)
 
 
 class TestSamplingHelpers:
@@ -116,104 +118,109 @@ class TestSamplingHelpers:
 class TestLocalUpdates:
     def test_zero_rate_returns_start(self):
         task, _ = small_task()
-        dev = make_device()
+        x, y, rngs = make_shards()
         w0 = np.ones(3)
-        out = local_update_sgd(task, [dev], w0, 0.0, batch_size=5)
+        out = local_update_sgd(task, x, y, rngs, w0, 0.0, batch_size=5)
         assert np.array_equal(out[0], w0)
 
     def test_full_batch_single_epoch_is_one_gradient_step(self):
         task, _ = small_task()
-        dev = make_device(n=16)
+        x, y, rngs = make_shards(n=16)
         w0 = np.full(3, 0.5)
         gamma = 0.2
-        out = local_update_sgd(task, [dev], w0, gamma, batch_size=16, epochs=1)
-        expected = w0 - gamma * task.gradient(w0, dev.features, dev.labels)
+        out = local_update_sgd(task, x, y, rngs, w0, gamma, batch_size=16, epochs=1)
+        expected = w0 - gamma * task.gradient(w0, x[0], y[0])
         assert np.allclose(out[0], expected, atol=1e-12)
 
     def test_step_count_scales_with_epochs(self):
         task, _ = small_task()
         w0 = np.zeros(3)
-        a = local_update_sgd(task, [make_device(seed=3)], w0, 0.05, batch_size=4, epochs=1)[0]
-        b = local_update_sgd(task, [make_device(seed=3)], w0, 0.05, batch_size=4, epochs=3)[0]
+        a = local_update_sgd(task, *make_shards((3,)), w0, 0.05, batch_size=4, epochs=1)[0]
+        b = local_update_sgd(task, *make_shards((3,)), w0, 0.05, batch_size=4, epochs=3)[0]
         # more passes from the same starting rng pull the iterate further
         assert not np.allclose(a, b)
 
     def test_batch_size_validation(self):
         task, _ = small_task()
-        dev = make_device(n=10)
+        shards = make_shards(n=10)
         with pytest.raises(ValueError):
-            local_update_sgd(task, [dev], np.zeros(3), 0.1, batch_size=11)
+            local_update_sgd(task, *shards, np.zeros(3), 0.1, batch_size=11)
         with pytest.raises(ValueError):
-            local_update_sgd(task, [dev], np.zeros(3), 0.1, batch_size=0)
+            local_update_sgd(task, *shards, np.zeros(3), 0.1, batch_size=0)
 
     def test_tail_avg_zero_rate_returns_start(self):
         task, _ = small_task()
-        out = local_update_tail_avg_sgd(task, [make_device()], np.ones(3), 0.0, steps=8)
+        out = local_update_tail_avg_sgd(task, *make_shards(), np.ones(3), 0.0, steps=8)
         assert np.allclose(out[0], np.ones(3))
 
     def test_tail_avg_reproducible_given_device_rng(self):
         task, _ = small_task()
-        a = local_update_tail_avg_sgd(task, [make_device(seed=7)], np.zeros(3), 0.3, steps=10)[0]
-        b = local_update_tail_avg_sgd(task, [make_device(seed=7)], np.zeros(3), 0.3, steps=10)[0]
+        a = local_update_tail_avg_sgd(task, *make_shards((7,)), np.zeros(3), 0.3, steps=10)[0]
+        b = local_update_tail_avg_sgd(task, *make_shards((7,)), np.zeros(3), 0.3, steps=10)[0]
         assert np.array_equal(a, b)
 
     def test_tail_avg_step_validation(self):
         task, _ = small_task()
         with pytest.raises(ValueError):
-            local_update_tail_avg_sgd(task, [make_device()], np.zeros(3), 0.1, steps=1)
+            local_update_tail_avg_sgd(task, *make_shards(), np.zeros(3), 0.1, steps=1)
 
     def test_unequal_shards_rejected(self):
+        """Features, labels and rngs must agree on m shards of n rows."""
         task, _ = small_task()
-        devices = [make_device(n=10), make_device(n=12)]
-        with pytest.raises(ValueError, match="equal shard sizes"):
-            local_update_sgd(task, devices, np.zeros(3), 0.1, batch_size=5)
-        with pytest.raises(ValueError, match="equal shard sizes"):
-            local_update_tail_avg_sgd(task, devices, np.zeros(3), 0.1, steps=4)
-        with pytest.raises(ValueError, match="equal shard sizes"):
-            local_update_tail_avg_sgd(task, [], np.zeros(3), 0.1, steps=4)
+        x, y, rngs = make_shards((0, 1))
+        cases = [
+            (x[:0], y[:0], [], "stacked"),  # no shards
+            (x[0], y[0], rngs[:1], "stacked"),  # one shard, not stacked
+            (x, y[:, :-1], rngs, "stacked"),  # labels not (m, n)
+            (x, y[0], rngs, "stacked"),  # one shard's labels for two shards
+            (x, y, rngs[:1], "one rng per shard"),  # one rng would serve both shards
+            (x, y, rngs + rngs[:1], "one rng per shard"),
+        ]
+        for features, labels, gens, match in cases:
+            with pytest.raises(ValueError, match=match):
+                local_update_sgd(task, features, labels, gens, np.zeros(3), 0.1, batch_size=5)
+            with pytest.raises(ValueError, match=match):
+                local_update_tail_avg_sgd(task, features, labels, gens, np.zeros(3), 0.1, steps=4)
 
 
 class TestBatchedLocalUpdates:
     """Each row of a batched local update matches a one-device Python loop."""
 
-    def devices(self):
-        return [make_device(seed=s) for s in (0, 10, 20)]
-
     def test_tail_avg_rows_match_one_row_loop(self):
         task, _ = small_task()
-        devices = self.devices()
-        rngs = [copy.deepcopy(dev.rng) for dev in devices]
+        x, y, device_rngs = make_shards((0, 10, 20))
+        rngs = copy.deepcopy(device_rngs)
         w0, gamma, steps = np.full(3, 0.2), 0.3, 9
-        out = local_update_tail_avg_sgd(task, devices, w0, gamma, steps)
+        out = local_update_tail_avg_sgd(task, x, y, device_rngs, w0, gamma, steps)
         assert out.shape == (3, 3)
-        for k, (dev, rng) in enumerate(zip(devices, rngs)):
-            idx = rng.integers(0, dev.n, size=steps)
+        for k, (dev_rng, rng) in enumerate(zip(device_rngs, rngs)):
+            idx = rng.integers(0, x.shape[1], size=steps)
             w = w0.copy()
             tail = []
             for i, j in enumerate(idx):
-                w = w - gamma * task.gradient(w, dev.features[j : j + 1], dev.labels[j : j + 1])
+                w = w - gamma * task.gradient(w, x[k, j : j + 1], y[k, j : j + 1])
                 if i + 1 >= (steps + 1) // 2 + 1:
                     tail.append(w)
             assert np.abs(out[k] - np.mean(tail, axis=0)).max() <= 1e-12
             # one rng call per device per round
-            assert dev.rng.bit_generator.state == rng.bit_generator.state
+            assert dev_rng.bit_generator.state == rng.bit_generator.state
 
     def test_sgd_rows_match_sequential_minibatch_sgd(self):
         task, _ = small_task()
-        devices = self.devices()
-        rngs = [copy.deepcopy(dev.rng) for dev in devices]
+        x, y, device_rngs = make_shards((0, 10, 20))
+        rngs = copy.deepcopy(device_rngs)
         w0, gamma, batch, epochs = np.full(3, -0.1), 0.2, 6, 2
-        out = local_update_sgd(task, devices, w0, gamma, batch, epochs)
+        out = local_update_sgd(task, x, y, device_rngs, w0, gamma, batch, epochs)
         assert out.shape == (3, 3)
         steps = math.ceil(20 * epochs / batch)
-        for k, (dev, rng) in enumerate(zip(devices, rngs)):
-            draws = rng.random((steps, dev.n)).argsort(axis=1)[:, :batch]
+        for k, (dev_rng, rng) in enumerate(zip(device_rngs, rngs)):
+            draws = rng.random((steps, x.shape[1])).argsort(axis=1)[:, :batch]
             w = w0.copy()
             for idx in draws:
                 assert len(set(idx.tolist())) == batch
-                w = w - gamma * task.gradient(w, dev.features[idx], dev.labels[idx])
+                w = w - gamma * task.gradient(w, x[k, idx], y[k, idx])
             assert np.abs(out[k] - w).max() <= 1e-12
-            assert dev.rng.bit_generator.state == rng.bit_generator.state
+            assert dev_rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestAggregate:
@@ -403,6 +410,17 @@ class TestRunFederated:
         )
         assert sum(t.corrupted_selected for t in spoiled) > 0
         assert [t.train_loss for t in clean] != [t.train_loss for t in spoiled]
+
+    @pytest.mark.parametrize("kind", ["static_data", "adaptive_data"])
+    def test_poisoning_leaves_partition_and_task_data_untouched(self, kind):
+        task, part = small_task()
+        arrays = [part.device_features, part.device_labels, task.train_features, task.train_labels]
+        before = [a.tobytes() for a in arrays]
+        traces = run_federated(
+            task, part, CorruptionSpec(kind=kind, rho=0.3, seed=7), clean_config(), 6, seed=7
+        )
+        assert sum(t.corrupted_selected for t in traces) > 0
+        assert [a.tobytes() for a in arrays] == before
 
     def test_adaptive_corruption_runs(self):
         task, part = small_task()

@@ -121,8 +121,9 @@ class TestGeneratorValidation:
             {"samples_per_device": 0},
             {"feature_bound": 0.0},
             {"feature_bound": -1.0},
+            {"test_samples": 0},
         ],
-        ids=["d", "devices", "samples_per_device", "zero_bound", "negative_bound"],
+        ids=["d", "devices", "samples_per_device", "zero_bound", "negative_bound", "test_samples"],
     )
     def test_rejects_bad_input(self, kind, bad):
         with pytest.raises(ValueError):
@@ -146,6 +147,12 @@ class TestPartition:
         task, part = generate_ls_task(2, 4, 5, 0.0, seed=9)
         recombined = np.vstack(part.device_features)
         assert np.array_equal(recombined, task.train_features)
+        # The shards are stacked views of the train data, not copies.
+        assert part.device_features.shape == (4, 5, 2)
+        assert part.device_labels.shape == (4, 5)
+        assert np.shares_memory(part.device_features, task.train_features)
+        assert np.shares_memory(part.device_labels, task.train_labels)
+        assert np.array_equal(part.device_labels[2], task.train_labels[10:15])
 
     def test_insufficient_samples_raise(self):
         with pytest.raises(ValueError):
