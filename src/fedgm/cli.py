@@ -49,6 +49,8 @@ SWEEP_CSV_COLUMNS = ("axis", "value", "seed", "final_train_loss", "final_test_lo
 
 # Learning-rate and local-pass defaults were tuned once on the uncorrupted
 # synthetic least-squares task and are frozen across corruption settings.
+# The JSON type of each default is its key's type (see _coerce), so a real
+# default is written with a decimal point and an integer one without.
 DEFAULT_CONFIG: dict = {
     "task": {
         "d": 10,
@@ -113,61 +115,52 @@ def merge_config(user: dict) -> dict:
     return merged
 
 
+def _coerce(name: str, value, default):
+    """Return value as the JSON type of default, or raise ValueError.
+
+    Booleans and strings must already have that type. Numbers must be finite
+    and not booleans; an integer default also needs an integral value. A
+    list default (the seeds) needs a nonempty list of such elements.
+    """
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{name} must be a nonempty list")
+        return [_coerce(name, item, default[0]) for item in value]
+    if isinstance(default, (bool, str)):
+        if type(value) is not type(default):
+            kind = "boolean" if isinstance(default, bool) else "string"
+            raise ValueError(f"{name} must be a {kind}")
+        return value
+    integral = isinstance(default, int)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and (not integral or float(value).is_integer())):
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a finite number'}")
+    return int(value) if integral else float(value)
+
+
 def validate_config(config: dict) -> dict:
-    """Range-check a merged config, coercing its numbers in place; returns it."""
-    task, corr, algo, run = (
-        config["task"],
-        config["corruption"],
-        config["algorithm"],
-        config["run"],
-    )
+    """Coerce a merged config to its defaults' types in place and range-check it."""
     try:
+        for block, defaults in DEFAULT_CONFIG.items():
+            for key, default in defaults.items():
+                config[block][key] = _coerce(f"{block}.{key}", config[block][key], default)
+        task, corr, algo, run = (config[block] for block in DEFAULT_CONFIG)
         for key in ("d", "devices", "samples_per_device", "test_samples"):
-            if int(task[key]) != task[key] or task[key] < 1:
+            if task[key] < 1:
                 raise ValueError(f"task.{key} must be a positive integer")
-            task[key] = int(task[key])
         if task["noise_std"] < 0 or task["feature_bound"] <= 0:
             raise ValueError("task.noise_std must be >= 0 and task.feature_bound > 0")
-        if corr["kind"] not in CORRUPTION_KINDS:
-            raise ValueError(f"corruption.kind must be one of {CORRUPTION_KINDS}")
-        if not 0.0 <= float(corr["rho"]) < 1.0:
-            raise ValueError("corruption.rho must lie in [0, 1)")
         if corr["kind"] == "none" and corr["rho"] > 0.0:
             raise ValueError("corruption.rho > 0 needs an attack kind")
-        if algo["aggregator"] not in AGGREGATOR_KINDS:
-            raise ValueError(f"algorithm.aggregator must be one of {AGGREGATOR_KINDS}")
-        integers = ("budget", "groups", "batch_size", "epochs", "decay_every")
-        for key in ("nu", "rel_tol", "gamma0", "decay", *integers):
-            value = algo[key]
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not number or not math.isfinite(value):
-                raise ValueError(f"algorithm.{key} must be a finite number")
-            if key in integers and not float(value).is_integer():
-                raise ValueError(f"algorithm.{key} must be an integer")
-            algo[key] = int(value) if key in integers else float(value)
-        if int(run["rounds"]) != run["rounds"] or run["rounds"] < 0:
-            raise ValueError("run.rounds must be a nonnegative integer")
-        run["rounds"] = int(run["rounds"])
-        seeds = run["seeds"]
-        if (
-            not isinstance(seeds, list)
-            or not seeds
-            or any(int(s) != s for s in seeds)
-        ):
-            raise ValueError("run.seeds must be a nonempty list of integers")
-        run["seeds"] = [int(s) for s in seeds]
-        if int(run["devices_per_round"]) != run["devices_per_round"]:
-            raise ValueError("run.devices_per_round must be an integer")
-        run["devices_per_round"] = int(run["devices_per_round"])
-        if not 1 <= run["devices_per_round"] <= task["devices"]:
-            raise ValueError("run.devices_per_round must lie in [1, task.devices]")
-        if run["oracle_mode"] not in ("plain", "masked"):
-            raise ValueError("run.oracle_mode must be 'plain' or 'masked'")
-        if not isinstance(run["halt_on_divergence"], bool):
-            raise ValueError("run.halt_on_divergence must be a boolean")
+        if run["rounds"] < 0 or min(run["seeds"]) < 0:
+            raise ValueError("run.rounds and run.seeds must be nonnegative")
+        if run["devices_per_round"] > task["devices"]:
+            raise ValueError("run.devices_per_round exceeds task.devices")
         if algo["batch_size"] > task["samples_per_device"]:
             raise ValueError("algorithm.batch_size exceeds samples_per_device")
-        # Construction performs the remaining numeric checks on the values the run uses.
+        # The constructors the run uses check the remaining kinds and ranges.
+        CorruptionSpec(**corr)
+        SecureAverageOracle(run["oracle_mode"])
         _round_config(config)
     except (TypeError, KeyError, OverflowError) as exc:
         raise UsageError(f"malformed config value: {exc}") from exc
@@ -177,6 +170,7 @@ def validate_config(config: dict) -> dict:
 
 
 def load_config(path: str) -> dict:
+    """Read a JSON config file and merge it onto the defaults, unvalidated."""
     try:
         with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
@@ -184,7 +178,7 @@ def load_config(path: str) -> dict:
         raise UsageError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(merge_config(user))
+    return merge_config(user)
 
 
 def _round_config(config: dict) -> RoundConfig:
@@ -206,21 +200,8 @@ def _round_config(config: dict) -> RoundConfig:
 
 def run_one_seed(config: dict, seed: int) -> tuple[list[RoundTrace], SecureAverageOracle]:
     """Run one seeded federated experiment described by a validated config."""
-    t = config["task"]
-    task, partition = generate_ls_task(
-        d=t["d"],
-        devices=t["devices"],
-        samples_per_device=t["samples_per_device"],
-        noise_std=t["noise_std"],
-        feature_bound=t["feature_bound"],
-        seed=seed,
-        test_samples=t["test_samples"],
-    )
-    corruption = CorruptionSpec(
-        kind=config["corruption"]["kind"],
-        rho=float(config["corruption"]["rho"]),
-        seed=seed,
-    )
+    task, partition = generate_ls_task(**config["task"], seed=seed)
+    corruption = CorruptionSpec(**config["corruption"], seed=seed)
     oracle = SecureAverageOracle(config["run"]["oracle_mode"], seed=seed)
     traces = run_federated(
         task,
@@ -280,9 +261,10 @@ def write_summary_json(path: str, config: dict, per_seed: list[dict]) -> None:
         },
         "diverged_seeds": sum(row["diverged"] for row in per_seed),
     }
+    # Serialize before opening, so a value JSON cannot encode leaves no cut-off file.
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -322,37 +304,29 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     _apply_overrides(config, args)
-    validate_config(config)
     raw_values = [v for v in args.values.split(",") if v]
     if not raw_values:
         raise UsageError("sweep needs at least one --values entry")
-    outdir = config["run"]["outdir"]
-    os.makedirs(outdir, exist_ok=True)
-    rows = []
+    # Every point is validated before the outdir exists or any seed runs.
+    points = []
     for raw in raw_values:
         point = copy.deepcopy(config)
         if args.axis == "rho":
             try:
-                value = float(raw)
+                point["corruption"]["rho"] = float(raw)
             except ValueError as exc:
                 raise UsageError(f"bad rho value {raw!r}") from exc
-            point["corruption"]["rho"] = value
         else:
             point["algorithm"]["aggregator"] = raw
-        validate_config(point)
+        points.append(validate_config(point))
+    outdir = points[0]["run"]["outdir"]
+    os.makedirs(outdir, exist_ok=True)
+    rows = []
+    for raw, point in zip(raw_values, points):
         for seed in point["run"]["seeds"]:
             traces, _ = run_one_seed(point, seed)
-            last = traces[-1] if traces else None
-            rows.append(
-                [
-                    args.axis,
-                    raw,
-                    seed,
-                    last.train_loss if last else "",
-                    last.test_loss if last else "",
-                    trace_diverged(traces),
-                ]
-            )
+            finals = (traces[-1].train_loss, traces[-1].test_loss) if traces else ("", "")
+            rows.append([args.axis, raw, seed, *finals, trace_diverged(traces)])
     path = os.path.join(outdir, "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

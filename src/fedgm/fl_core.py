@@ -52,7 +52,7 @@ class LrSchedule:
     decay_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.gamma0 < 0.0 or self.decay <= 0.0 or self.decay_every < 1:
+        if not (0 <= self.gamma0 < math.inf and 0 < self.decay < math.inf) or self.decay_every < 1:
             raise ValueError("invalid learning-rate schedule")
 
     def gamma_at(self, t: int) -> float:
@@ -114,8 +114,8 @@ class AggregatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator kind must be one of {AGGREGATOR_KINDS}")
-        if self.nu <= 0.0 or self.budget < 1 or self.rel_tol < 0.0 or self.groups < 1:
-            raise ValueError("invalid aggregator parameters")
+        if not 0 < self.nu < math.inf > self.rel_tol >= 0 or min(self.budget, self.groups) < 1:
+            raise ValueError("need finite nu > 0 and rel_tol >= 0, and budget and groups >= 1")
 
 
 @dataclass(frozen=True)

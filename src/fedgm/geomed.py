@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .secure_avg import SecureAverageOracle
 
@@ -194,10 +193,10 @@ def smoothed_weiszfeld(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if rel_tol < 0.0:
-        raise ValueError("rel_tol must be nonnegative")
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError("rel_tol must be finite and nonnegative")
+    if not 0.0 < nu < math.inf:
+        raise ValueError("nu must be finite and positive")
     if z0 is not None:
         z0 = np.asarray(z0, dtype=float).ravel()
         if z0.shape[0] != point_set.d:
@@ -313,6 +312,7 @@ def brute_force_gm(
             best_g = g
             best_z = z.copy()
 
+    from scipy import optimize  # imported here: `import fedgm` stays scipy-free
     fun = lambda v: gm_objective(v, point_set)
     z_cur = best_z
     g_prev = best_g

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 
 def least_squares_loss(w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -282,6 +281,7 @@ def generate_logistic_task(
         test_features=test_x,
         test_labels=test_y,
     )
+    from scipy import optimize  # imported here: `import fedgm` stays scipy-free
     res = optimize.minimize(
         stub.loss,
         np.zeros(classes * d),

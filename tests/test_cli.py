@@ -14,6 +14,7 @@ from fedgm.cli import (
     main,
     merge_config,
     validate_config,
+    write_summary_json,
 )
 from fedgm.cli import UsageError
 from fedgm.fl_core import TRACE_CSV_COLUMNS
@@ -144,6 +145,12 @@ class TestGmSolve:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--nu", "--rel-tol"])
+    def test_non_finite_solver_option_exit_1(self, tmp_path, capsys, flag):
+        path = write_points(tmp_path, EQUILATERAL)
+        assert main(["gm-solve", path, flag, "nan"]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_overflowing_distances_exit_1(self, tmp_path, capsys):
         # A tenth of the weight near 1e200: every distance overflows, so no
         # reweighted average exists and no NaN result may be written.
@@ -257,6 +264,42 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "runs")
 
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            {"task": {"devices": True}, "run": {"devices_per_round": 1}},
+            {"run": {"rounds": True}},
+            {"run": {"seeds": [True]}},
+            {"task": {"noise_std": float("nan")}},
+            {"task": {"feature_bound": float("inf")}},
+            {"task": {"noise_std": True}},
+            {"run": {"outdir": 5}},
+            {"run": {"seeds": [-1]}},
+        ],
+        ids=["bool_devices", "bool_rounds", "bool_seed", "nan_noise_std", "inf_feature_bound",
+             "bool_noise_std", "int_outdir", "negative_seed"],
+    )
+    def test_bad_task_or_run_value_exit_1_before_output(
+        self, tmp_path, capsys, monkeypatch, blocks
+    ):
+        monkeypatch.chdir(tmp_path)  # a relative outdir such as 5 would land here
+        cfg = write_config(tmp_path, **blocks)
+        assert main(["simulate", cfg]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_values_take_the_type_of_their_default(self, tmp_path):
+        cfg = write_config(tmp_path, task={"noise_std": 0, "d": 10.0})
+        assert main(["simulate", cfg, "--rounds", "1", "--seeds", "0"]) == 0
+        task = json.loads((tmp_path / "runs" / "summary.json").read_text())["config"]["task"]
+        assert repr((task["noise_std"], task["d"])) == "(0.0, 10)"
+
+    def test_summary_that_cannot_be_json_leaves_no_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        with pytest.raises(ValueError):
+            write_summary_json(str(path), {"task": {"noise_std": float("nan")}}, [])
+        assert not path.exists()
+
     def test_integral_and_real_algorithm_values_are_coerced(self, tmp_path):
         cfg = write_config(tmp_path, algorithm={"budget": 3.0, "gamma0": 1, "decay": 1})
         assert main(["simulate", cfg, "--rounds", "2", "--seeds", "0"]) == 0
@@ -328,6 +371,19 @@ class TestSweep:
         cfg = write_config(tmp_path)
         rc = main(["sweep", cfg, "--axis", "rho", "--values", "0.1"])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "axis,values", [("aggregator", "rfa,bogus"), ("rho", "0,nan")]
+    )
+    def test_bad_later_value_runs_nothing(self, tmp_path, capsys, axis, values, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a seed ran before every sweep point was validated")
+
+        monkeypatch.setattr("fedgm.cli.run_one_seed", fail)
+        cfg = write_config(tmp_path)
+        assert main(["sweep", cfg, "--axis", axis, "--values", values]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "runs")
 
     def test_single_value_matches_simulate(self, tmp_path):
         cfg = write_config(tmp_path, run={"seeds": [3]})
@@ -422,6 +478,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["iterations"] >= 1
+
+    def test_import_does_not_load_scipy(self):
+        import subprocess
+        import sys
+
+        # scipy is only needed by brute_force_gm and generate_logistic_task.
+        code = "import sys, fedgm, fedgm.cli; assert 'scipy' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_subcommand_exit_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -58,6 +58,9 @@ class TestSchedulesAndSpecs:
             LrSchedule(gamma0=1.0, decay=0.0)
         with pytest.raises(ValueError):
             LrSchedule(gamma0=1.0, decay_every=0)
+        for gamma0, decay in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                LrSchedule(gamma0=gamma0, decay=decay)
 
     def test_local_spec_validation(self):
         with pytest.raises(ValueError):
@@ -78,6 +81,9 @@ class TestSchedulesAndSpecs:
             AggregatorSpec(kind="rfa", nu=0.0)
         with pytest.raises(ValueError):
             AggregatorSpec(kind="median_of_means", groups=0)
+        for nu, rel_tol in ((math.nan, 1e-6), (math.inf, 1e-6), (1e-6, math.nan), (1e-6, math.inf)):
+            with pytest.raises(ValueError):
+                AggregatorSpec(kind="rfa", nu=nu, rel_tol=rel_tol)
 
     def test_round_config_validation(self):
         with pytest.raises(ValueError):

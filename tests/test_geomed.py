@@ -328,6 +328,9 @@ class TestSmoothedWeiszfeld:
             smoothed_weiszfeld(ps, nu=0.0)
         with pytest.raises(ValueError):
             smoothed_weiszfeld(ps, rel_tol=-1.0)
+        for nu, rel_tol in ((math.nan, 1e-6), (math.inf, 1e-6), (1e-6, math.nan), (1e-6, math.inf)):
+            with pytest.raises(ValueError):
+                smoothed_weiszfeld(ps, nu=nu, rel_tol=rel_tol)
         with pytest.raises(ValueError):
             smoothed_weiszfeld(ps, z0=np.zeros(ps.d + 1))
         single = WeightedPointSet(np.array([[2.0, 3.0]]), np.ones(1))
