@@ -2,13 +2,17 @@
 
 Every aggregation in this package flows through one primitive, a weighted
 average of device vectors. In masked mode each device encodes its
-contribution as 64-bit fixed-point integers, and each ordered pair of
-devices shares a mask, uniform mod 2^64, added on one side and subtracted
-on the other. Individual contributions are hidden, while the masks cancel
-exactly in the wrapping sum: the result equals the unmasked fixed-point sum
-bit for bit, whatever the mask seed, and differs from plain mode only by
-the quantization. Counters record how many averages were taken and a
-modeled communication cost of m*d + m^2 units per call.
+contribution as 64-bit fixed-point integers and adds a mask, uniform mod
+2^64 on its own. The masks of all devices sum to zero mod 2^64: m - 1 rows
+are drawn at random and the last device takes minus their sum. That is the
+same law as the pairwise masks of secure aggregation, where each pair of
+devices shares a mask added on one side and subtracted on the other, so
+the server sees the same thing at O(m d) cost. Individual contributions are
+hidden, while the masks cancel exactly in the wrapping sum: the result
+equals the unmasked fixed-point sum bit for bit, whatever the mask seed,
+and differs from plain mode only by the quantization. Counters record how
+many averages were taken and a modeled communication cost of m*d + m^2
+units per call, the traffic of the pairwise protocol.
 """
 
 import numpy as np

@@ -168,7 +168,8 @@ def smoothed_weiszfeld(
         Stop once the relative improvement of the smoothed objective
         between consecutive iterates falls to this level or below.
     z0 : ndarray, optional
-        Starting point, expected inside the convex hull of the points.
+        Starting point, finite and expected inside the convex hull of the
+        points.
         Defaults to the weighted mean, which costs one extra oracle call.
     oracle : object, optional
         Anything with ``average(values, weights)``; every weighted average
@@ -201,6 +202,8 @@ def smoothed_weiszfeld(
         z0 = np.asarray(z0, dtype=float).ravel()
         if z0.shape[0] != point_set.d:
             raise ValueError("z0 dimension does not match the points")
+        if not np.all(np.isfinite(z0)):
+            raise ValueError("z0 must be finite")
     if oracle is None:
         oracle = SecureAverageOracle("plain")
 

@@ -333,6 +333,18 @@ class TestSmoothedWeiszfeld:
                 smoothed_weiszfeld(ps, nu=nu, rel_tol=rel_tol)
         with pytest.raises(ValueError):
             smoothed_weiszfeld(ps, z0=np.zeros(ps.d + 1))
+
+        class UncheckedMean:
+            def average(self, values, weights):
+                return weights @ values / weights.sum()
+
+        for bad in (math.nan, math.inf):
+            z0 = np.zeros(ps.d)
+            z0[0] = bad
+            # Without the check, this oracle turns a non-finite z0 into a NaN
+            # solve that reports converged_by="budget".
+            with pytest.raises(ValueError, match="z0 must be finite"):
+                smoothed_weiszfeld(ps, z0=z0, oracle=UncheckedMean())
         single = WeightedPointSet(np.array([[2.0, 3.0]]), np.ones(1))
         with pytest.raises(ValueError):
             smoothed_weiszfeld(single, z0=np.zeros(3))

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
-from fedgm.secure_avg import SecureAverageOracle
+from fedgm import secure_avg
+from fedgm.secure_avg import SecureAverageOracle, _zero_sum_masks
 
 RNG_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -109,12 +110,36 @@ class TestMaskedMode:
         masked = SecureAverageOracle("masked", seed=8).average(vals, wts)
         assert np.abs(masked - plain).max() <= 1e-14 * np.abs(plain).max()
 
-    def test_one_mask_per_pair_and_coordinate_is_drawn(self):
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_one_mask_row_per_device_but_the_last_is_drawn(self, m):
         oracle = SecureAverageOracle("masked", seed=21)
-        oracle.average(np.ones((5, 3)), np.ones(5))
+        oracle.average(np.ones((m, 3)), np.ones(m))
         expected = np.random.PCG64(21)
-        expected.advance(10 * 4)  # 5*4/2 device pairs, d + 1 = 4 words each
+        expected.advance((m - 1) * 4)  # d + 1 = 4 words per drawn row
         assert oracle._rng.bit_generator.state == expected.state
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_zero_sum_masks_are_the_raw_draws_closed_by_the_last_row(self, m):
+        masks = _zero_sum_masks(np.random.default_rng(21), m, 4)
+        assert masks.shape == (m, 4) and masks.dtype == np.uint64
+        draws = np.random.PCG64(21).random_raw((m - 1, 4))
+        assert np.array_equal(masks[:-1], draws)
+        assert masks[-1].tolist() == [-sum(col) % 2**64 for col in draws.T.tolist()]
+        assert all(sum(col) % 2**64 == 0 for col in masks.T.tolist())
+        assert m == 1 or masks.any()
+
+    def test_masks_are_added_to_the_encodings(self, monkeypatch):
+        # Masks that do not sum to zero: 2**63 on one word flips the sign of
+        # that column's wrapping sum, which shows only if average() adds them.
+        def one_word_masks(rng, m, width):
+            masks = np.zeros((m, width), dtype=np.uint64)
+            masks[0, 0] = 2**63
+            return masks
+
+        monkeypatch.setattr(secure_avg, "_zero_sum_masks", one_word_masks)
+        vals, wts = np.array([[1.0], [2.0]]), np.ones(2)
+        out = SecureAverageOracle("masked", seed=0).average(vals, wts)
+        assert not np.array_equal(out, SecureAverageOracle("plain").average(vals, wts))
 
     @pytest.mark.parametrize(
         "bad,weight",
