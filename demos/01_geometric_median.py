@@ -25,7 +25,7 @@ print("\nper-iteration objective (note the monotone decrease):")
 for rec in result.trace[:6]:
     print(f"  t={rec.t:2d}  g={rec.g:.9f}  g_nu={rec.g_nu:.9f}")
 
-z_ref = brute_force_gm(cloud, tol=1e-8)
+z_ref = brute_force_gm(cloud)
 gap = (result.g_value - gm_objective(z_ref, cloud)) / gm_objective(z_ref, cloud)
 print(f"\nindependent brute-force cross-check: relative gap {gap:.2e}")
 

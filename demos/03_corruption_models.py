@@ -20,9 +20,10 @@ from fedgm.tasks import exact_optimum
 
 print("=== choosing who is corrupted ===")
 alphas = np.full(20, 0.05)
-spec = realize(CorruptionSpec(kind="static_data", rho=0.25, seed=3), alphas)
-print(f"rho = {spec.rho}: corrupted devices {spec.realized_set}")
-print(f"their combined data weight: {spec.realized_weight:.2f} (strictly above rho)")
+spec = CorruptionSpec(kind="static_data", rho=0.25, seed=3)
+ids = realize(spec, alphas)
+print(f"rho = {spec.rho}: corrupted devices {ids}")
+print(f"their combined data weight: {alphas[list(ids)].sum():.2f} (strictly above rho)")
 
 print("\n=== static data poisoning ===")
 rng = np.random.default_rng(1)

@@ -365,7 +365,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             call_totals.append(sum(int(r["oracle_calls"]) for r in rows))
             if rows:
                 last = float(rows[-1]["train_loss"])
-                finals.append(last)
+                # A NaN final is a diverged run: rank it as inf, since the
+                # median of a list holding NaN depends on the list's order.
+                finals.append(math.inf if math.isnan(last) else last)
                 if loss_diverged(last):
                     diverged += 1
         label = os.path.relpath(dirpath, args.rundir)
@@ -484,10 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

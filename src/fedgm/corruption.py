@@ -12,7 +12,7 @@ these; poisoning always returns fresh arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +24,13 @@ class CorruptionSpec:
     """What fraction of data weight is corrupted, and how.
 
     ``seed`` drives the random choice of corrupted devices; when None the
-    runner substitutes its own master seed. ``realized_set`` and
-    ``realized_weight`` are filled by ``realize``.
+    runner substitutes its own master seed. ``realize`` draws the
+    corrupted ids for a concrete population.
     """
 
     kind: str = "none"
     rho: float = 0.0
     seed: int | None = None
-    realized_set: tuple[int, ...] | None = None
-    realized_weight: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in CORRUPTION_KINDS:
@@ -64,15 +62,17 @@ def select_corrupted(alphas: np.ndarray, rho: float, rng: np.random.Generator) -
     return sorted(chosen)
 
 
-def realize(spec: CorruptionSpec, alphas: np.ndarray, fallback_seed: int = 0) -> CorruptionSpec:
-    """Fill in the realized corrupted set for a concrete device population."""
+def realize(spec: CorruptionSpec, alphas: np.ndarray, fallback_seed: int = 0) -> tuple[int, ...]:
+    """The sorted ids of the corrupted devices in a concrete population.
+
+    Their ``alphas`` sum strictly exceeds ``spec.rho``; kind "none" gives ().
+    ``fallback_seed`` stands in for ``spec.seed`` when that is None.
+    """
     if spec.kind == "none" or spec.rho == 0.0:
-        return replace(spec, realized_set=(), realized_weight=0.0)
+        return ()
     seed = spec.seed if spec.seed is not None else fallback_seed
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0DE]))
-    ids = select_corrupted(alphas, spec.rho, rng)
-    weight = float(np.asarray(alphas, dtype=float)[ids].sum())
-    return replace(spec, realized_set=tuple(ids), realized_weight=weight)
+    return tuple(select_corrupted(alphas, spec.rho, rng))
 
 
 def poison_static(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,22 +21,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .corruption import CorruptionSpec, omniscient_updates, poison_adaptive, poison_static, realize
 from .geomed import WeightedPointSet, smoothed_weiszfeld
 from .secure_avg import SecureAverageOracle
-
-TRACE_CSV_COLUMNS = (
-    "round",
-    "train_loss",
-    "test_loss",
-    "dist_to_opt_sq",
-    "oracle_calls",
-    "corrupted_selected",
-)
 
 DIVERGENCE_LOSS = 1e12
 
@@ -140,7 +131,10 @@ class RoundConfig:
 
 @dataclass
 class RoundTrace:
-    """Metrics recorded after a round's aggregation, on uncorrupted data."""
+    """Metrics recorded after a round's aggregation, on uncorrupted data.
+
+    Every field but ``selected`` is a trace CSV column, in field order.
+    """
 
     round: int
     train_loss: float
@@ -151,14 +145,10 @@ class RoundTrace:
     selected: tuple[int, ...]
 
     def csv_row(self) -> list:
-        return [
-            self.round,
-            self.train_loss,
-            self.test_loss,
-            self.dist_to_opt_sq,
-            self.oracle_calls,
-            self.corrupted_selected,
-        ]
+        return [getattr(self, name) for name in TRACE_CSV_COLUMNS]
+
+
+TRACE_CSV_COLUMNS = tuple(f.name for f in fields(RoundTrace) if f.name != "selected")
 
 
 def sample_devices(total: int, per_round: int, rng: np.random.Generator) -> np.ndarray:
@@ -341,18 +331,15 @@ def run_federated(
     server_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E7]))
     children = np.random.SeedSequence([int(seed), 0xFED]).spawn(partition.devices)
     rngs = [np.random.default_rng(child) for child in children]
-    spec = corruption
-    if spec.realized_set is None:
-        spec = realize(spec, partition.alphas, fallback_seed=seed)
-    corrupted_ids = set(spec.realized_set)
+    ids = list(realize(corruption, partition.alphas, fallback_seed=seed))
+    corrupted_ids = set(ids)
 
     # The partition's arrays are views of the task's train data, so poison copies.
     features, labels = partition.device_features, partition.device_labels
-    if spec.kind == "static_data":
-        ids = list(spec.realized_set)
+    if corruption.kind == "static_data":
         features, labels = features.copy(), labels.copy()
         features[ids], labels[ids] = poison_static(features[ids], labels[ids])
-    elif spec.kind == "adaptive_data":
+    elif corruption.kind == "adaptive_data":
         labels = labels.copy()
 
     counts = np.asarray(partition.counts, dtype=float)
@@ -365,7 +352,7 @@ def run_federated(
         gamma = config.lr.gamma_at(t)
 
         corrupted_mask = np.array([int(k) in corrupted_ids for k in selected])
-        if spec.kind == "adaptive_data":
+        if corruption.kind == "adaptive_data":
             hit = selected[corrupted_mask]
             labels[hit] = poison_adaptive(features[hit], labels[hit], w)[1]
 
@@ -381,7 +368,7 @@ def run_federated(
             steps = steps_at_round(local.steps, t, local.schedule)
             updates = local_update_tail_avg_sgd(task, x, y, chosen, w, gamma, steps)
 
-        if spec.kind == "omniscient" and corrupted_mask.any():
+        if corruption.kind == "omniscient" and corrupted_mask.any():
             updates = omniscient_updates(updates, round_weights, corrupted_mask)
 
         calls_before = oracle.call_count
@@ -425,9 +412,7 @@ def run_rfa_doubling(
     rounds: int,
     seed: int = 0,
     schedule: str = "doubling",
-    nu: float = 1e-6,
     budget: int = 200,
-    rel_tol: float = 1e-13,
     oracle: SecureAverageOracle | None = None,
 ) -> list[RoundTrace]:
     """Geometric-median aggregation with tail-averaged local SGD, steps doubling.
@@ -435,12 +420,12 @@ def run_rfa_doubling(
     A preset of ``run_federated``: round t runs ``base_steps * 2^t``
     single-sample SGD steps per selected device (constant ``base_steps``
     when schedule="constant") at the fixed rate 1 / (2 * feature_bound^2),
-    then aggregates with a tight-tolerance geometric-median solve.
+    then aggregates with a geometric-median solve at rel_tol 1e-13.
     """
     config = RoundConfig(
         devices_per_round=devices_per_round,
         local=TailAveragedSGD(base_steps, schedule),
         lr=LrSchedule(gamma0=1.0 / (2.0 * task.feature_bound**2)),
-        aggregator=AggregatorSpec(kind="rfa", nu=nu, budget=budget, rel_tol=rel_tol),
+        aggregator=AggregatorSpec(kind="rfa", budget=budget, rel_tol=1e-13),
     )
     return run_federated(task, partition, corruption, config, rounds, seed, oracle)

@@ -264,19 +264,15 @@ def _weighted_coordinate_median(points: np.ndarray, weights: np.ndarray) -> np.n
     return out
 
 
-def brute_force_gm(
-    point_set: WeightedPointSet,
-    tol: float = 1e-8,
-    subgradient_iters: int = 400,
-    max_refinements: int = 12,
-) -> np.ndarray:
+def brute_force_gm(point_set: WeightedPointSet) -> np.ndarray:
     """Reference geometric median by a method unrelated to Weiszfeld averaging.
 
-    Runs projected subgradient descent with diminishing steps from the
-    coordinate-wise weighted median, then polishes with derivative-free
-    simplex refinements of the exact (unsmoothed) objective until the
-    objective improves by less than tol/10 between refinements. Intended
-    as an independent cross-check for small instances (m <= 50, d <= 10).
+    Runs 400 projected subgradient steps with diminishing sizes from the
+    coordinate-wise weighted median, then polishes with up to 12
+    derivative-free simplex refinements of the exact (unsmoothed) objective
+    until the objective improves by less than 1e-9 between refinements.
+    Intended as an independent cross-check for small instances (m <= 50,
+    d <= 10).
 
     Raises
     ------
@@ -285,8 +281,6 @@ def brute_force_gm(
     """
     if point_set.m > 50 or point_set.d > 10:
         raise ValueError("brute_force_gm is limited to small instances (m <= 50, d <= 10)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     pts = point_set.points
     wts = point_set.weights
     if point_set.m == 1:
@@ -304,7 +298,7 @@ def brute_force_gm(
 
     best_z = z.copy()
     best_g = gm_objective(z, point_set)
-    for i in range(subgradient_iters):
+    for i in range(400):
         diff = z - pts
         dist = np.linalg.norm(diff, axis=1)
         nz = dist > 0.0
@@ -319,21 +313,16 @@ def brute_force_gm(
     fun = lambda v: gm_objective(v, point_set)
     z_cur = best_z
     g_prev = best_g
-    for _ in range(max_refinements):
+    for _ in range(12):
         res = optimize.minimize(
             fun,
             z_cur,
             method="Nelder-Mead",
-            options={
-                "xatol": max(1e-12, tol * 1e-4),
-                "fatol": max(1e-13, tol * 1e-5),
-                "maxiter": 4000,
-                "maxfev": 8000,
-            },
+            options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
         )
         if res.fun <= g_prev:
             z_cur = np.asarray(res.x, dtype=float)
-        if abs(g_prev - res.fun) < tol / 10.0:
+        if abs(g_prev - res.fun) < 1e-9:
             return z_cur
         g_prev = min(g_prev, float(res.fun))
     raise RuntimeError("brute_force_gm did not stabilize within the refinement cap")

@@ -115,19 +115,13 @@ class SyntheticLSTask:
     """Well-specified least-squares problem over bounded features.
 
     ``w_star`` generated the labels; ``optimum`` is the pooled empirical
-    minimizer (identical to ``w_star`` when ``noise_std == 0``).
-    ``mu`` and ``smoothness`` are the extreme eigenvalues of the empirical
-    feature second-moment matrix, and ``kappa = feature_bound^2 / mu``.
+    minimizer (identical to ``w_star`` when the labels carry no noise).
     """
 
     d: int
     feature_bound: float
-    noise_std: float
     w_star: np.ndarray
     optimum: np.ndarray
-    mu: float
-    smoothness: float
-    kappa: float
     train_features: np.ndarray
     train_labels: np.ndarray
     test_features: np.ndarray
@@ -177,21 +171,11 @@ def generate_ls_task(
 
     train_x, train_y, test_x, test_y, partition = _split(phi, labels, devices, samples_per_device)
 
-    gram = train_x.T @ train_x / train_x.shape[0]
-    eigs = np.linalg.eigvalsh(gram)
-    mu = float(eigs[0])
-    smoothness = float(eigs[-1])
-    optimum = exact_optimum(train_x, train_y)
-
     task = SyntheticLSTask(
         d=d,
         feature_bound=float(feature_bound),
-        noise_std=float(noise_std),
         w_star=w_star,
-        optimum=optimum,
-        mu=mu,
-        smoothness=smoothness,
-        kappa=float(feature_bound**2 / mu),
+        optimum=exact_optimum(train_x, train_y),
         train_features=train_x,
         train_labels=train_y,
         test_features=test_x,
@@ -212,7 +196,6 @@ class MultinomialLogisticTask:
     d: int
     classes: int
     feature_bound: float
-    w_star: np.ndarray
     optimum: np.ndarray
     train_features: np.ndarray
     train_labels: np.ndarray
@@ -274,7 +257,6 @@ def generate_logistic_task(
         d=d,
         classes=classes,
         feature_bound=float(feature_bound),
-        w_star=w_star.ravel(),
         optimum=np.zeros(classes * d),
         train_features=train_x,
         train_labels=train_y,

@@ -111,7 +111,7 @@ def random_instance(index: int) -> tuple[WeightedPointSet, np.ndarray]:
             continue
         weights = rng.uniform(0.5, 1.5, m)
         point_set = WeightedPointSet(points, weights)
-        z_ref = brute_force_gm(point_set, tol=1e-8)
+        z_ref = brute_force_gm(point_set)
         if np.linalg.norm(point_set.points - z_ref, axis=1).min() <= INTERIOR_MARGIN:
             continue
         return point_set, z_ref

@@ -133,7 +133,7 @@ def test_criterion_03_per_iteration_guarantees(gm_pool):
 def test_criterion_04_corruption_displacement():
     rng = np.random.default_rng(11)
     honest = rng.standard_normal((8, 3))
-    ref = brute_force_gm(WeightedPointSet(honest, np.ones(8)), tol=1e-8)
+    ref = brute_force_gm(WeightedPointSet(honest, np.ones(8)))
     max_honest_dist = float(np.linalg.norm(honest - ref, axis=1).max())
     far = np.array([1e6, 0.0, 0.0])
 
@@ -144,7 +144,7 @@ def test_criterion_04_corruption_displacement():
         wts = np.concatenate([np.full(8, (1 - theta) / 8), [theta]])
         ps = WeightedPointSet(pts, wts)
         res = smoothed_weiszfeld(ps, nu=1e-6, budget=300, rel_tol=0.0)
-        g_bf = gm_objective(brute_force_gm(ps, tol=1e-8), ps)
+        g_bf = gm_objective(brute_force_gm(ps), ps)
         eps = max(res.g_value - g_bf, 0.0) + 1e-6
         bound = displacement_bound(theta, eps, max_honest_dist)
         disp = float(np.linalg.norm(res.z - ref))

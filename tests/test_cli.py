@@ -192,7 +192,8 @@ class TestSimulate:
         cfg = write_config(tmp_path, run={"rounds": 0, "seeds": [0]})
         assert main(["simulate", cfg]) == 0
         content = (tmp_path / "runs" / "0.csv").read_text()
-        assert content == ",".join(TRACE_CSV_COLUMNS) + "\n"
+        header = "round,train_loss,test_loss,dist_to_opt_sq,oracle_calls,corrupted_selected"
+        assert content == header + "\n"
         summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
         assert summary["per_seed"][0]["final_train_loss"] is None
         assert summary["aggregate"]["final_train_loss"] is None
@@ -455,6 +456,21 @@ class TestReport:
         assert rc == 0
         rows = [l for l in out.splitlines() if l and not l.startswith(("run", "-"))]
         assert len(rows) == 2
+
+    def test_nan_final_ranks_as_diverged_whatever_the_seed_order(self, tmp_path, capsys):
+        # The same finals {1, nan, 2}, held by different seeds in each directory.
+        header = "round,train_loss,test_loss,dist_to_opt_sq,oracle_calls,corrupted_selected\n"
+        for sub, finals in (("a", ("1", "nan", "2")), ("b", ("nan", "1", "2"))):
+            rundir = tmp_path / "grid" / sub
+            rundir.mkdir(parents=True)
+            for seed, loss in enumerate(finals):
+                text = header + f"0,{loss},{loss},0.5,1,0\n"
+                (rundir / f"{seed}.csv").write_text(text, encoding="utf-8")
+        assert main(["report", str(tmp_path / "grid")]) == 0
+        out = capsys.readouterr().out
+        rows = [l.split() for l in out.splitlines() if l and not l.startswith(("run", "-"))]
+        assert [row[0] for row in rows] == ["a", "b"]
+        assert rows[0][1:] == rows[1][1:] == ["3", "2", "1", "1"]
 
     def test_rejects_foreign_csv_columns(self, tmp_path, capsys):
         rundir = tmp_path / "runs"

@@ -407,21 +407,21 @@ class TestSmoothedWeiszfeld:
 class TestBruteForce:
     def test_equilateral_centroid(self):
         ps = equilateral()
-        z = brute_force_gm(ps, tol=1e-8)
+        z = brute_force_gm(ps)
         assert np.allclose(z, ps.points.mean(axis=0), atol=1e-6)
 
     def test_weighted_median_on_a_line(self):
         ps = WeightedPointSet(
             np.array([[0.0], [1.0], [2.0]]), np.array([0.6, 0.2, 0.2])
         )
-        z = brute_force_gm(ps, tol=1e-8)
+        z = brute_force_gm(ps)
         assert abs(z[0]) < 1e-6
 
     def test_agrees_with_iterative_solver(self):
         for seed in (101, 202, 303):
             ps = random_set(seed, m=8, d=3)
             res = smoothed_weiszfeld(ps, budget=80, rel_tol=0.0)
-            g_ref = gm_objective(brute_force_gm(ps, tol=1e-8), ps)
+            g_ref = gm_objective(brute_force_gm(ps), ps)
             assert (res.g_value - g_ref) / g_ref <= 1e-5
 
     def test_rejects_oversized_instances(self):

@@ -84,15 +84,6 @@ class TestGenerateLSTask:
         task, _ = generate_ls_task(4, 20, 25, 0.0, seed=4)
         assert np.allclose(task.optimum, task.w_star, atol=1e-9)
 
-    def test_curvature_summary(self):
-        task, _ = generate_ls_task(6, 20, 25, 0.1, feature_bound=1.5, seed=5)
-        assert 0.0 < task.mu < task.smoothness
-        assert task.kappa == pytest.approx(1.5**2 / task.mu)
-        gram = task.train_features.T @ task.train_features / task.train_features.shape[0]
-        eigs = np.linalg.eigvalsh(gram)
-        assert task.mu == pytest.approx(eigs[0])
-        assert task.smoothness == pytest.approx(eigs[-1])
-
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             generate_ls_task(0, 5, 5, 0.1)
