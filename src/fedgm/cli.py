@@ -154,6 +154,8 @@ def validate_config(config: dict) -> dict:
             raise ValueError("corruption.rho > 0 needs an attack kind")
         if run["rounds"] < 0 or min(run["seeds"]) < 0:
             raise ValueError("run.rounds and run.seeds must be nonnegative")
+        if len(set(run["seeds"])) < len(run["seeds"]):
+            raise ValueError("run.seeds must not repeat a seed")
         if run["devices_per_round"] > task["devices"]:
             raise ValueError("run.devices_per_round exceeds task.devices")
         if algo["batch_size"] > task["samples_per_device"]:

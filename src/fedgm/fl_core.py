@@ -5,7 +5,8 @@ broadcasts the model, runs a faithful local update on every selected
 device (on whatever data that device holds, poisoned or not), then
 aggregates the returned models through a secure-average oracle. The
 devices are the rows of the partition's stacked (K, n, d) shard array,
-each with its own rng; poisoning works on a copy of that array. Local
+each with its own rng; poisoning works on a copy of that array. Every
+device holds n samples, so each of the m selected models weighs 1/m. Local
 updates take the round's (m, n, d) slice and m rngs: each device draws
 all of its sample indices for the round in one call, and every local
 step updates the m models as one (m, p) array. The aggregators are the
@@ -52,7 +53,7 @@ class LrSchedule:
 
 @dataclass(frozen=True)
 class LocalSGD:
-    """Minibatch SGD pass: ceil(n_k * epochs / batch_size) steps."""
+    """Minibatch SGD pass: ceil(n * epochs / batch_size) steps."""
 
     batch_size: int
     epochs: int = 1
@@ -91,9 +92,10 @@ class AggregatorSpec:
     """Which aggregator a round uses and its knobs.
 
     ``budget`` and ``rel_tol`` control the smoothed Weiszfeld solve for
-    kind "rfa" (and the server-side solve for "median_of_means", whose
-    oracle cost is ``groups`` calls regardless). kind "sgd_step" forces a
-    single local minibatch step and aggregates by the weighted mean.
+    kind "rfa". Kind "median_of_means" costs ``groups`` oracle calls and
+    solves server side with ``max(budget, 50)`` steps and rel_tol
+    ``min(rel_tol, 1e-9)``. Kind "sgd_step" forces a single local
+    minibatch step and aggregates by the weighted mean.
     """
 
     kind: str = "mean"
@@ -158,12 +160,6 @@ def sample_devices(total: int, per_round: int, rng: np.random.Generator) -> np.n
     return np.sort(rng.choice(total, size=per_round, replace=False))
 
 
-def renormalized_weights(alphas: np.ndarray, selected: np.ndarray) -> np.ndarray:
-    """Population weights of the selected devices, renormalized to sum to one."""
-    sub = np.asarray(alphas, dtype=float)[np.asarray(selected, dtype=int)]
-    return sub / sub.sum()
-
-
 def _shard_rows(features: np.ndarray, labels: np.ndarray, rngs: Sequence) -> int:
     """Rows per shard n, after checking (m, n, d) features, (m, n) labels and m rngs."""
     if features.ndim != 3 or not len(features) or labels.shape != features.shape[:2]:
@@ -223,7 +219,7 @@ def local_update_sgd(
     """
     n = _shard_rows(features, labels, rngs)
     if batch_size < 1 or batch_size > n:
-        raise ValueError("batch_size must lie in [1, n_k]")
+        raise ValueError("batch_size must lie in [1, n]")
     if epochs < 1:
         raise ValueError("epochs must be positive")
     steps = math.ceil(n * epochs / batch_size)
@@ -342,13 +338,13 @@ def run_federated(
     elif corruption.kind == "adaptive_data":
         labels = labels.copy()
 
-    counts = np.asarray(partition.counts, dtype=float)
+    # Equal shards: every selected device weighs n / (m * n) = 1/m.
+    round_weights = np.full(config.devices_per_round, 1.0 / config.devices_per_round)
     w = np.zeros_like(task.optimum)
     traces: list[RoundTrace] = []
     local = config.local
     for t in range(rounds):
         selected = sample_devices(partition.devices, config.devices_per_round, server_rng)
-        round_weights = renormalized_weights(counts, selected)
         gamma = config.lr.gamma_at(t)
 
         corrupted_mask = np.array([int(k) in corrupted_ids for k in selected])

@@ -27,15 +27,15 @@ from .secure_avg import SecureAverageOracle
 
 @dataclass(frozen=True)
 class WeightedPointSet:
-    """Points in R^d with positive weights normalized to sum to one.
+    """Points in R^d with positive weights divided by their sum.
 
     Parameters
     ----------
     points : ndarray of shape (m, d)
         One row per point. A 1-d array is treated as m points in R^1.
     weights : ndarray of shape (m,)
-        Strictly positive weights. They are normalized in place so that
-        downstream code can rely on ``weights.sum() == 1``.
+        Strictly positive weights, divided by their sum into a new array;
+        the caller's array is not modified.
     """
 
     points: np.ndarray
@@ -64,11 +64,6 @@ class WeightedPointSet:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    def diameter(self) -> float:
-        """Largest pairwise distance. O(m^2 d); point sets here are small."""
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.sqrt((diff**2).sum(axis=2)).max())
 
 
 @dataclass

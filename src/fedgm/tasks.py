@@ -50,7 +50,7 @@ def exact_optimum(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FederatedPartition:
-    """Device shards as rows of stacked arrays, plus the weights alpha_k ~ n_k.
+    """Equal device shards as rows of stacked arrays, so every alpha_k is 1/K.
 
     ``device_features`` (K, n, d) and ``device_labels`` (K, n) are views of
     the pooled train arrays: row k is device k's shard. Never write into
@@ -59,12 +59,14 @@ class FederatedPartition:
 
     device_features: np.ndarray
     device_labels: np.ndarray
-    counts: np.ndarray
-    alphas: np.ndarray
 
     @property
     def devices(self) -> int:
         return len(self.device_features)
+
+    @property
+    def alphas(self) -> np.ndarray:
+        return np.full(self.devices, 1.0 / self.devices)
 
 
 def partition_data(
@@ -76,12 +78,9 @@ def partition_data(
     need = devices * samples_per_device
     if features.shape[0] < need:
         raise ValueError("not enough samples to fill every device")
-    counts = np.full(devices, samples_per_device, dtype=float)
     return FederatedPartition(
         device_features=features[:need].reshape(devices, samples_per_device, *features.shape[1:]),
         device_labels=labels[:need].reshape(devices, samples_per_device),
-        counts=counts,
-        alphas=counts / counts.sum(),
     )
 
 

@@ -1,8 +1,9 @@
 """Shared fixtures and reference helpers for the geometric-median tests.
 
-``eta_update``, ``lipschitz_constant`` and ``hull_distance`` are
-independent reference implementations that the solver's trace and
-iterates are checked against; the package itself does not need them.
+``eta_update``, ``lipschitz_constant``, ``hull_distance`` and
+``diameter`` are independent reference implementations that the solver's
+trace and iterates are checked against; the package itself does not need
+them.
 
 The pool pairs every instance with both solver outputs (iterative and
 brute force) so equivalence, convergence-speed and invariant checks can
@@ -80,6 +81,12 @@ def hull_distance(z: np.ndarray, points: np.ndarray) -> float:
         return float(np.linalg.norm(pts[0] - z))
     combo = (lam / s) @ pts
     return float(np.linalg.norm(combo - z))
+
+
+def diameter(points: np.ndarray) -> float:
+    """Largest pairwise distance between rows. O(m^2 d); point sets here are small."""
+    diff = points[:, None, :] - points[None, :, :]
+    return float(np.sqrt((diff**2).sum(axis=2)).max())
 
 
 @dataclass(frozen=True)

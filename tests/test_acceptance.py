@@ -33,7 +33,7 @@ from fedgm.geomed import (
 from fedgm.secure_avg import SecureAverageOracle
 from fedgm.tasks import generate_logistic_task, generate_ls_task
 
-from conftest import POOL_NU, hull_distance
+from conftest import POOL_NU, diameter, hull_distance
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = "") -> bool:
@@ -88,7 +88,7 @@ def test_criterion_03_per_iteration_guarantees(gm_pool):
     for inst in gm_pool.instances:
         ps, res = inst.point_set, inst.result
         trace = res.trace
-        diam = ps.diameter()
+        diam = diameter(ps.points)
         g_nu_star = smoothed_objective(inst.z_ref, ps, nu)
         z0_dist_sq = float(np.sum((trace[0].z - inst.z_ref) ** 2))
         min_visited_dist = float("inf")

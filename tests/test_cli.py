@@ -245,6 +245,13 @@ class TestSimulate:
         assert main(["simulate", cfg, "--seeds", "1,x"]) == 1
         assert "seeds" in capsys.readouterr().err
 
+    def test_repeated_seed_exit_1_before_output(self, tmp_path, capsys):
+        # A repeated seed would overwrite its trace CSV and count twice in the summary.
+        cfg = write_config(tmp_path, run={"rounds": 3, "seeds": [0, 0, 1]})
+        assert main(["simulate", cfg]) == 1
+        assert "run.seeds" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "runs")
+
     @pytest.mark.parametrize(
         "algorithm",
         [
@@ -384,6 +391,13 @@ class TestSweep:
         cfg = write_config(tmp_path)
         assert main(["sweep", cfg, "--axis", axis, "--values", values]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "runs")
+
+    def test_repeated_seed_exit_1_before_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        rc = main(["sweep", cfg, "--axis", "rho", "--values", "0", "--seeds", "1,0,1"])
+        assert rc == 1
+        assert "run.seeds" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "runs")
 
     def test_single_value_matches_simulate(self, tmp_path):

@@ -18,7 +18,6 @@ from fedgm.fl_core import (
     aggregate,
     local_update_sgd,
     local_update_tail_avg_sgd,
-    renormalized_weights,
     run_federated,
     run_rfa_doubling,
     sample_devices,
@@ -113,12 +112,6 @@ class TestSamplingHelpers:
             sample_devices(5, 6, rng)
         with pytest.raises(ValueError):
             sample_devices(5, 0, rng)
-
-    def test_renormalized_weights(self):
-        alphas = np.array([1.0, 2.0, 3.0, 4.0])
-        w = renormalized_weights(alphas, np.array([1, 3]))
-        assert np.allclose(w, [2 / 6, 4 / 6])
-        assert w.sum() == pytest.approx(1.0)
 
 
 class TestLocalUpdates:
@@ -347,6 +340,24 @@ class TestRunFederated:
         assert all(len(t.selected) == 5 for t in traces)
         row = traces[0].csv_row()
         assert len(row) == 6 and row[0] == 0
+
+    def test_round_weights_are_exactly_one_over_m(self, monkeypatch):
+        # Seven copies of 1/7 sum to 0.9999999999999998, so weights divided
+        # by their sum once more would differ from np.full(7, 1 / 7).
+        assert np.full(7, 1 / 7).sum() != 1.0
+        received = []
+
+        def record(updates, weights, spec, oracle):
+            received.append(np.array(weights, copy=True))
+            return aggregate(updates, weights, spec, oracle)
+
+        monkeypatch.setattr("fedgm.fl_core.aggregate", record)
+        task, part = small_task()
+        config = RoundConfig(7, LocalSGD(batch_size=10), LrSchedule(gamma0=0.4))
+        traces = run_federated(task, part, CorruptionSpec(), config, rounds=4, seed=2)
+        assert len(received) == len(traces) == 4
+        for weights in received:
+            assert np.array_equal(weights, np.full(7, 1 / 7))
 
     def test_mean_round_costs_exactly_one_call(self):
         task, part = small_task()

@@ -20,7 +20,7 @@ from fedgm.geomed import (
 )
 from fedgm.secure_avg import SecureAverageOracle
 
-from conftest import eta_update, hull_distance, lipschitz_constant
+from conftest import diameter, eta_update, hull_distance, lipschitz_constant
 
 RNG_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -49,7 +49,7 @@ class TestWeightedPointSet:
 
     def test_diameter_of_unit_segment(self):
         ps = WeightedPointSet(np.array([[0.0], [1.0]]), np.ones(2))
-        assert np.isclose(ps.diameter(), 1.0)
+        assert np.isclose(diameter(ps.points), 1.0)
 
     def test_rejects_empty_points(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedgm.tasks import (
+    FederatedPartition,
     exact_optimum,
     generate_logistic_task,
     generate_ls_task,
@@ -131,8 +134,9 @@ class TestPartition:
         task, part = generate_ls_task(3, 8, 12, 0.1, seed=6)
         assert part.devices == 8
         assert all(f.shape == (12, 3) for f in part.device_features)
-        assert part.alphas.sum() == pytest.approx(1.0)
-        assert np.allclose(part.alphas, 1.0 / 8)
+        assert np.array_equal(part.alphas, np.full(8, 1 / 8))
+        names = [f.name for f in dataclasses.fields(FederatedPartition)]
+        assert names == ["device_features", "device_labels"]
 
     def test_shards_are_contiguous(self):
         task, part = generate_ls_task(2, 4, 5, 0.0, seed=9)
