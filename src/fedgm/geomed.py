@@ -8,11 +8,13 @@ with bounded reweights and no division by a vanishing distance can occur.
 
 Each iteration computes the m distances once, derives the objective
 values and the reweights from them, and consumes exactly one
-weighted-average aggregation. Every average goes through a secure-average
-oracle (any object with an ``average(values, weights)`` method; a plain
-``SecureAverageOracle`` by default), which is what makes the solver usable
-on top of privacy-preserving summation: the coordinator only ever sees
-weighted averages of the points, never an individual point.
+weighted-average aggregation. The distances are computed in one (m, d)
+scratch buffer allocated per solve, with the same bits as
+``np.linalg.norm(points - z, axis=1)``. Every average goes through a
+secure-average oracle (any object with an ``average(values, weights)``
+method; a plain ``SecureAverageOracle`` by default), which is what makes
+the solver usable on top of privacy-preserving summation: the coordinator
+only ever sees weighted averages of the points, never an individual point.
 """
 
 from __future__ import annotations
@@ -54,8 +56,12 @@ class WeightedPointSet:
             raise ValueError("weights length must match number of points")
         if not np.all(np.isfinite(wts)) or np.any(wts <= 0.0):
             raise ValueError("weights must be finite and strictly positive")
+        with np.errstate(over="ignore"):
+            total = wts.sum()
+        if not math.isfinite(total):
+            raise ValueError("weights must have a finite sum")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts / wts.sum())
+        object.__setattr__(self, "weights", wts / total)
 
     @property
     def m(self) -> int:
@@ -182,6 +188,10 @@ def smoothed_weiszfeld(
     Each iterate computes the m distances once and derives g, g_nu, the
     reweights beta_k = a_k / max(nu, ||z - w_k||) and their sum L from
     them; the next iterate is the beta-weighted average of the points.
+    The distances are squared and summed in place in one (m, d) scratch
+    buffer, allocated once per call in the memory layout of the points,
+    so they carry the same bits as ``np.linalg.norm`` without allocating
+    a temporary per iterate.
     Each step minimizes the quadratic surrogate at the current iterate, so
     the smoothed objective never increases; iterates stay in the convex
     hull of the points. With a single point the exact answer is returned
@@ -216,9 +226,12 @@ def smoothed_weiszfeld(
     else:
         z = z0.copy()
 
+    diff = np.empty_like(pts)  # same memory layout as pts, so r has norm's bits
     trace: list[IterationRecord] = []
     for t in range(budget + 1):
-        r = np.linalg.norm(pts - z, axis=1)
+        np.subtract(pts, z, out=diff)
+        np.multiply(diff, diff, out=diff)
+        r = np.sqrt(diff.sum(axis=1))
         g_nu = float(wts @ _smoothed_distances(r, nu))
         step_beta = wts / np.maximum(r, nu)
         trace.append(

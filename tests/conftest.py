@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,20 @@ from fedgm.geomed import (
     gm_objective,
     smoothed_weiszfeld,
 )
+
+
+def pytest_collection_modifyitems(items):
+    """Make any RuntimeWarning raised in a test under tests/ an error.
+
+    A test that expects an overflow says so with ``pytest.warns``. The
+    filter is scoped here, not in pyproject.toml, because the perfbench
+    checks run from the same root and expect overflow warnings unwrapped.
+    """
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
+
 
 POOL_SIZE = 100
 POOL_NU = 1e-6

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 
 import pytest
 
@@ -156,11 +157,25 @@ class TestGmSolve:
         # reweighted average exists and no NaN result may be written.
         rows = [f"{k},{-k},1" for k in range(9)] + ["1e200,1e200,1"]
         path = write_points(tmp_path, "\n".join(rows) + "\n")
-        rc = main(["gm-solve", path])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(["gm-solve", path])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_weights_whose_sum_overflows_exit_1(self, tmp_path, capsys):
+        # Each weight is finite; only their sum overflows, which must be
+        # reported as such and not as an overflow warning from numpy.
+        path = write_points(tmp_path, "0,0,1e308\n1,0,1e308\n0,1,1e308\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["gm-solve", path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "weights must have a finite sum" in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestSimulate:
@@ -207,7 +222,8 @@ class TestSimulate:
             algorithm={"gamma0": 30.0},
             run={"rounds": 150, "seeds": [0], "halt_on_divergence": False},
         )
-        assert main(["simulate", cfg]) == 0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["simulate", cfg]) == 0
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,12 @@ class TestWeightedPointSet:
     def test_rejects_nonfinite_points(self):
         with pytest.raises(ValueError):
             WeightedPointSet(np.array([[np.inf, 0.0]]), np.ones(1))
+
+    def test_rejects_weights_whose_sum_overflows(self):
+        # Each weight is finite, but dividing by their inf sum would make
+        # every normalized weight 0.
+        with pytest.raises(ValueError, match="weights must have a finite sum"):
+            WeightedPointSet(np.zeros((3, 2)), np.full(3, 1e308))
 
 
 class TestGMObjective:
@@ -378,10 +385,63 @@ class TestSmoothedWeiszfeld:
         honest = np.random.default_rng(0).standard_normal((9, 2))
         pts = np.vstack([honest, [1e200, 1e200]])
         ps = WeightedPointSet(pts, np.ones(10))
-        with pytest.raises(ValueError):
-            smoothed_weiszfeld(ps)
-        with pytest.raises(ValueError):
-            smoothed_weiszfeld(ps, oracle=SecureAverageOracle("plain"))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError):
+                smoothed_weiszfeld(ps)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError):
+                smoothed_weiszfeld(ps, oracle=SecureAverageOracle("plain"))
+
+    def test_same_bits_as_the_reference_on_every_memory_layout(self):
+        # The distance buffer must follow the layout of the points: a
+        # C-ordered buffer sums the rows of an F-ordered set in another
+        # order than np.linalg.norm does.
+        rng = np.random.default_rng(89)
+        base = rng.standard_normal((80, 90))
+        weights = rng.uniform(0.2, 2.0, 40)
+        view = base[::2, ::3]
+        nu = 1e-3
+        results = []
+        for pts in (np.ascontiguousarray(view), np.asfortranarray(view), view):
+            ps = WeightedPointSet(pts, weights)
+            res = smoothed_weiszfeld(ps, nu=nu, budget=25, rel_tol=0.0)
+            assert res.iterations >= 1
+            for rec in res.trace:
+                assert rec.g == gm_objective(rec.z, ps)
+                assert rec.g_nu == smoothed_objective(rec.z, ps, nu)
+            dists = np.linalg.norm(ps.points - res.trace[-2].z, axis=1)
+            assert np.array_equal(res.beta, ps.weights / np.maximum(dists, nu))
+            results.append(res)
+        # Across layouts only closeness holds: np.linalg.norm's row sums and
+        # the oracle's weights @ points both follow the memory layout.
+        for res in results[1:]:
+            assert np.allclose(res.z, results[0].z, rtol=0.0, atol=1e-12)
+            assert np.allclose(res.beta, results[0].beta, rtol=1e-12, atol=0.0)
+
+    def test_solve_writes_neither_the_callers_points_nor_its_own(self):
+        pts = np.random.default_rng(97).standard_normal((30, 4))
+        saved = pts.copy()
+        ps = WeightedPointSet(pts, np.ones(30))
+        own = ps.points.copy()
+        smoothed_weiszfeld(ps, budget=10, rel_tol=0.0)
+        smoothed_weiszfeld(ps, budget=10, rel_tol=0.0, z0=pts[3])
+        assert np.array_equal(pts, saved)
+        assert np.array_equal(ps.points, own)
+
+    def test_peak_memory_is_one_distance_buffer(self):
+        # A temporary (m, d) array per iterate, as pts - z makes, would put
+        # the peak at two buffers; numpy reports its data to tracemalloc.
+        m, d = 4000, 50
+        pts = np.random.default_rng(101).standard_normal((m, d))
+        ps = WeightedPointSet(pts, np.ones(m))
+        smoothed_weiszfeld(ps, budget=20, rel_tol=0.0)
+        tracemalloc.start()
+        try:
+            smoothed_weiszfeld(ps, budget=20, rel_tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m * d * 8
 
     def test_json_dict_round_trips(self):
         ps = random_set(67)
