@@ -4,7 +4,7 @@ Runs the synthetic least-squares benchmark four ways: clean and attacked,
 each with plain weighted-mean aggregation and with a budget-3 geometric
 median solved through the same secure-average oracle. Under the
 omniscient attack the mean is thrown around violently while the median
-aggregate finishes close to its clean run, at no more than 4 oracle calls
+aggregate finishes close to its clean run, at no more than 3 oracle calls
 per round instead of 1.
 """
 

@@ -440,7 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gm = sub.add_parser("gm-solve", help="solve one geometric-median instance from CSV")
     p_gm.add_argument("input", help="CSV file, one point per row, last column the weight")
     p_gm.add_argument("--nu", type=float, default=1e-6, help="smoothing parameter")
-    p_gm.add_argument("--budget", type=int, default=50, help="max oracle calls")
+    p_gm.add_argument(
+        "--budget",
+        type=int,
+        default=50,
+        help="max Weiszfeld steps (the mean start adds one oracle call)",
+    )
     p_gm.add_argument("--rel-tol", type=float, default=1e-6, help="relative improvement stop")
     p_gm.add_argument(
         "--reference",

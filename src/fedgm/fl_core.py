@@ -13,7 +13,9 @@ step updates the m models as one (m, p) array. The aggregators are the
 weighted mean, the smoothed-Weiszfeld geometric median ("rfa"),
 median-of-means (group means through the oracle, then a server-side
 geometric median of the group means), and a single-gradient-step
-baseline ("sgd_step"). Metrics are always evaluated on uncorrupted pooled data.
+baseline ("sgd_step"). Each round's geometric-median solve starts at the
+broadcast model, which the server already holds, so it pays no oracle call
+for a starting point. Metrics are always evaluated on uncorrupted pooled data.
 Doubling local steps is a ``TailAveragedSGD`` step schedule;
 ``run_rfa_doubling`` is a preset of ``run_federated``.
 """
@@ -256,13 +258,15 @@ def aggregate(
     weights: np.ndarray,
     spec: AggregatorSpec,
     oracle: SecureAverageOracle,
+    z0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Combine per-device models according to the aggregator spec.
 
-    Oracle cost: "mean" and "sgd_step" one call, "rfa" one call for the
-    mean initializer plus one per Weiszfeld step (at most budget + 1
-    total), "median_of_means" exactly ``groups`` calls with the geometric
-    median of the group means solved server side.
+    ``z0`` starts the "rfa" solve; the other kinds ignore it. Oracle cost:
+    "mean" and "sgd_step" one call, "rfa" one call per Weiszfeld step (at
+    most ``budget`` given ``z0``, plus one for the mean initializer, so at
+    most budget + 1, without it), "median_of_means" exactly ``groups``
+    calls with the geometric median of the group means solved server side.
     """
     updates = np.asarray(updates, dtype=float)
     weights = np.asarray(weights, dtype=float).ravel()
@@ -274,6 +278,7 @@ def aggregate(
             nu=spec.nu,
             budget=spec.budget,
             rel_tol=spec.rel_tol,
+            z0=z0,
             oracle=oracle,
         )
         return result.z
@@ -368,7 +373,7 @@ def run_federated(
             updates = omniscient_updates(updates, round_weights, corrupted_mask)
 
         calls_before = oracle.call_count
-        w = aggregate(updates, round_weights, config.aggregator, oracle)
+        w = aggregate(updates, round_weights, config.aggregator, oracle, z0=w)
         round_calls = oracle.call_count - calls_before
 
         train_loss = task.loss(w, task.train_features, task.train_labels)

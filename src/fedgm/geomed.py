@@ -169,9 +169,11 @@ def smoothed_weiszfeld(
         Stop once the relative improvement of the smoothed objective
         between consecutive iterates falls to this level or below.
     z0 : ndarray, optional
-        Starting point, finite and expected inside the convex hull of the
-        points.
-        Defaults to the weighted mean, which costs one extra oracle call.
+        Starting point; any finite point will do. With two or more points
+        at least one step is always taken, so every iterate from step 1
+        on, the returned z included, is a weighted average of the points
+        and lies in their convex hull. Defaults to the weighted mean,
+        which costs one extra oracle call.
     oracle : object, optional
         Anything with ``average(values, weights)``; every weighted average
         is routed through it so calls can be counted or masked. Defaults to
@@ -193,9 +195,9 @@ def smoothed_weiszfeld(
     so they carry the same bits as ``np.linalg.norm`` without allocating
     a temporary per iterate.
     Each step minimizes the quadratic surrogate at the current iterate, so
-    the smoothed objective never increases; iterates stay in the convex
-    hull of the points. With a single point the exact answer is returned
-    immediately with zero iterations.
+    the smoothed objective never increases; iterates from step 1 on stay in
+    the convex hull of the points. With a single point the exact answer is
+    returned immediately with zero iterations.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

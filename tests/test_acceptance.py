@@ -271,11 +271,11 @@ def test_criterion_07_clean_parity_and_call_budget(fl_runs):
     mean_calls = [
         t.oracle_calls for seed in FL_SEEDS for t in runs[("mean", False, seed)]
     ]
-    calls_ok = max(rfa_calls) <= 4 and set(mean_calls) == {1}
+    calls_ok = max(rfa_calls) <= 3 and set(mean_calls) == {1}
     ok = parity_ok and calls_ok
     assert _verdict(
         7,
-        "clean GM final within 10% of mean aggregation at <=4 vs 1 oracle calls per round",
+        "clean GM final within 10% of mean aggregation at <=3 vs 1 oracle calls per round",
         ok,
         f"worst final deviation {max(devs):.2%}, max GM calls/round {max(rfa_calls)}",
     )
@@ -434,7 +434,7 @@ def test_criterion_10_masking_and_call_accounting():
                 federated_ok = False
             if kind == "median_of_means" and t.oracle_calls != 2:
                 federated_ok = False
-            if kind == "rfa" and not 2 <= t.oracle_calls <= 4:
+            if kind == "rfa" and not 2 <= t.oracle_calls <= 3:
                 federated_ok = False
 
     ok = mask_ok and solver_ok and federated_ok

@@ -107,6 +107,14 @@ class TestGmSolve:
         assert rc == 2
         assert json.loads(capsys.readouterr().out)["converged_by"] == "budget"
 
+    def test_budget_counts_steps_not_the_mean_start(self, tmp_path, capsys):
+        path = write_points(tmp_path, "0,0,1\n4,0,1\n0,3,1\n5,5,1\n")
+        rc = main(["gm-solve", path, "--budget", "3", "--rel-tol", "0"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["oracle_calls"] == payload["iterations"] + 1
+        assert payload["iterations"] <= 3
+
     def test_reference_comparison(self, tmp_path, capsys):
         path = write_points(tmp_path, "0,0.7\n1,0.3\n")
         rc = main(["gm-solve", path, "--reference", "--budget", "100"])

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgm.corruption import CorruptionSpec
 from fedgm.fl_core import (
@@ -24,7 +26,7 @@ from fedgm.fl_core import (
     steps_at_round,
     trace_diverged,
 )
-from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
+from fedgm.geomed import WeightedPointSet, displacement_bound, smoothed_weiszfeld
 from fedgm.secure_avg import SecureAverageOracle
 from fedgm.tasks import generate_logistic_task, generate_ls_task
 
@@ -263,6 +265,66 @@ class TestAggregate:
             aggregate(self.updates, self.weights, spec, oracle)
             assert 2 <= oracle.call_count <= budget + 1
 
+    def test_rfa_from_z0_matches_standalone_solver(self):
+        z0 = np.random.default_rng(7).standard_normal(4)
+        for budget in (1, 3, 7):
+            spec = AggregatorSpec(kind="rfa", budget=budget, rel_tol=0.0)
+            oracle = SecureAverageOracle("plain")
+            out = aggregate(self.updates, self.weights, spec, oracle, z0=z0)
+            res = smoothed_weiszfeld(
+                WeightedPointSet(self.updates, self.weights),
+                nu=spec.nu,
+                budget=budget,
+                rel_tol=0.0,
+                z0=z0,
+            )
+            assert np.array_equal(out, res.z)
+            assert oracle.call_count == res.oracle_calls == budget
+
+    @pytest.mark.parametrize("kind", ["mean", "sgd_step", "median_of_means"])
+    @pytest.mark.parametrize("mode", ["plain", "masked"])
+    def test_other_kinds_ignore_z0(self, kind, mode):
+        spec = AggregatorSpec(kind=kind, groups=3 if kind == "median_of_means" else 1)
+        z0 = np.full(4, 5.0)
+        cold, warm = SecureAverageOracle(mode, seed=3), SecureAverageOracle(mode, seed=3)
+        expected = aggregate(self.updates, self.weights, spec, cold)
+        out = aggregate(self.updates, self.weights, spec, warm, z0=z0)
+        assert out.tobytes() == expected.tobytes()
+        assert warm.call_count == cold.call_count
+
+    @pytest.mark.parametrize("scale", [1e6, 1e50, 1e100])
+    @pytest.mark.parametrize("mode", ["plain", "masked"])
+    def test_rfa_from_honest_centre_survives_extreme_rows(self, scale, mode):
+        # 3 of 10 rows at +-scale, all below the ~1e154 where distances
+        # overflow. From the mean start, budget 3 ends about scale / 100 away.
+        rng = np.random.default_rng(5)
+        honest = 1.0 + rng.uniform(-0.1, 0.1, (7, 5))
+        attackers = scale * rng.choice([-1.0, 1.0], (3, 5))
+        updates = np.vstack([honest, attackers])
+        spec = AggregatorSpec(kind="rfa", budget=3)
+        oracle = SecureAverageOracle(mode, seed=1)
+        z = aggregate(updates, np.full(10, 0.1), spec, oracle, z0=np.ones(5))
+        # eps = 0 gives the tightest bound, the one for the exact median.
+        bound = displacement_bound(0.3, 0.0, float(np.linalg.norm(honest - 1.0, axis=1).max()))
+        assert np.linalg.norm(z - 1.0) <= bound
+        assert 1 <= oracle.call_count <= spec.budget
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_rfa_from_z0_is_permutation_invariant(self, seed):
+        rng = np.random.default_rng(seed)
+        m, d = int(rng.integers(2, 12)), int(rng.integers(1, 5))
+        updates = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3)
+        weights = rng.uniform(0.1, 2.0, m)
+        z0 = rng.standard_normal(d)
+        spec = AggregatorSpec(kind="rfa", budget=5, rel_tol=0.0)
+        perm = rng.permutation(m)
+        z = aggregate(updates, weights, spec, SecureAverageOracle("plain"), z0=z0)
+        z_perm = aggregate(
+            updates[perm], weights[perm], spec, SecureAverageOracle("plain"), z0=z0
+        )
+        assert np.allclose(z, z_perm, rtol=1e-9, atol=1e-12 * np.abs(updates).max())
+
     def test_rfa_shrugs_off_far_outlier(self):
         honest = np.random.default_rng(1).standard_normal((9, 3)) * 0.1
         updates = np.vstack([honest, np.full((1, 3), 1e4)])
@@ -345,11 +407,13 @@ class TestRunFederated:
         # Seven copies of 1/7 sum to 0.9999999999999998, so weights divided
         # by their sum once more would differ from np.full(7, 1 / 7).
         assert np.full(7, 1 / 7).sum() != 1.0
-        received = []
+        received, starts, aggregates = [], [], []
 
-        def record(updates, weights, spec, oracle):
+        def record(updates, weights, spec, oracle, z0=None):
             received.append(np.array(weights, copy=True))
-            return aggregate(updates, weights, spec, oracle)
+            starts.append(np.array(z0, copy=True))
+            aggregates.append(aggregate(updates, weights, spec, oracle, z0=z0))
+            return aggregates[-1]
 
         monkeypatch.setattr("fedgm.fl_core.aggregate", record)
         task, part = small_task()
@@ -358,6 +422,10 @@ class TestRunFederated:
         assert len(received) == len(traces) == 4
         for weights in received:
             assert np.array_equal(weights, np.full(7, 1 / 7))
+        # Each round starts from the model it broadcast: w = 0, then the last aggregate.
+        assert np.array_equal(starts[0], np.zeros(task.d))
+        for start, previous in zip(starts[1:], aggregates):
+            assert np.array_equal(start, previous)
 
     def test_mean_round_costs_exactly_one_call(self):
         task, part = small_task()
@@ -381,7 +449,23 @@ class TestRunFederated:
             seed=1,
             oracle=oracle,
         )
-        assert all(2 <= t.oracle_calls <= budget + 1 for t in traces)
+        assert all(2 <= t.oracle_calls <= budget for t in traces)
+
+    def test_rfa_round_without_tolerance_costs_exactly_budget(self):
+        # Warm-started at the broadcast model, a round pays no mean-start call.
+        task, part = small_task()
+        oracle = SecureAverageOracle("plain")
+        config = RoundConfig(
+            devices_per_round=5,
+            local=LocalSGD(batch_size=10),
+            lr=LrSchedule(gamma0=0.4),
+            aggregator=AggregatorSpec(kind="rfa", budget=4, rel_tol=0.0),
+        )
+        traces = run_federated(
+            task, part, CorruptionSpec(), config, rounds=7, seed=1, oracle=oracle
+        )
+        assert [t.oracle_calls for t in traces] == [4] * 7
+        assert oracle.call_count == sum(t.oracle_calls for t in traces)
 
     def test_clean_training_reduces_loss(self):
         task, part = small_task(noise=0.05)
