@@ -1,10 +1,12 @@
 """Three device corruption models and how the corrupted set is drawn.
 
 Corrupted devices are sampled uniformly until their data weight strictly
-exceeds the target fraction rho. Static poisoning negates features once;
-adaptive poisoning relabels against whatever model the server broadcasts;
-the omniscient attack skips the data entirely and substitutes updates so
-the round's weighted mean is exactly the negation of its honest value.
+exceeds the target fraction rho, and marked in one boolean mask per run.
+Each round the attack rewrites only the corrupted rows it gathered:
+static poisoning negates their features; adaptive poisoning relabels them
+against whatever model the server broadcasts; the omniscient attack skips
+the data entirely and substitutes updates so the round's weighted mean is
+exactly the negation of its honest value.
 """
 
 import numpy as np
@@ -21,22 +23,21 @@ from fedgm.tasks import exact_optimum
 print("=== choosing who is corrupted ===")
 alphas = np.full(20, 0.05)
 spec = CorruptionSpec(kind="static_data", rho=0.25, seed=3)
-ids = realize(spec, alphas)
-print(f"rho = {spec.rho}: corrupted devices {ids}")
-print(f"their combined data weight: {alphas[list(ids)].sum():.2f} (strictly above rho)")
+corrupted = realize(spec, alphas)
+print(f"rho = {spec.rho}: corrupted devices {np.flatnonzero(corrupted)}")
+print(f"their combined data weight: {alphas[corrupted].sum():.2f} (strictly above rho)")
 
 print("\n=== static data poisoning ===")
 rng = np.random.default_rng(1)
 x = rng.standard_normal((5, 3))
 y = rng.standard_normal(5)
-px, py = poison_static(x, y)
+px = poison_static(x)
 print("features are negated, labels kept:")
-print(f"  x[0] = {np.round(x[0], 3)} -> {np.round(px[0], 3)}, y[0] = {y[0]:.3f} -> {py[0]:.3f}")
+print(f"  x[0] = {np.round(x[0], 3)} -> {np.round(px[0], 3)}, y[0] = {y[0]:.3f}")
 
-print("\n=== adaptive data poisoning ===")
+print("\n=== adaptive data poisoning (features kept, labels replaced) ===")
 w_broadcast = np.array([1.0, -0.5, 2.0])
-ax, ay = poison_adaptive(x, y, w_broadcast)
-w_fit = exact_optimum(ax, ay)
+w_fit = exact_optimum(x, poison_adaptive(x, w_broadcast))
 print(f"server broadcasts   w = {w_broadcast}")
 print(f"poisoned shard fits w = {np.round(w_fit, 6)} (the exact negation)")
 

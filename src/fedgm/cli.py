@@ -6,10 +6,10 @@ experiment from a JSON config, ``sweep`` crosses one axis (corruption
 level or aggregator) with the config's seeds, and ``report`` summarizes a
 directory of trace CSVs.
 
-Exit codes are stable: 0 success, 1 usage or validation failure, 2 budget
-exhausted without meeting the relative-improvement tolerance. Outputs
-contain no timing information, so identical configs give byte-identical
-files.
+Exit codes are stable: 0 success, 1 usage, validation, read or write
+failure, 2 budget exhausted without meeting the relative-improvement
+tolerance. Outputs contain no timing information, so identical configs
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -493,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,13 +1,14 @@
 """Device corruption models for federated simulations.
 
-Corrupted devices are chosen by sampling the population uniformly without
-replacement until their cumulative data weight strictly exceeds the target
-fraction rho. Three attack families are provided: static data poisoning
-(feature negation), adaptive data poisoning (relabel against the current
-broadcast model), and an omniscient update attack that replaces corrupted
-updates so the weighted round mean becomes the exact negation of what the
-honest mean would have been. Evaluation data is never touched by any of
-these; poisoning always returns fresh arrays.
+``realize`` marks the corrupted devices in a (K,) boolean mask, sampling
+the population uniformly without replacement until their cumulative data
+weight strictly exceeds the target fraction rho. Three attack families
+act, round by round, on the rows that the mask selects: static data
+poisoning (feature negation), adaptive data poisoning (relabel against the
+current broadcast model), and an omniscient update attack that replaces
+corrupted updates so the weighted round mean becomes the exact negation of
+what the honest mean would have been. Evaluation data is never touched by
+any of these; every transform returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ CORRUPTION_KINDS = ("none", "static_data", "adaptive_data", "omniscient")
 class CorruptionSpec:
     """What fraction of data weight is corrupted, and how.
 
-    ``seed`` drives the random choice of corrupted devices; when None the
-    runner substitutes its own master seed. ``realize`` draws the
-    corrupted ids for a concrete population.
+    A kind other than "none" always has rho > 0: rho = 0 turns the kind
+    into "none". ``seed`` drives the random choice of corrupted devices;
+    when None the runner substitutes its own master seed. ``realize``
+    marks the corrupted devices of a concrete population.
     """
 
     kind: str = "none"
@@ -41,58 +43,40 @@ class CorruptionSpec:
             object.__setattr__(self, "kind", "none")
 
 
-def select_corrupted(alphas: np.ndarray, rho: float, rng: np.random.Generator) -> list[int]:
-    """Sample device ids until their cumulative weight strictly exceeds rho.
+def realize(spec: CorruptionSpec, alphas: np.ndarray, fallback_seed: int = 0) -> np.ndarray:
+    """The (K,) boolean mask of corrupted devices in a population of K.
 
-    ``alphas`` are the population data weights (normalized to sum to one).
-    rho = 0 corrupts nobody. The returned ids are sorted.
-    """
-    alphas = np.asarray(alphas, dtype=float).ravel()
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
-    if rho == 0.0:
-        return []
-    chosen: list[int] = []
-    cum = 0.0
-    for k in rng.permutation(alphas.shape[0]):
-        chosen.append(int(k))
-        cum += alphas[k]
-        if cum > rho:
-            break
-    return sorted(chosen)
-
-
-def realize(spec: CorruptionSpec, alphas: np.ndarray, fallback_seed: int = 0) -> tuple[int, ...]:
-    """The sorted ids of the corrupted devices in a concrete population.
-
-    Their ``alphas`` sum strictly exceeds ``spec.rho``; kind "none" gives ().
+    Devices are drawn in a uniformly random order until the ``alphas``
+    (data weights summing to one) of those drawn strictly exceed
+    ``spec.rho``, or the population runs out; kind "none" marks nobody.
     ``fallback_seed`` stands in for ``spec.seed`` when that is None.
     """
-    if spec.kind == "none" or spec.rho == 0.0:
-        return ()
-    seed = spec.seed if spec.seed is not None else fallback_seed
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0DE]))
-    return tuple(select_corrupted(alphas, spec.rho, rng))
+    alphas = np.asarray(alphas, dtype=float).ravel()
+    mask = np.zeros(alphas.shape[0], dtype=bool)
+    if spec.kind != "none":
+        seed = spec.seed if spec.seed is not None else fallback_seed
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0DE]))
+        order = rng.permutation(mask.shape[0])
+        # The running weight first exceeds rho at position `count - 1`.
+        count = np.searchsorted(np.cumsum(alphas[order]), spec.rho, side="right") + 1
+        mask[order[:count]] = True
+    return mask
 
 
-def poison_static(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Negate every feature vector, leave labels alone. Involutive."""
-    return -np.asarray(features, dtype=float), np.array(labels, dtype=float, copy=True)
+def poison_static(features: np.ndarray) -> np.ndarray:
+    """Negate every feature vector; labels are left alone. Involutive."""
+    return -np.asarray(features, dtype=float)
 
 
-def poison_adaptive(
-    features: np.ndarray, labels: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Relabel y to <x, -w> for the current broadcast model w.
+def poison_adaptive(features: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Labels <x, -w> for every feature vector x, given the broadcast model w.
 
     The corrupted device then faithfully fits data whose exact local
     optimum is -w, dragging the aggregate away from wherever the server
     currently is. Regression transform; classification tasks need their
-    own relabeling. Deterministic in (features, w); labels are ignored.
+    own relabeling. Deterministic in (features, w).
     """
-    del labels
-    feats = np.array(features, dtype=float, copy=True)
-    return feats, feats @ (-np.asarray(w, dtype=float))
+    return np.asarray(features, dtype=float) @ (-np.asarray(w, dtype=float))
 
 
 def omniscient_updates(

@@ -5,8 +5,10 @@ broadcasts the model, runs a faithful local update on every selected
 device (on whatever data that device holds, poisoned or not), then
 aggregates the returned models through a secure-average oracle. The
 devices are the rows of the partition's stacked (K, n, d) shard array,
-each with its own rng; poisoning works on a copy of that array. Every
-device holds n samples, so each of the m selected models weighs 1/m. Local
+each with its own rng. One (K,) boolean mask marks the corrupted devices
+for the whole run; each attack rewrites only the corrupted rows of the
+round's gathered copies of features, labels or updates. Every device
+holds n samples, so each of the m selected models weighs 1/m. Local
 updates take the round's (m, n, d) slice and m rngs: each device draws
 all of its sample indices for the round in one call, and every local
 step updates the m models as one (m, p) array. The aggregators are the
@@ -65,28 +67,25 @@ class LocalSGD:
             raise ValueError("batch_size and epochs must be positive")
 
 
-def steps_at_round(base_steps: int, t: int, schedule: str = "doubling") -> int:
-    """Local step count for round t: base * 2^t when doubling, else base."""
-    if schedule not in ("doubling", "constant"):
-        raise ValueError("schedule must be 'doubling' or 'constant'")
-    if base_steps < 2:
-        raise ValueError("base_steps must be at least 2")
-    return base_steps * (2**t) if schedule == "doubling" else base_steps
-
-
 @dataclass(frozen=True)
 class TailAveragedSGD:
     """Single-sample SGD averaging the last half of its iterates.
 
-    Round t runs ``steps_at_round(steps, t, schedule)`` steps: ``steps``
-    every round when constant, ``steps * 2^t`` when doubling.
+    Round t runs ``steps_at(t)`` steps: ``steps`` every round when
+    constant, ``steps * 2^t`` when doubling.
     """
 
     steps: int
     schedule: str = "constant"
 
     def __post_init__(self) -> None:
-        steps_at_round(self.steps, 0, self.schedule)
+        if self.schedule not in ("doubling", "constant"):
+            raise ValueError("schedule must be 'doubling' or 'constant'")
+        if self.steps < 2:
+            raise ValueError("steps must be at least 2")
+
+    def steps_at(self, t: int) -> int:
+        return self.steps * 2**t if self.schedule == "doubling" else self.steps
 
 
 @dataclass(frozen=True)
@@ -312,14 +311,15 @@ def run_federated(
 ) -> list[RoundTrace]:
     """Simulate the federated loop from w = 0 for the given number of rounds.
 
-    ``partition`` is never written: static data poisoning is applied once
-    to a copy of its stacked shards; adaptive poisoning relabels, in a
-    copy of the labels, each round's selected corrupted shards from their
-    features against the broadcast model; the omniscient attack intercepts
-    the aggregation itself. Train/test losses and the squared distance to
-    the task's pooled optimum are recorded after every round on uncorrupted
-    data. If a round's train loss exceeds ``DIVERGENCE_LOSS`` or turns
-    non-finite the run is marked diverged by its trace and, with
+    ``realize`` marks the corrupted devices once. Each round gathers a copy
+    of its selected shards, so ``partition`` is never written, and the
+    attack rewrites only their corrupted rows: static poisoning negates
+    the features, adaptive poisoning relabels them against the broadcast
+    model, and the omniscient attack replaces the updates before
+    aggregation. Train/test losses and the squared distance to the task's
+    pooled optimum are recorded after every round on uncorrupted data. If
+    a round's train loss exceeds ``DIVERGENCE_LOSS`` or turns non-finite
+    the run is marked diverged by its trace and, with
     ``halt_on_divergence``, stops early. rounds = 0 returns an empty trace.
     """
     if rounds < 0:
@@ -332,16 +332,7 @@ def run_federated(
     server_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E7]))
     children = np.random.SeedSequence([int(seed), 0xFED]).spawn(partition.devices)
     rngs = [np.random.default_rng(child) for child in children]
-    ids = list(realize(corruption, partition.alphas, fallback_seed=seed))
-    corrupted_ids = set(ids)
-
-    # The partition's arrays are views of the task's train data, so poison copies.
-    features, labels = partition.device_features, partition.device_labels
-    if corruption.kind == "static_data":
-        features, labels = features.copy(), labels.copy()
-        features[ids], labels[ids] = poison_static(features[ids], labels[ids])
-    elif corruption.kind == "adaptive_data":
-        labels = labels.copy()
+    corrupted = realize(corruption, partition.alphas, fallback_seed=seed)
 
     # Equal shards: every selected device weighs n / (m * n) = 1/m.
     round_weights = np.full(config.devices_per_round, 1.0 / config.devices_per_round)
@@ -352,12 +343,16 @@ def run_federated(
         selected = sample_devices(partition.devices, config.devices_per_round, server_rng)
         gamma = config.lr.gamma_at(t)
 
-        corrupted_mask = np.array([int(k) in corrupted_ids for k in selected])
-        if corruption.kind == "adaptive_data":
-            hit = selected[corrupted_mask]
-            labels[hit] = poison_adaptive(features[hit], labels[hit], w)[1]
+        # Advanced indexing copies the round's shards, so poisoning them
+        # leaves the partition (views of the task's train data) untouched.
+        x, y = partition.device_features[selected], partition.device_labels[selected]
+        chosen = [rngs[k] for k in selected]
+        corrupted_mask = corrupted[selected]
+        if corruption.kind == "static_data":
+            x[corrupted_mask] = poison_static(x[corrupted_mask])
+        elif corruption.kind == "adaptive_data":
+            y[corrupted_mask] = poison_adaptive(x[corrupted_mask], w)
 
-        x, y, chosen = features[selected], labels[selected], [rngs[k] for k in selected]
         if config.aggregator.kind == "sgd_step":
             n = y.shape[1]
             idx = np.stack([rng.choice(n, local.batch_size, replace=False) for rng in chosen])
@@ -366,8 +361,7 @@ def run_federated(
             batch, epochs = local.batch_size, local.epochs
             updates = local_update_sgd(task, x, y, chosen, w, gamma, batch, epochs)
         else:
-            steps = steps_at_round(local.steps, t, local.schedule)
-            updates = local_update_tail_avg_sgd(task, x, y, chosen, w, gamma, steps)
+            updates = local_update_tail_avg_sgd(task, x, y, chosen, w, gamma, local.steps_at(t))
 
         if corruption.kind == "omniscient" and corrupted_mask.any():
             updates = omniscient_updates(updates, round_weights, corrupted_mask)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,13 @@ class TestConfigHandling:
         assert rc == 1
         assert "JSON" in capsys.readouterr().err
 
+    def test_readme_config_block_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"### Config file\n.*?```json\n(.*?)```", readme, re.DOTALL)
+        documented = json.loads(block.group(1))
+        # Comparing dumps also compares each value's JSON type: 18.0 is not 18.
+        assert json.dumps(documented, sort_keys=True) == json.dumps(DEFAULT_CONFIG, sort_keys=True)
+
 
 class TestGmSolve:
     def test_equilateral_converges_exit_0(self, tmp_path, capsys):
@@ -154,6 +163,14 @@ class TestGmSolve:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        path = write_points(tmp_path, EQUILATERAL)
+        rc = main(["gm-solve", path, "--output", str(tmp_path / "absent" / "x.json")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     @pytest.mark.parametrize("flag", ["--nu", "--rel-tol"])
     def test_non_finite_solver_option_exit_1(self, tmp_path, capsys, flag):
         path = write_points(tmp_path, EQUILATERAL)
@@ -187,6 +204,18 @@ class TestGmSolve:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("outdir", ["afile", ""])
+    def test_unwritable_outdir_exit_1(self, tmp_path, capsys, monkeypatch, outdir):
+        # An outdir that is an existing file, or empty, cannot be created.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        rc = main(["simulate", write_config(tmp_path), "--outdir", outdir])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
+
     def test_writes_trace_per_seed_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(["simulate", cfg])

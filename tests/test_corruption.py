@@ -13,7 +13,6 @@ from fedgm.corruption import (
     poison_adaptive,
     poison_static,
     realize,
-    select_corrupted,
 )
 
 RNG_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -40,29 +39,31 @@ class TestCorruptionSpec:
 
 
 class TestSelectCorrupted:
+    """The weight rule ``realize`` draws corrupted devices by."""
+
     def test_rho_zero_selects_nobody(self):
-        rng = np.random.default_rng(0)
-        assert select_corrupted(np.full(10, 0.1), 0.0, rng) == []
+        # rho = 0 turns any kind into "none", which marks nobody.
+        mask = realize(CorruptionSpec(kind="static_data", rho=0.0), np.full(10, 0.1))
+        assert mask.dtype == bool and mask.shape == (10,) and not mask.any()
 
     def test_uniform_four_devices_at_quarter(self):
-        # each device holds weight 1/4; any single pick already exceeds 0.25
-        # only when cumulative weight strictly passes rho, so two are needed
-        rng = np.random.default_rng(1)
-        chosen = select_corrupted(np.full(4, 0.25), 0.25, rng)
-        assert len(chosen) == 2
+        # each device holds weight 1/4; one device only reaches 0.25, and
+        # cumulative weight must strictly pass rho, so two are needed
+        mask = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=1), np.full(4, 0.25))
+        assert mask.sum() == 2
 
     def test_stops_once_weight_exceeds_rho(self):
-        rng = np.random.default_rng(2)
         alphas = np.full(100, 0.01)
-        chosen = select_corrupted(alphas, 0.25, rng)
-        weight = alphas[chosen].sum()
+        mask = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=2), alphas)
+        weight = alphas[mask].sum()
         assert weight > 0.25 - 1e-12
-        assert weight - alphas[chosen].min() <= 0.25 + 1e-12
+        assert weight - alphas[mask].min() <= 0.25 + 1e-12
 
     def test_ids_sorted_and_unique(self):
-        rng = np.random.default_rng(3)
-        chosen = select_corrupted(np.full(20, 0.05), 0.4, rng)
-        assert chosen == sorted(set(chosen))
+        # A mask holds each device at most once, in id order.
+        mask = realize(CorruptionSpec(kind="omniscient", rho=0.4, seed=3), np.full(20, 0.05))
+        ids = np.flatnonzero(mask)
+        assert ids.tolist() == sorted(set(ids.tolist())) and len(ids) == mask.sum() > 0
 
     @given(seed=RNG_SEEDS, rho=st.floats(min_value=0.01, max_value=0.9))
     @settings(max_examples=50, deadline=None)
@@ -70,64 +71,58 @@ class TestSelectCorrupted:
         rng = np.random.default_rng(seed)
         alphas = rng.uniform(0.5, 2.0, 30)
         alphas = alphas / alphas.sum()
-        chosen = select_corrupted(alphas, rho, rng)
-        assert alphas[chosen].sum() > rho - 1e-12
+        mask = realize(CorruptionSpec(kind="static_data", rho=rho, seed=seed), alphas)
+        assert alphas[mask].sum() > rho - 1e-12
 
 
 class TestRealize:
     def test_none_realizes_empty(self):
-        assert realize(CorruptionSpec(), np.full(5, 0.2)) == ()
+        mask = realize(CorruptionSpec(), np.full(5, 0.2))
+        assert mask.dtype == bool and mask.shape == (5,) and not mask.any()
 
     def test_deterministic_in_spec_seed(self):
         alphas = np.full(50, 0.02)
         a = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=9), alphas)
         b = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=9), alphas)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_fallback_seed_used_when_spec_seed_missing(self):
         alphas = np.full(50, 0.02)
         a = realize(CorruptionSpec(kind="omniscient", rho=0.25), alphas, fallback_seed=1)
         b = realize(CorruptionSpec(kind="omniscient", rho=0.25), alphas, fallback_seed=2)
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_ids_are_sorted_and_outweigh_rho(self):
         rng = np.random.default_rng(4)
         alphas = rng.uniform(0.5, 1.5, 20)
         alphas = alphas / alphas.sum()
-        ids = realize(CorruptionSpec(kind="static_data", rho=0.3, seed=0), alphas)
-        assert ids == tuple(sorted(ids))
-        assert alphas[list(ids)].sum() > 0.3
+        mask = realize(CorruptionSpec(kind="static_data", rho=0.3, seed=0), alphas)
+        assert mask.shape == alphas.shape
+        assert alphas[mask].sum() > 0.3
 
 
 class TestPoisonTransforms:
     def test_static_negates_features_only(self):
         x = np.array([[1.0, -2.0], [0.5, 0.0]])
-        y = np.array([1.0, 2.0])
-        px, py = poison_static(x, y)
-        assert np.array_equal(px, -x)
-        assert np.array_equal(py, y)
+        assert np.array_equal(poison_static(x), -x)
 
     def test_static_returns_fresh_arrays(self):
         x = np.ones((3, 2))
-        y = np.ones(3)
-        px, py = poison_static(x, y)
+        px = poison_static(x)
         px[0, 0] = 99.0
-        py[0] = 99.0
-        assert x[0, 0] == 1.0 and y[0] == 1.0
+        assert x[0, 0] == 1.0
 
     def test_static_is_involutive(self):
-        rng = np.random.default_rng(5)
-        x, y = rng.standard_normal((4, 3)), rng.standard_normal(4)
-        xx, yy = poison_static(*poison_static(x, y))
-        assert np.array_equal(xx, x) and np.array_equal(yy, y)
+        x = np.random.default_rng(5).standard_normal((4, 3))
+        assert np.array_equal(poison_static(poison_static(x)), x)
 
     def test_adaptive_relabels_against_broadcast(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((10, 3))
         w = rng.standard_normal(3)
-        px, py = poison_adaptive(x, np.zeros(10), w)
-        assert np.array_equal(px, x)
-        assert np.allclose(py, -(x @ w))
+        x_before = x.copy()
+        assert np.array_equal(poison_adaptive(x, w), x @ -w)
+        assert np.array_equal(x, x_before)
 
     def test_adaptive_local_optimum_is_negated_model(self):
         from fedgm.tasks import exact_optimum
@@ -135,8 +130,7 @@ class TestPoisonTransforms:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((40, 3))
         w = rng.standard_normal(3)
-        px, py = poison_adaptive(x, np.zeros(40), w)
-        assert np.allclose(exact_optimum(px, py), -w, atol=1e-10)
+        assert np.allclose(exact_optimum(x, poison_adaptive(x, w)), -w, atol=1e-10)
 
 
 class TestOmniscientUpdates:

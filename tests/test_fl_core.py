@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgm.corruption import CorruptionSpec
+from fedgm.corruption import CorruptionSpec, realize
 from fedgm.fl_core import (
     AggregatorSpec,
     LocalSGD,
@@ -23,7 +23,6 @@ from fedgm.fl_core import (
     run_federated,
     run_rfa_doubling,
     sample_devices,
-    steps_at_round,
     trace_diverged,
 )
 from fedgm.geomed import WeightedPointSet, displacement_bound, smoothed_weiszfeld
@@ -523,6 +522,35 @@ class TestRunFederated:
         assert sum(t.corrupted_selected for t in traces) > 0
         assert [a.tobytes() for a in arrays] == before
 
+    @pytest.mark.parametrize("kind", ["static_data", "adaptive_data"])
+    def test_local_update_sees_exactly_the_poisoned_rows(self, kind, monkeypatch):
+        seen = []
+
+        def record(task, features, labels, rngs, w0, *args):
+            seen.append((features.copy(), labels.copy(), np.array(w0, copy=True)))
+            return local_update_sgd(task, features, labels, rngs, w0, *args)
+
+        monkeypatch.setattr("fedgm.fl_core.local_update_sgd", record)
+        task, part = small_task()
+        spec = CorruptionSpec(kind=kind, rho=0.3, seed=7)
+        traces = run_federated(task, part, spec, clean_config(), rounds=6, seed=7)
+        corrupted = realize(spec, part.alphas, fallback_seed=7)
+        assert len(seen) == len(traces) == 6
+        assert any(0 < t.corrupted_selected < len(t.selected) for t in traces)
+        for (x, y, w0), trace in zip(seen, traces):
+            selected = np.array(trace.selected)
+            mask = corrupted[selected]
+            assert mask.sum() == trace.corrupted_selected
+            x_part, y_part = part.device_features[selected], part.device_labels[selected]
+            if kind == "static_data":
+                assert np.array_equal(x[mask], -x_part[mask])
+                assert np.array_equal(x[~mask], x_part[~mask])
+                assert np.array_equal(y, y_part)
+            else:
+                assert np.array_equal(x, x_part)
+                assert np.array_equal(y[mask], x_part[mask] @ -w0)
+                assert np.array_equal(y[~mask], y_part[~mask])
+
     def test_adaptive_corruption_runs(self):
         task, part = small_task()
         traces = run_federated(
@@ -641,12 +669,12 @@ class TestTraceDiverged:
 
 class TestDoublingRunner:
     def test_steps_at_round(self):
-        assert [steps_at_round(2, t) for t in range(4)] == [2, 4, 8, 16]
-        assert [steps_at_round(4, t, "constant") for t in range(3)] == [4, 4, 4]
+        assert [TailAveragedSGD(2, "doubling").steps_at(t) for t in range(4)] == [2, 4, 8, 16]
+        assert [TailAveragedSGD(4).steps_at(t) for t in range(3)] == [4, 4, 4]
         with pytest.raises(ValueError):
-            steps_at_round(1, 0)
+            TailAveragedSGD(1, "doubling")
         with pytest.raises(ValueError):
-            steps_at_round(2, 0, "tripling")
+            TailAveragedSGD(2, "tripling")
 
     def test_noiseless_run_contracts(self):
         task, part = generate_ls_task(5, 10, 40, 0.0, seed=0, test_samples=20)
