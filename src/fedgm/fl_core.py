@@ -10,14 +10,16 @@ for the whole run; each attack rewrites only the corrupted rows of the
 round's gathered copies of features, labels or updates. Every device
 holds n samples, so each of the m selected models weighs 1/m. Local
 updates take the round's (m, n, d) slice and m rngs: each device draws
-all of its sample indices for the round in one call, and every local
-step updates the m models as one (m, p) array. The aggregators are the
-weighted mean, the smoothed-Weiszfeld geometric median ("rfa"),
-median-of-means (group means through the oracle, then a server-side
-geometric median of the group means), and a single-gradient-step
-baseline ("sgd_step"). Each round's geometric-median solve starts at the
-broadcast model, which the server already holds, so it pays no oracle call
-for a starting point. Metrics are always evaluated on uncorrupted pooled data.
+all of its sample indices for the round in one call, rows are gathered a
+block of n // b steps at a time (at most one more copy of the shards),
+and every local step updates the m models as one (m, p) array. The
+aggregators are the weighted mean, the smoothed-Weiszfeld geometric
+median ("rfa"), median-of-means (group means through the oracle, then a
+server-side geometric median of the group means), and a
+single-gradient-step baseline ("sgd_step"). Each round's geometric-median
+solve starts at the broadcast model, which the server already holds, so
+it pays no oracle call for a starting point. Metrics are always evaluated
+on uncorrupted pooled data.
 Doubling local steps is a ``TailAveragedSGD`` step schedule;
 ``run_rfa_doubling`` is a preset of ``run_federated``.
 """
@@ -183,19 +185,24 @@ def _local_steps(
 
     ``features`` (m, n, d) and ``labels`` (m, n) hold the shards, and
     ``idx`` (steps, m, b) says which rows each step uses: step s uses rows
-    ``idx[s, k]`` of shard k. Returns the (m, p) average of the last
-    ``tail`` iterates (the final iterate when tail = 1).
+    ``idx[s, k]`` of shard k. Rows are gathered a block of max(1, n // b)
+    steps at a time, so a block holds at most one more copy of the shards.
+    Returns the (m, p) average of the last ``tail`` iterates (the final
+    iterate when tail = 1).
     """
     m, n = labels.shape
     features, labels = features.reshape(m * n, -1), labels.reshape(m * n)
-    # Row numbers into the flattened shards, gathered one step at a time.
+    # Row numbers into the flattened shards.
     rows = idx + n * np.arange(m)[:, None]
+    block, first_tail = max(1, n // rows.shape[-1]), len(rows) - tail
     w = np.tile(np.asarray(w0, dtype=float), (m, 1))
     acc = np.zeros_like(w)
-    for s, batch in enumerate(rows):
-        w -= gamma * task.gradient(w, features[batch], labels[batch])
-        if s >= len(rows) - tail:
-            acc += w
+    for start in range(0, len(rows), block):
+        batch = rows[start : start + block]
+        for s, (x, y) in enumerate(zip(features[batch], labels[batch]), start):
+            w -= gamma * task.gradient(w, x, y)
+            if s >= first_tail:
+                acc += w
     return acc / tail
 
 

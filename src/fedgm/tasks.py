@@ -27,8 +27,13 @@ def least_squares_gradient(
 
     Leading batch axes are allowed: w (..., d), features (..., b, d) and
     labels (..., b) give one gradient per batch entry, shape (..., d).
+    A one-row batch (b = 1) skips the reduction over b and returns the
+    product of the row and its residual: the same bits as the einsum
+    form, except that an exact zero may keep its sign.
     """
     r = np.einsum("...bd,...d->...b", features, w) - labels
+    if features.shape[-2] == 1:
+        return features[..., 0, :] * r
     return np.einsum("...bd,...b->...d", features, r) / features.shape[-2]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,11 +187,14 @@ class TestLocalUpdates:
 class TestBatchedLocalUpdates:
     """Each row of a batched local update matches a one-device Python loop."""
 
-    def test_tail_avg_rows_match_one_row_loop(self):
+    # Rows are gathered n // b = 20 steps at a time: 47 steps make three
+    # blocks, the last one partial.
+    @pytest.mark.parametrize("steps", [9, 47])
+    def test_tail_avg_rows_match_one_row_loop(self, steps):
         task, _ = small_task()
         x, y, device_rngs = make_shards((0, 10, 20))
         rngs = copy.deepcopy(device_rngs)
-        w0, gamma, steps = np.full(3, 0.2), 0.3, 9
+        w0, gamma = np.full(3, 0.2), 0.3
         out = local_update_tail_avg_sgd(task, x, y, device_rngs, w0, gamma, steps)
         assert out.shape == (3, 3)
         for k, (dev_rng, rng) in enumerate(zip(device_rngs, rngs)):
@@ -221,6 +225,28 @@ class TestBatchedLocalUpdates:
                 w = w - gamma * task.gradient(w, x[k, idx], y[k, idx])
             assert np.abs(out[k] - w).max() <= 1e-12
             assert dev_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_tail_avg_gathers_rows_a_block_at_a_time(self):
+        """Guard: a long round never holds every step's rows at once.
+
+        Gathering all 1000 steps' rows at once would take 50 copies of the
+        (m, n, d) features; a block of n steps takes one.
+        """
+        m, n, d = 4, 20, 40
+        task, _ = small_task(d=d)
+        x, y, rngs = make_shards(range(m), n=n, d=d)
+        steps = 50 * n
+        # The per-device draws, their (steps, m) stack and the row numbers.
+        index_bytes = 3 * steps * m * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            local_update_tail_avg_sgd(task, x, y, rngs, np.zeros(d), 0.1, steps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < index_bytes + 2 * x.nbytes
 
 
 class TestAggregate:

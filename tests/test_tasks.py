@@ -195,3 +195,42 @@ class TestBatchedGradient:
         stacked = np.stack([task.gradient(w[k], x[k], y[k]) for k in range(part.devices)])
         assert batched.shape == w.shape
         assert np.abs(batched - stacked).max() <= 1e-12
+
+
+class TestOneRowGradient:
+    """A one-row batch skips the reduction over b, keeping the einsum form's bits.
+
+    The einsum form sums from +0, so where the row times its residual is -0
+    it returns +0 instead. ``np.array_equal`` counts the two zeros equal, and
+    no trace column, summary field or digest prints the sign of a zero.
+    """
+
+    @staticmethod
+    def einsum_form(w, features, labels):
+        r = np.einsum("...bd,...d->...b", features, w) - labels
+        return np.einsum("...bd,...b->...d", features, r) / features.shape[-2]
+
+    @pytest.mark.parametrize("lead", [(), (7,)], ids=["unbatched", "batched"])
+    def test_equals_einsum_form(self, lead):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            d = int(rng.integers(1, 12))
+            sx, sw, sy = 10.0 ** rng.uniform(-300, 300, size=3)
+            x = sx * rng.standard_normal((*lead, 1, d))
+            x[rng.random(x.shape) < 0.25] = 0.0
+            w = sw * rng.standard_normal((*lead, d))
+            y = sy * rng.standard_normal((*lead, 1))
+            # Overflow can give inf - inf or 0 * inf, in both forms alike.
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, ref = least_squares_gradient(w, x, y), self.einsum_form(w, x, y)
+            assert got.shape == (*lead, d)
+            assert np.array_equal(got, ref, equal_nan=True)
+
+    def test_zero_residual_differs_only_in_the_sign_of_zero(self):
+        x = np.array([[-2.0, 0.0, 3.0]])
+        w = np.array([1.0, 5.0, 1.0])
+        y = x @ w
+        got, ref = least_squares_gradient(w, x, y), self.einsum_form(w, x, y)
+        assert np.array_equal(got, ref)
+        assert not np.signbit(ref).any()
+        assert np.signbit(got).tolist() == [True, False, False]
