@@ -28,7 +28,6 @@ from .geomed import (
     brute_force_gm,
     displacement_bound,
     gm_objective,
-    smoothed_objective,
     smoothed_weiszfeld,
 )
 from .secure_avg import SecureAverageOracle
@@ -79,7 +78,6 @@ __all__ = [
     "run_federated",
     "run_rfa_doubling",
     "sample_devices",
-    "smoothed_objective",
     "smoothed_weiszfeld",
     "trace_diverged",
 ]

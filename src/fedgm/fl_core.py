@@ -17,9 +17,9 @@ aggregators are the weighted mean, the smoothed-Weiszfeld geometric
 median ("rfa"), median-of-means (group means through the oracle, then a
 server-side geometric median of the group means), and a
 single-gradient-step baseline ("sgd_step"). Each round's geometric-median
-solve starts at the broadcast model, which the server already holds, so
-it pays no oracle call for a starting point. Metrics are always evaluated
-on uncorrupted pooled data.
+solve starts at the broadcast model, which the server already holds, so an
+"rfa" round costs 1 to ``budget`` oracle calls; a round of one device costs
+one call under every aggregator. Metrics use uncorrupted pooled data.
 Doubling local steps is a ``TailAveragedSGD`` step schedule;
 ``run_rfa_doubling`` is a preset of ``run_federated``.
 """
@@ -264,19 +264,22 @@ def aggregate(
     weights: np.ndarray,
     spec: AggregatorSpec,
     oracle: SecureAverageOracle,
-    z0: np.ndarray | None = None,
+    z0: np.ndarray,
 ) -> np.ndarray:
     """Combine per-device models according to the aggregator spec.
 
     ``z0`` starts the "rfa" solve; the other kinds ignore it. Oracle cost:
-    "mean" and "sgd_step" one call, "rfa" one call per Weiszfeld step (at
-    most ``budget`` given ``z0``, plus one for the mean initializer, so at
-    most budget + 1, without it), "median_of_means" exactly ``groups``
-    calls with the geometric median of the group means solved server side.
+    "mean" and "sgd_step" one call, "rfa" one call per Weiszfeld step, so
+    1 to ``budget``, and "median_of_means" exactly ``groups`` calls, with
+    the geometric median of the group means solved server side. A single
+    update row goes through one oracle call under every kind.
     """
     updates = np.asarray(updates, dtype=float)
     weights = np.asarray(weights, dtype=float).ravel()
-    if spec.kind in ("mean", "sgd_step"):
+    m = updates.shape[0]
+    if spec.kind == "median_of_means" and spec.groups > m:
+        raise ValueError("more groups than devices in the round")
+    if spec.kind in ("mean", "sgd_step") or m == 1:
         return oracle.average(updates, weights)
     if spec.kind == "rfa":
         result = smoothed_weiszfeld(
@@ -289,9 +292,6 @@ def aggregate(
         )
         return result.z
     # median_of_means
-    m = updates.shape[0]
-    if spec.groups > m:
-        raise ValueError("more groups than devices in the round")
     chunks = np.array_split(np.arange(m), spec.groups)
     means = []
     group_weights = []

@@ -90,12 +90,12 @@ class GMResult:
     ``beta`` holds the final per-point reweights, so that ``z`` equals the
     beta-weighted average of the points at termination (exactly, for any
     run that took at least one step). ``converged_by`` is either
-    ``"relative_improvement"`` or ``"budget"``.
+    ``"relative_improvement"`` or ``"budget"``. ``g_value`` is g at ``z``;
+    the smoothed value there is ``trace[-1].g_nu``.
     """
 
     z: np.ndarray
     g_value: float
-    g_nu_value: float
     iterations: int
     beta: np.ndarray
     converged_by: str
@@ -106,7 +106,7 @@ class GMResult:
         return {
             "z": [float(v) for v in self.z],
             "g": self.g_value,
-            "g_nu": self.g_nu_value,
+            "g_nu": self.trace[-1].g_nu,
             "iterations": self.iterations,
             "beta": [float(b) for b in self.beta],
             "converged_by": self.converged_by,
@@ -126,22 +126,8 @@ def gm_objective(z: np.ndarray, point_set: WeightedPointSet) -> float:
 
 
 def _smoothed_distances(r: np.ndarray, nu: float) -> np.ndarray:
-    """Apply the quadratic cap of g_nu inside radius nu to distances r."""
+    """h_nu(r) = r^2/(2 nu) + nu/2 when r <= nu, else r; g_nu(z) = sum_k a_k h_nu(||z - w_k||)."""
     return np.where(r <= nu, r * r / (2.0 * nu) + nu / 2.0, r)
-
-
-def smoothed_objective(z: np.ndarray, point_set: WeightedPointSet, nu: float) -> float:
-    """g_nu(z) = sum_k a_k h_nu(||z - w_k||).
-
-    h_nu(r) = r^2/(2 nu) + nu/2 when r <= nu, else r. The two branches
-    touch with matching value and slope at r = nu, and h_nu(r) always lies
-    in [r, r + nu/2], so g(z) <= g_nu(z) <= g(z) + nu/2.
-    """
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
-    z = np.asarray(z, dtype=float).ravel()
-    r = np.linalg.norm(point_set.points - z, axis=1)
-    return float(point_set.weights @ _smoothed_distances(r, nu))
 
 
 def smoothed_weiszfeld(
@@ -253,7 +239,6 @@ def smoothed_weiszfeld(
     return GMResult(
         z=final.z.copy(),
         g_value=final.g,
-        g_nu_value=final.g_nu,
         iterations=final.t,
         beta=beta,
         converged_by=converged_by,

@@ -1,9 +1,9 @@
 """Shared fixtures and reference helpers for the geometric-median tests.
 
-``eta_update``, ``lipschitz_constant``, ``hull_distance`` and
-``diameter`` are independent reference implementations that the solver's
-trace and iterates are checked against; the package itself does not need
-them.
+``eta_update``, ``lipschitz_constant``, ``smoothed_objective``,
+``hull_distance`` and ``diameter`` are independent reference
+implementations that the solver's trace and iterates are checked against;
+the package itself does not need them.
 
 The pool pairs every instance with both solver outputs (iterative and
 brute force) so equivalence, convergence-speed and invariant checks can
@@ -71,6 +71,20 @@ def lipschitz_constant(eta: np.ndarray, point_set: WeightedPointSet) -> float:
     if np.any(eta <= 0.0):
         raise ValueError("eta entries must be positive")
     return float((point_set.weights / eta).sum())
+
+
+def smoothed_objective(z: np.ndarray, point_set: WeightedPointSet, nu: float) -> float:
+    """g_nu(z) = sum_k a_k h_nu(||z - w_k||).
+
+    h_nu(r) = r^2/(2 nu) + nu/2 when r <= nu, else r. The two branches
+    touch with matching value and slope at r = nu, and h_nu(r) always lies
+    in [r, r + nu/2], so g(z) <= g_nu(z) <= g(z) + nu/2.
+    """
+    if nu <= 0.0:
+        raise ValueError("nu must be positive")
+    z = np.asarray(z, dtype=float).ravel()
+    r = np.linalg.norm(point_set.points - z, axis=1)
+    return float(point_set.weights @ np.where(r <= nu, r * r / (2.0 * nu) + nu / 2.0, r))
 
 
 def hull_distance(z: np.ndarray, points: np.ndarray) -> float:

@@ -255,40 +255,22 @@ class TestAggregate:
         self.updates = rng.standard_normal((8, 4))
         self.weights = rng.uniform(0.5, 1.5, 8)
         self.weights = self.weights / self.weights.sum()
+        self.z0 = np.zeros(4)
 
     def test_mean_matches_weighted_average(self):
         oracle = SecureAverageOracle("plain")
-        out = aggregate(self.updates, self.weights, AggregatorSpec(kind="mean"), oracle)
+        out = aggregate(self.updates, self.weights, AggregatorSpec(kind="mean"), oracle, self.z0)
         expected = (self.weights[:, None] * self.updates).sum(axis=0)
         assert np.allclose(out, expected, atol=1e-12)
         assert oracle.call_count == 1
 
     def test_sgd_step_aggregation_is_the_mean(self):
         oracle = SecureAverageOracle("plain")
-        out = aggregate(self.updates, self.weights, AggregatorSpec(kind="sgd_step"), oracle)
+        spec = AggregatorSpec(kind="sgd_step")
+        out = aggregate(self.updates, self.weights, spec, oracle, self.z0)
         expected = (self.weights[:, None] * self.updates).sum(axis=0)
         assert np.allclose(out, expected, atol=1e-12)
         assert oracle.call_count == 1
-
-    def test_rfa_matches_standalone_solver(self):
-        spec = AggregatorSpec(kind="rfa", budget=5, rel_tol=0.0)
-        oracle = SecureAverageOracle("plain")
-        out = aggregate(self.updates, self.weights, spec, oracle)
-        res = smoothed_weiszfeld(
-            WeightedPointSet(self.updates, self.weights),
-            nu=spec.nu,
-            budget=5,
-            rel_tol=0.0,
-        )
-        assert np.array_equal(out, res.z)
-        assert oracle.call_count == res.oracle_calls
-
-    def test_rfa_call_budget(self):
-        for budget in (1, 3, 7):
-            oracle = SecureAverageOracle("plain")
-            spec = AggregatorSpec(kind="rfa", budget=budget, rel_tol=0.0)
-            aggregate(self.updates, self.weights, spec, oracle)
-            assert 2 <= oracle.call_count <= budget + 1
 
     def test_rfa_from_z0_matches_standalone_solver(self):
         z0 = np.random.default_rng(7).standard_normal(4)
@@ -310,12 +292,32 @@ class TestAggregate:
     @pytest.mark.parametrize("mode", ["plain", "masked"])
     def test_other_kinds_ignore_z0(self, kind, mode):
         spec = AggregatorSpec(kind=kind, groups=3 if kind == "median_of_means" else 1)
-        z0 = np.full(4, 5.0)
-        cold, warm = SecureAverageOracle(mode, seed=3), SecureAverageOracle(mode, seed=3)
-        expected = aggregate(self.updates, self.weights, spec, cold)
-        out = aggregate(self.updates, self.weights, spec, warm, z0=z0)
+        near, far = SecureAverageOracle(mode, seed=3), SecureAverageOracle(mode, seed=3)
+        expected = aggregate(self.updates, self.weights, spec, near, z0=self.z0)
+        out = aggregate(self.updates, self.weights, spec, far, z0=np.full(4, 5.0))
         assert out.tobytes() == expected.tobytes()
-        assert warm.call_count == cold.call_count
+        assert far.call_count == near.call_count
+
+    @pytest.mark.parametrize("mode", ["plain", "masked"])
+    def test_rfa_fixed_point_start_costs_one_call(self, mode):
+        # The start 0 is the median of +-e_i: one step returns it, and the
+        # unchanged objective stops the solve after that single call.
+        updates = np.vstack([np.eye(4), -np.eye(4)])
+        spec = AggregatorSpec(kind="rfa", budget=3)
+        oracle = SecureAverageOracle(mode, seed=2)
+        out = aggregate(updates, np.full(8, 0.125), spec, oracle, z0=np.zeros(4))
+        assert np.array_equal(out, np.zeros(4))
+        assert oracle.call_count == 1
+
+    @pytest.mark.parametrize("kind", ["mean", "rfa", "median_of_means", "sgd_step"])
+    @pytest.mark.parametrize("mode", ["plain", "masked"])
+    def test_writes_nothing_it_is_given(self, kind, mode):
+        spec = AggregatorSpec(kind=kind, budget=5, groups=3 if kind == "median_of_means" else 1)
+        z0 = np.random.default_rng(11).standard_normal(4)
+        inputs = [self.updates, self.weights, z0]
+        before = [a.tobytes() for a in inputs]
+        aggregate(self.updates, self.weights, spec, SecureAverageOracle(mode, seed=4), z0)
+        assert [a.tobytes() for a in inputs] == before
 
     @pytest.mark.parametrize("scale", [1e6, 1e50, 1e100])
     @pytest.mark.parametrize("mode", ["plain", "masked"])
@@ -355,10 +357,10 @@ class TestAggregate:
         updates = np.vstack([honest, np.full((1, 3), 1e4)])
         weights = np.full(10, 0.1)
         oracle = SecureAverageOracle("plain")
-        mean_out = aggregate(updates, weights, AggregatorSpec(kind="mean"), oracle)
-        rfa_out = aggregate(
-            updates, weights, AggregatorSpec(kind="rfa", budget=50, rel_tol=0.0), oracle
-        )
+        z0 = np.zeros(3)
+        mean_out = aggregate(updates, weights, AggregatorSpec(kind="mean"), oracle, z0)
+        rfa_spec = AggregatorSpec(kind="rfa", budget=50, rel_tol=0.0)
+        rfa_out = aggregate(updates, weights, rfa_spec, oracle, z0)
         assert np.linalg.norm(mean_out) > 100.0
         assert np.linalg.norm(rfa_out) < 1.0
 
@@ -366,13 +368,13 @@ class TestAggregate:
         for groups in (1, 2, 4):
             oracle = SecureAverageOracle("plain")
             spec = AggregatorSpec(kind="median_of_means", groups=groups)
-            aggregate(self.updates, self.weights, spec, oracle)
+            aggregate(self.updates, self.weights, spec, oracle, self.z0)
             assert oracle.call_count == groups
 
     def test_median_of_means_single_group_is_the_mean(self):
         oracle = SecureAverageOracle("plain")
         spec = AggregatorSpec(kind="median_of_means", groups=1)
-        out = aggregate(self.updates, self.weights, spec, oracle)
+        out = aggregate(self.updates, self.weights, spec, oracle, self.z0)
         expected = (self.weights[:, None] * self.updates).sum(axis=0)
         assert np.allclose(out, expected, atol=1e-9)
 
@@ -380,7 +382,7 @@ class TestAggregate:
         oracle = SecureAverageOracle("plain")
         spec = AggregatorSpec(kind="median_of_means", groups=9)
         with pytest.raises(ValueError):
-            aggregate(self.updates, self.weights, spec, oracle)
+            aggregate(self.updates, self.weights, spec, oracle, self.z0)
 
 
 def clean_config(aggregator="mean", budget=3, gamma0=0.4, batch_size=10, epochs=1):
@@ -434,7 +436,7 @@ class TestRunFederated:
         assert np.full(7, 1 / 7).sum() != 1.0
         received, starts, aggregates = [], [], []
 
-        def record(updates, weights, spec, oracle, z0=None):
+        def record(updates, weights, spec, oracle, z0):
             received.append(np.array(weights, copy=True))
             starts.append(np.array(z0, copy=True))
             aggregates.append(aggregate(updates, weights, spec, oracle, z0=z0))
@@ -474,7 +476,7 @@ class TestRunFederated:
             seed=1,
             oracle=oracle,
         )
-        assert all(2 <= t.oracle_calls <= budget for t in traces)
+        assert all(1 <= t.oracle_calls <= budget for t in traces)
 
     def test_rfa_round_without_tolerance_costs_exactly_budget(self):
         # Warm-started at the broadcast model, a round pays no mean-start call.
@@ -491,6 +493,31 @@ class TestRunFederated:
         )
         assert [t.oracle_calls for t in traces] == [4] * 7
         assert oracle.call_count == sum(t.oracle_calls for t in traces)
+
+    @pytest.mark.parametrize("kind", ["rfa", "median_of_means"])
+    @pytest.mark.parametrize("mode", ["plain", "masked"])
+    def test_one_device_round_is_one_call_and_the_mean(self, kind, mode, monkeypatch):
+        models = {}
+
+        def record(updates, weights, spec, oracle, z0):
+            out = aggregate(updates, weights, spec, oracle, z0)
+            models.setdefault(spec.kind, []).append(out)
+            return out
+
+        monkeypatch.setattr("fedgm.fl_core.aggregate", record)
+        task, part = small_task()
+        attack = CorruptionSpec(kind="omniscient", rho=0.25, seed=0)
+        traces = {}
+        for agg in (kind, "mean"):
+            config = RoundConfig(
+                1, LocalSGD(batch_size=10), LrSchedule(gamma0=0.4), AggregatorSpec(kind=agg)
+            )
+            oracle = SecureAverageOracle(mode, seed=0)
+            traces[agg] = run_federated(task, part, attack, config, 8, seed=0, oracle=oracle)
+        assert [t.oracle_calls for t in traces[kind]] == [1] * 8
+        assert sum(t.corrupted_selected for t in traces[kind]) > 0
+        for got, want in zip(models[kind], models["mean"], strict=True):
+            assert got.tobytes() == want.tobytes()
 
     def test_clean_training_reduces_loss(self):
         task, part = small_task(noise=0.05)

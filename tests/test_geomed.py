@@ -16,12 +16,17 @@ from fedgm.geomed import (
     brute_force_gm,
     displacement_bound,
     gm_objective,
-    smoothed_objective,
     smoothed_weiszfeld,
 )
 from fedgm.secure_avg import SecureAverageOracle
 
-from conftest import diameter, eta_update, hull_distance, lipschitz_constant
+from conftest import (
+    diameter,
+    eta_update,
+    hull_distance,
+    lipschitz_constant,
+    smoothed_objective,
+)
 
 RNG_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -293,7 +298,7 @@ class TestSmoothedWeiszfeld:
         ps = random_set(13)
         nu = 1e-4
         res = smoothed_weiszfeld(ps, nu=nu)
-        assert -1e-12 <= res.g_nu_value - res.g_value <= nu / 2 + 1e-12
+        assert -1e-12 <= res.trace[-1].g_nu - res.g_value <= nu / 2 + 1e-12
 
     def test_smoothed_objective_never_increases_along_trace(self):
         ps = random_set(41)
