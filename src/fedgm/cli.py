@@ -86,6 +86,17 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
+# The override flags of simulate and sweep: flag -> (config key, argparse
+# choices). A flag's text is read as the type of its key's default.
+OVERRIDE_FLAGS = {
+    "rho": ("corruption.rho", None),
+    "corruption": ("corruption.kind", CORRUPTION_KINDS),
+    "aggregator": ("algorithm.aggregator", AGGREGATOR_KINDS),
+    "rounds": ("run.rounds", None),
+    "seeds": ("run.seeds", None),
+    "outdir": ("run.outdir", None),
+}
+
 
 class UsageError(Exception):
     """Raised for anything that should terminate with exit code 1."""
@@ -160,10 +171,11 @@ def validate_config(config: dict) -> dict:
             raise ValueError("run.devices_per_round exceeds task.devices")
         if algo["batch_size"] > task["samples_per_device"]:
             raise ValueError("algorithm.batch_size exceeds samples_per_device")
-        # The constructors the run uses check the remaining kinds and ranges.
+        # The constructors the run uses check the remaining kinds and ranges,
+        # and the schedule's rate in the last round must be finite.
         CorruptionSpec(**corr)
         SecureAverageOracle(run["oracle_mode"])
-        _round_config(config)
+        _round_config(config).lr.gamma_at(max(run["rounds"], 1) - 1)
     except (TypeError, KeyError, OverflowError) as exc:
         raise UsageError(f"malformed config value: {exc}") from exc
     except ValueError as exc:
@@ -269,10 +281,27 @@ def write_summary_json(path: str, config: dict, per_seed: list[dict]) -> None:
         fh.write(text + "\n")
 
 
+def _apply_overrides(config: dict, overrides: dict) -> dict:
+    """Set the key of each table flag with a text in ``overrides``, read as its default's type."""
+    for flag, (dotted, _) in OVERRIDE_FLAGS.items():
+        text = overrides.get(flag)
+        if text is None:
+            continue
+        block, key = dotted.split(".")
+        default = DEFAULT_CONFIG[block][key]
+        try:
+            if isinstance(default, list):
+                value = [type(default[0])(item) for item in text.split(",") if item]
+            else:
+                value = type(default)(text)
+        except ValueError as exc:
+            raise UsageError(f"bad --{flag} value {text!r}: {exc}") from exc
+        config[block][key] = value
+    return config
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    validate_config(config)
+    config = validate_config(_apply_overrides(load_config(args.config), vars(args)))
     outdir = config["run"]["outdir"]
     os.makedirs(outdir, exist_ok=True)
     per_seed = []
@@ -285,42 +314,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_overrides(config: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "rho", None) is not None:
-        config["corruption"]["rho"] = args.rho
-    if getattr(args, "corruption", None) is not None:
-        config["corruption"]["kind"] = args.corruption
-    if getattr(args, "aggregator", None) is not None:
-        config["algorithm"]["aggregator"] = args.aggregator
-    if getattr(args, "rounds", None) is not None:
-        config["run"]["rounds"] = args.rounds
-    if getattr(args, "seeds", None) is not None:
-        try:
-            config["run"]["seeds"] = [int(s) for s in args.seeds.split(",") if s]
-        except ValueError as exc:
-            raise UsageError(f"--seeds must be comma-separated integers: {exc}") from exc
-    if getattr(args, "outdir", None) is not None:
-        config["run"]["outdir"] = args.outdir
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
+    config = _apply_overrides(load_config(args.config), vars(args))
     raw_values = [v for v in args.values.split(",") if v]
     if not raw_values:
         raise UsageError("sweep needs at least one --values entry")
+    # A point is the config with one more override flag, --<axis> <value>.
     # Every point is validated before the outdir exists or any seed runs.
-    points = []
-    for raw in raw_values:
-        point = copy.deepcopy(config)
-        if args.axis == "rho":
-            try:
-                point["corruption"]["rho"] = float(raw)
-            except ValueError as exc:
-                raise UsageError(f"bad rho value {raw!r}") from exc
-        else:
-            point["algorithm"]["aggregator"] = raw
-        points.append(validate_config(point))
+    points = [
+        validate_config(_apply_overrides(copy.deepcopy(config), {args.axis: raw}))
+        for raw in raw_values
+    ]
     outdir = points[0]["run"]["outdir"]
     os.makedirs(outdir, exist_ok=True)
     rows = []
@@ -358,8 +362,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("no runs found")
         return 1
     header = f"{'run':<40} {'seeds':>5} {'median_final_loss':>18} {'median_calls':>13} {'diverged':>9}"
-    print(header)
-    print("-" * len(header))
+    # Every run is read before anything is printed, so a rejected CSV prints no table.
+    lines = [header, "-" * len(header)]
     for dirpath, files in groups.items():
         finals, call_totals, diverged = [], [], 0
         for path in files:
@@ -375,7 +379,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         label = os.path.relpath(dirpath, args.rundir)
         final_txt = f"{statistics.median(finals):.6g}" if finals else "-"
         calls_txt = f"{statistics.median(call_totals):g}"
-        print(f"{label:<40} {len(files):>5} {final_txt:>18} {calls_txt:>13} {diverged:>9}")
+        lines.append(f"{label:<40} {len(files):>5} {final_txt:>18} {calls_txt:>13} {diverged:>9}")
+    print("\n".join(lines))
     return 0
 
 
@@ -456,30 +461,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_gm.set_defaults(func=cmd_gm_solve)
 
     p_sim = sub.add_parser("simulate", help="run a seeded federated experiment")
-    p_sim.add_argument("config", help="JSON config file")
-    p_sim.add_argument("--rho", type=float, help="override corruption.rho")
-    p_sim.add_argument(
-        "--corruption", choices=CORRUPTION_KINDS, help="override corruption.kind"
-    )
-    p_sim.add_argument(
-        "--aggregator", choices=AGGREGATOR_KINDS, help="override algorithm.aggregator"
-    )
-    p_sim.add_argument("--rounds", type=int, help="override run.rounds")
-    p_sim.add_argument("--seeds", help="override run.seeds, comma separated")
-    p_sim.add_argument("--outdir", help="override run.outdir")
-    p_sim.set_defaults(func=cmd_simulate)
-
     p_sweep = sub.add_parser("sweep", help="cross one axis with the config's seeds")
-    p_sweep.add_argument("config", help="JSON config file")
-    p_sweep.add_argument("--axis", choices=("rho", "aggregator"), required=True)
+    for p in (p_sim, p_sweep):
+        p.add_argument("config", help="JSON config file")
+    p_sweep.add_argument(
+        "--axis", choices=("rho", "aggregator"), required=True, help="the override flag to vary"
+    )
     p_sweep.add_argument(
         "--values", required=True, help="comma-separated axis values, e.g. 0,0.1,0.25"
     )
-    p_sweep.add_argument("--corruption", choices=CORRUPTION_KINDS)
-    p_sweep.add_argument("--aggregator", choices=AGGREGATOR_KINDS)
-    p_sweep.add_argument("--seeds", help="override run.seeds, comma separated")
-    p_sweep.add_argument("--rounds", type=int, help="override run.rounds")
-    p_sweep.add_argument("--outdir", help="override run.outdir")
+    for flag, (key, choices) in OVERRIDE_FLAGS.items():
+        listed = ", comma separated" if flag == "seeds" else ""
+        # The sweep varies rho along its axis.
+        for p in (p_sim,) if flag == "rho" else (p_sim, p_sweep):
+            p.add_argument(f"--{flag}", choices=choices, help=f"override {key}{listed}")
+    p_sim.set_defaults(func=cmd_simulate)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rep = sub.add_parser("report", help="summarize a directory of trace CSVs")

@@ -18,8 +18,10 @@ median ("rfa"), median-of-means (group means through the oracle, then a
 server-side geometric median of the group means), and a
 single-gradient-step baseline ("sgd_step"). Each round's geometric-median
 solve starts at the broadcast model, which the server already holds, so an
-"rfa" round costs 1 to ``budget`` oracle calls; a round of one device costs
-one call under every aggregator. Metrics use uncorrupted pooled data.
+"rfa" round costs 1 to ``budget`` oracle calls. A round of one device, or one
+in which no update row is entirely finite, costs one call under every
+aggregator; the latter gives a non-finite model, which ends a run that halts
+on divergence. Metrics use uncorrupted pooled data.
 Doubling local steps is a ``TailAveragedSGD`` step schedule;
 ``run_rfa_doubling`` is a preset of ``run_federated``.
 """
@@ -54,7 +56,14 @@ class LrSchedule:
             raise ValueError("invalid learning-rate schedule")
 
     def gamma_at(self, t: int) -> float:
-        return self.gamma0 * self.decay ** (t // self.decay_every)
+        """The rate of round t; ValueError if it is not a finite float."""
+        try:
+            gamma = self.gamma0 * self.decay ** (t // self.decay_every)
+        except OverflowError:
+            gamma = math.inf
+        if not math.isfinite(gamma):
+            raise ValueError(f"the learning rate of round {t} is not finite")
+        return gamma
 
 
 @dataclass(frozen=True)
@@ -272,39 +281,25 @@ def aggregate(
     "mean" and "sgd_step" one call, "rfa" one call per Weiszfeld step, so
     1 to ``budget``, and "median_of_means" exactly ``groups`` calls, with
     the geometric median of the group means solved server side. A single
-    update row goes through one oracle call under every kind.
+    update row, or a set in which no row is entirely finite, goes through
+    one oracle call under every kind; the latter averages to a non-finite model.
     """
     updates = np.asarray(updates, dtype=float)
     weights = np.asarray(weights, dtype=float).ravel()
     m = updates.shape[0]
     if spec.kind == "median_of_means" and spec.groups > m:
         raise ValueError("more groups than devices in the round")
-    if spec.kind in ("mean", "sgd_step") or m == 1:
+    if spec.kind in ("mean", "sgd_step") or m == 1 or not np.isfinite(updates).all(1).any():
         return oracle.average(updates, weights)
     if spec.kind == "rfa":
-        result = smoothed_weiszfeld(
-            WeightedPointSet(updates, weights),
-            nu=spec.nu,
-            budget=spec.budget,
-            rel_tol=spec.rel_tol,
-            z0=z0,
-            oracle=oracle,
-        )
-        return result.z
+        point_set = WeightedPointSet(updates, weights)
+        return smoothed_weiszfeld(point_set, spec.nu, spec.budget, spec.rel_tol, z0, oracle).z
     # median_of_means
     chunks = np.array_split(np.arange(m), spec.groups)
-    means = []
-    group_weights = []
-    for chunk in chunks:
-        means.append(oracle.average(updates[chunk], weights[chunk]))
-        group_weights.append(weights[chunk].sum())
-    result = smoothed_weiszfeld(
-        WeightedPointSet(np.asarray(means), np.asarray(group_weights)),
-        nu=spec.nu,
-        budget=max(spec.budget, 50),
-        rel_tol=min(spec.rel_tol, 1e-9),
-    )
-    return result.z
+    means = [oracle.average(updates[chunk], weights[chunk]) for chunk in chunks]
+    group_weights = [weights[chunk].sum() for chunk in chunks]
+    point_set = WeightedPointSet(np.asarray(means), np.asarray(group_weights))
+    return smoothed_weiszfeld(point_set, spec.nu, max(spec.budget, 50), min(spec.rel_tol, 1e-9)).z
 
 
 def run_federated(
@@ -328,6 +323,8 @@ def run_federated(
     a round's train loss exceeds ``DIVERGENCE_LOSS`` or turns non-finite
     the run is marked diverged by its trace and, with
     ``halt_on_divergence``, stops early. rounds = 0 returns an empty trace.
+    The rate is monotone in the round, so a schedule whose rate in the last
+    round is not finite raises ValueError before round 0.
     """
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
@@ -335,6 +332,7 @@ def run_federated(
         raise ValueError("adaptive_data poisoning needs a least-squares task")
     if config.devices_per_round > partition.devices:
         raise ValueError("devices_per_round exceeds the population")
+    config.lr.gamma_at(max(rounds, 1) - 1)
     oracle = oracle if oracle is not None else SecureAverageOracle("plain")
     server_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E7]))
     children = np.random.SeedSequence([int(seed), 0xFED]).spawn(partition.devices)

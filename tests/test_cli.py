@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
@@ -16,6 +17,7 @@ from fedgm.cli import (
     SWEEP_CSV_COLUMNS,
     main,
     merge_config,
+    run_one_seed,
     validate_config,
     write_summary_json,
 )
@@ -293,6 +295,74 @@ class TestSimulate:
         assert summary["config"]["run"]["rounds"] == 2
         assert summary["config"]["run"]["seeds"] == [5]
 
+    def test_attack_flags_reach_the_config_and_the_run(self, tmp_path):
+        cfg = write_config(tmp_path)
+        flags = ["--rho", "0.25", "--corruption", "omniscient", "--aggregator", "rfa"]
+        assert main(["simulate", cfg, *flags]) == 0
+        summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
+        assert summary["config"]["corruption"] == {"kind": "omniscient", "rho": 0.25}
+        assert summary["config"]["algorithm"]["aggregator"] == "rfa"
+        for seed in (0, 1):
+            with open(tmp_path / "runs" / f"{seed}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 5
+            assert any(int(r["corrupted_selected"]) > 0 for r in rows)
+            assert all(1 <= int(r["oracle_calls"]) <= 3 for r in rows)
+
+    @pytest.mark.parametrize(
+        "command,flag,text",
+        [
+            ("simulate", "--rounds", "x"),
+            ("simulate", "--rounds", "2.5"),
+            ("simulate", "--rho", "abc"),
+            ("simulate", "--seeds", "1,x"),
+            ("sweep", "--rounds", "x"),
+            ("sweep", "--seeds", "0,1.5"),
+        ],
+    )
+    def test_bad_flag_value_exit_1_before_output(self, tmp_path, capsys, command, flag, text):
+        cfg = write_config(tmp_path)
+        sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
+        assert main([command, cfg, *sweep, flag, text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bad {flag} value {text!r}")
+        assert not os.path.exists(tmp_path / "runs")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize(
+        "gamma0,decay", [(1e-300, 1e300), (1e300, 1e10)], ids=["overflow", "inf_product"]
+    )
+    def test_rate_that_is_not_finite_exit_1_before_output(
+        self, tmp_path, capsys, command, gamma0, decay
+    ):
+        # The rate of round 2 overflows a float or is an infinite product.
+        cfg = write_config(tmp_path, algorithm={"gamma0": gamma0, "decay": decay})
+        sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
+        assert main([command, cfg, *sweep, "--rounds", "3"]) == 1
+        assert capsys.readouterr().err == "error: the learning rate of round 2 is not finite\n"
+        assert not os.path.exists(tmp_path / "runs")
+
+    @pytest.mark.parametrize("aggregator", ["mean", "rfa", "median_of_means"])
+    @pytest.mark.parametrize("mode", ["plain", "masked"])
+    def test_round_without_a_finite_update_ends_diverged(self, tmp_path, aggregator, mode):
+        # At batch 1 and gamma0 1e4 every local update of round 0 overflows.
+        # No row is finite, so the round averages, whatever the aggregator.
+        path = tmp_path / "diverge.json"
+        config = {
+            "algorithm": {"aggregator": aggregator, "groups": 3, "batch_size": 1,
+                          "epochs": 10, "gamma0": 10000.0},
+            "run": {"rounds": 5, "seeds": [0], "outdir": str(tmp_path / "runs"),
+                    "oracle_mode": mode},
+        }
+        path.write_text(json.dumps(config), encoding="utf-8")
+        with pytest.warns(RuntimeWarning):  # overflow, then inf - inf
+            assert main(["simulate", str(path)]) == 0
+        trace = (tmp_path / "runs" / "0.csv").read_text(encoding="utf-8")
+        assert trace.splitlines()[1:] == ["0,nan,nan,nan,1,0"]
+        summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
+        assert summary["per_seed"][0]["diverged"] is True
+
     def test_bad_seed_override_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["simulate", cfg, "--seeds", "1,x"]) == 1
@@ -470,6 +540,37 @@ class TestSweep:
         assert float(row["final_test_loss"]) == summary["per_seed"][0]["final_test_loss"]
         assert row["seed"] == "3"
 
+    @pytest.mark.parametrize(
+        "axis,value,flags",
+        [
+            ("rho", "0.25", ["--corruption", "omniscient", "--aggregator", "rfa"]),
+            ("aggregator", "rfa", ["--corruption", "omniscient"]),
+        ],
+    )
+    def test_point_is_simulate_with_the_axis_flag(
+        self, tmp_path, monkeypatch, axis, value, flags
+    ):
+        # The config's rho needs the --corruption flag to be valid.
+        cfg = write_config(tmp_path, corruption={"rho": 0.25}, run={"seeds": [2]})
+        assert main(["simulate", cfg, *flags, f"--{axis}", value]) == 0
+        summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
+        ran = []
+
+        def record(config, seed):
+            ran.append(copy.deepcopy(config))
+            return run_one_seed(config, seed)
+
+        monkeypatch.setattr("fedgm.cli.run_one_seed", record)
+        out = str(tmp_path / "sweep")
+        argv = ["sweep", cfg, "--axis", axis, "--values", value, *flags, "--outdir", out]
+        assert main(argv) == 0
+        assert ran == [{**summary["config"], "run": {**summary["config"]["run"], "outdir": out}}]
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        final = summary["per_seed"][0]
+        assert float(row["final_train_loss"]) == final["final_train_loss"]
+        assert float(row["final_test_loss"]) == final["final_test_loss"]
+
     def test_rfa_weakly_dominates_mean_under_attack(self, tmp_path):
         path = tmp_path / "attack.json"
         path.write_text(
@@ -540,12 +641,18 @@ class TestReport:
         assert rows[0][1:] == rows[1][1:] == ["3", "2", "1", "1"]
 
     def test_rejects_foreign_csv_columns(self, tmp_path, capsys):
+        # A good run sorts ahead of the foreign one; no table is printed.
         rundir = tmp_path / "runs"
-        rundir.mkdir()
-        (rundir / "0.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+        (rundir / "a").mkdir(parents=True)
+        (rundir / "b").mkdir()
+        header = ",".join(TRACE_CSV_COLUMNS)
+        (rundir / "a" / "0.csv").write_text(header + "\n0,1,1,0.5,1,0\n", encoding="utf-8")
+        (rundir / "b" / "0.csv").write_text("a,b\n1,2\n", encoding="utf-8")
         rc = main(["report", str(rundir)])
+        captured = capsys.readouterr()
         assert rc == 1
-        assert "unexpected columns" in capsys.readouterr().err
+        assert captured.out == ""
+        assert "unexpected columns" in captured.err
 
 
 class TestEntryPoint:

@@ -63,6 +63,13 @@ class TestSchedulesAndSpecs:
             with pytest.raises(ValueError):
                 LrSchedule(gamma0=gamma0, decay=decay)
 
+    def test_lr_rate_that_is_not_finite_raises(self):
+        # decay ** 2 overflows a float; 1e300 * 1e10 is an infinite product.
+        for sched, t in ((LrSchedule(1e-300, 1e300), 2), (LrSchedule(1e300, 1e10), 1)):
+            assert math.isfinite(sched.gamma_at(t - 1))
+            with pytest.raises(ValueError, match=f"round {t} is not finite"):
+                sched.gamma_at(t)
+
     def test_local_spec_validation(self):
         with pytest.raises(ValueError):
             LocalSGD(batch_size=0)
@@ -319,6 +326,21 @@ class TestAggregate:
         aggregate(self.updates, self.weights, spec, SecureAverageOracle(mode, seed=4), z0)
         assert [a.tobytes() for a in inputs] == before
 
+    @pytest.mark.parametrize("kind", ["rfa", "median_of_means"])
+    @pytest.mark.parametrize("mode", ["plain", "masked"])
+    def test_no_finite_row_is_one_call_like_the_mean(self, kind, mode):
+        # Every row holds an inf or a NaN, so there is no point set to solve.
+        updates = self.updates.copy()
+        updates[::2, 0] = np.inf
+        updates[1::2, 1] = np.nan
+        outs, oracles = [], []
+        for spec in (AggregatorSpec(kind="mean"), AggregatorSpec(kind=kind, groups=3)):
+            oracles.append(SecureAverageOracle(mode, seed=6))
+            outs.append(aggregate(updates, self.weights, spec, oracles[-1], self.z0))
+        assert outs[1].tobytes() == outs[0].tobytes()
+        assert not np.isfinite(outs[1]).all()
+        assert oracles[1].call_count == 1
+
     @pytest.mark.parametrize("scale", [1e6, 1e50, 1e100])
     @pytest.mark.parametrize("mode", ["plain", "masked"])
     def test_rfa_from_honest_centre_survives_extreme_rows(self, scale, mode):
@@ -411,6 +433,19 @@ class TestRunFederated:
         )
         with pytest.raises(ValueError):
             run_federated(task, part, CorruptionSpec(), bad, rounds=1)
+
+    def test_rate_that_is_not_finite_raises_before_round_0(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr("fedgm.fl_core.local_update_sgd", fail)
+        task, part = small_task()
+        config = RoundConfig(5, LocalSGD(batch_size=10), LrSchedule(1e-300, 1e300))
+        with pytest.raises(ValueError, match="learning rate of round 2"):
+            run_federated(task, part, CorruptionSpec(), config, rounds=3)
+        # The rates of rounds 0 and 1 are finite, so a two-round run starts.
+        with pytest.raises(AssertionError, match="a round ran"):
+            run_federated(task, part, CorruptionSpec(), config, rounds=2)
 
     def test_deterministic_given_seed(self):
         task, part = small_task()

@@ -481,6 +481,11 @@ class TestBruteForce:
         )
         z = brute_force_gm(ps)
         assert abs(z[0]) < 1e-6
+        # A 1-d array is m points in R^1; the median of 0, 1 and 5 is 1.
+        flat = WeightedPointSet(np.array([0.0, 1.0, 5.0]), np.ones(3))
+        assert flat.points.shape == (3, 1)
+        assert brute_force_gm(flat) == pytest.approx([1.0], abs=1e-6)
+        assert smoothed_weiszfeld(flat).z == pytest.approx([1.0], abs=1e-6)
 
     def test_agrees_with_iterative_solver(self):
         for seed in (101, 202, 303):
