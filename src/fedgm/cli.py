@@ -325,6 +325,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         validate_config(_apply_overrides(copy.deepcopy(config), {args.axis: raw}))
         for raw in raw_values
     ]
+    for i, point in enumerate(points):
+        if point in points[:i]:
+            first = raw_values[points.index(point)]
+            raise UsageError(f"--values {raw_values[i]!r} repeats the sweep point {first!r}")
     outdir = points[0]["run"]["outdir"]
     os.makedirs(outdir, exist_ok=True)
     rows = []

@@ -240,7 +240,7 @@ def local_update_sgd(
     if epochs < 1:
         raise ValueError("epochs must be positive")
     steps = math.ceil(n * epochs / batch_size)
-    idx = np.stack([rng.random((steps, n)).argsort(axis=1)[:, :batch_size] for rng in rngs], 1)
+    idx = np.stack([rng.random((steps, n)) for rng in rngs], 1).argsort(axis=2)[:, :, :batch_size]
     return _local_steps(task, features, labels, w0, gamma, idx, tail=1)
 
 

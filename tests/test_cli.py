@@ -523,6 +523,18 @@ class TestSweep:
         assert "run.seeds" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "runs")
 
+    @pytest.mark.parametrize(
+        "axis,values", [("rho", "0,0"), ("rho", "0,0.0"), ("aggregator", "rfa,mean,rfa")]
+    )
+    def test_repeated_point_exit_1_before_output(self, tmp_path, capsys, axis, values):
+        # Two values whose configs are equal would run, and count, one point twice.
+        cfg = write_config(tmp_path)
+        rc = main(["sweep", cfg, "--axis", axis, "--values", values])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "repeats the sweep point" in err
+        assert not os.path.exists(tmp_path / "runs")
+
     def test_single_value_matches_simulate(self, tmp_path):
         cfg = write_config(tmp_path, run={"seeds": [3]})
         assert main(["simulate", cfg, "--outdir", str(tmp_path / "sim")]) == 0

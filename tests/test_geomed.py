@@ -423,6 +423,28 @@ class TestSmoothedWeiszfeld:
             assert np.allclose(res.z, results[0].z, rtol=0.0, atol=1e-12)
             assert np.allclose(res.beta, results[0].beta, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("m", [41, 46])
+    def test_same_bits_as_the_reference_across_block_seams(self, monkeypatch, m):
+        # A 1-byte budget puts the distance pass at its floor of 8 rows per
+        # block, and m is not a multiple of 8. At m=41 a last block of the
+        # leftover row alone would sum an F-ordered row in another order
+        # than np.linalg.norm does.
+        monkeypatch.setattr("fedgm.geomed._BLOCK_BYTES", 1)
+        rng = np.random.default_rng(103)
+        base = rng.standard_normal((2 * m, 90))
+        weights = rng.uniform(0.2, 2.0, m)
+        view = base[::2, ::3]
+        nu = 1e-3
+        for pts in (np.ascontiguousarray(view), np.asfortranarray(view), view):
+            ps = WeightedPointSet(pts, weights)
+            res = smoothed_weiszfeld(ps, nu=nu, budget=10, rel_tol=0.0)
+            assert res.iterations >= 1
+            for rec in res.trace:
+                assert rec.g == gm_objective(rec.z, ps)
+                assert rec.g_nu == smoothed_objective(rec.z, ps, nu)
+            dists = np.linalg.norm(ps.points - res.trace[-2].z, axis=1)
+            assert np.array_equal(res.beta, ps.weights / np.maximum(dists, nu))
+
     def test_solve_writes_neither_the_callers_points_nor_its_own(self):
         pts = np.random.default_rng(97).standard_normal((30, 4))
         saved = pts.copy()
@@ -447,6 +469,21 @@ class TestSmoothedWeiszfeld:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * m * d * 8
+
+    def test_peak_memory_is_a_fraction_of_one_distance_buffer(self):
+        # The distance pass works a cache-sized block of rows at a time; a
+        # whole (m, d) scratch buffer, 8 MB here, would fail this bound.
+        m, d = 10_000, 100
+        pts = np.random.default_rng(107).standard_normal((m, d))
+        ps = WeightedPointSet(pts, np.ones(m))
+        smoothed_weiszfeld(ps, budget=5, rel_tol=0.0)
+        tracemalloc.start()
+        try:
+            smoothed_weiszfeld(ps, budget=5, rel_tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * m * d * 8
 
     def test_json_dict_round_trips(self):
         ps = random_set(67)
