@@ -98,10 +98,6 @@ OVERRIDE_FLAGS = {
 }
 
 
-class UsageError(Exception):
-    """Raised for anything that should terminate with exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 (argparse override)
         self.print_usage(sys.stderr)
@@ -112,16 +108,16 @@ class _Parser(argparse.ArgumentParser):
 def merge_config(user: dict) -> dict:
     """Overlay a user config onto the defaults, rejecting unknown keys."""
     if not isinstance(user, dict):
-        raise UsageError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     merged = copy.deepcopy(DEFAULT_CONFIG)
     for block, entries in user.items():
         if block not in merged:
-            raise UsageError(f"unknown config block {block!r}")
+            raise ValueError(f"unknown config block {block!r}")
         if not isinstance(entries, dict):
-            raise UsageError(f"config block {block!r} must be an object")
+            raise ValueError(f"config block {block!r} must be an object")
         for key, value in entries.items():
             if key not in merged[block]:
-                raise UsageError(f"unknown config key {block}.{key}")
+                raise ValueError(f"unknown config key {block}.{key}")
             merged[block][key] = value
     return merged
 
@@ -159,10 +155,11 @@ def validate_config(config: dict) -> dict:
         for key in ("d", "devices", "samples_per_device", "test_samples"):
             if task[key] < 1:
                 raise ValueError(f"task.{key} must be a positive integer")
+        # Fewer training rows than dimensions make the pooled optimum not unique.
+        if task["devices"] * task["samples_per_device"] < task["d"]:
+            raise ValueError("task.devices * task.samples_per_device must be at least task.d")
         if task["noise_std"] < 0 or task["feature_bound"] <= 0:
             raise ValueError("task.noise_std must be >= 0 and task.feature_bound > 0")
-        if corr["kind"] == "none" and corr["rho"] > 0.0:
-            raise ValueError("corruption.rho > 0 needs an attack kind")
         if run["rounds"] < 0 or min(run["seeds"]) < 0:
             raise ValueError("run.rounds and run.seeds must be nonnegative")
         if len(set(run["seeds"])) < len(run["seeds"]):
@@ -177,9 +174,7 @@ def validate_config(config: dict) -> dict:
         SecureAverageOracle(run["oracle_mode"])
         _round_config(config).lr.gamma_at(max(run["rounds"], 1) - 1)
     except (TypeError, KeyError, OverflowError) as exc:
-        raise UsageError(f"malformed config value: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"malformed config value: {exc}") from exc
     return config
 
 
@@ -189,9 +184,9 @@ def load_config(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}") from exc
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     return merge_config(user)
 
 
@@ -295,7 +290,7 @@ def _apply_overrides(config: dict, overrides: dict) -> dict:
             else:
                 value = type(default)(text)
         except ValueError as exc:
-            raise UsageError(f"bad --{flag} value {text!r}: {exc}") from exc
+            raise ValueError(f"bad --{flag} value {text!r}: {exc}") from exc
         config[block][key] = value
     return config
 
@@ -318,7 +313,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), vars(args))
     raw_values = [v for v in args.values.split(",") if v]
     if not raw_values:
-        raise UsageError("sweep needs at least one --values entry")
+        raise ValueError("sweep needs at least one --values entry")
     # A point is the config with one more override flag, --<axis> <value>.
     # Every point is validated before the outdir exists or any seed runs.
     points = [
@@ -328,7 +323,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for i, point in enumerate(points):
         if point in points[:i]:
             first = raw_values[points.index(point)]
-            raise UsageError(f"--values {raw_values[i]!r} repeats the sweep point {first!r}")
+            raise ValueError(f"--values {raw_values[i]!r} repeats the sweep point {first!r}")
     outdir = points[0]["run"]["outdir"]
     os.makedirs(outdir, exist_ok=True)
     rows = []
@@ -350,7 +345,7 @@ def _read_trace_csv(path: str) -> list[dict]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != TRACE_CSV_COLUMNS:
-            raise UsageError(f"{path}: unexpected columns {reader.fieldnames}")
+            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
         return list(reader)
 
 
@@ -394,7 +389,7 @@ def read_point_csv(path: str) -> WeightedPointSet:
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
     except OSError as exc:
-        raise UsageError(f"cannot read input file: {exc}") from exc
+        raise ValueError(f"cannot read input file: {exc}") from exc
     points, weights, width = [], [], None
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row or all(not cell.strip() for cell in row):
@@ -402,23 +397,23 @@ def read_point_csv(path: str) -> WeightedPointSet:
         try:
             values = [float(cell) for cell in row]
         except ValueError as exc:
-            raise UsageError(f"line {lineno}: not numeric: {exc}") from exc
+            raise ValueError(f"line {lineno}: not numeric: {exc}") from exc
         if len(values) < 2:
-            raise UsageError(f"line {lineno}: need at least one coordinate plus a weight")
+            raise ValueError(f"line {lineno}: need at least one coordinate plus a weight")
         if width is None:
             width = len(values)
         elif len(values) != width:
-            raise UsageError(
+            raise ValueError(
                 f"line {lineno}: expected {width} columns, found {len(values)}"
             )
         if not all(math.isfinite(v) for v in values):
-            raise UsageError(f"line {lineno}: non-finite value")
+            raise ValueError(f"line {lineno}: non-finite value")
         if values[-1] <= 0.0:
-            raise UsageError(f"line {lineno}: weight must be positive")
+            raise ValueError(f"line {lineno}: weight must be positive")
         points.append(values[:-1])
         weights.append(values[-1])
     if not points:
-        raise UsageError("input file holds no points")
+        raise ValueError("input file holds no points")
     return WeightedPointSet(np.asarray(points), np.asarray(weights))
 
 
@@ -493,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

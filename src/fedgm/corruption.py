@@ -24,10 +24,11 @@ CORRUPTION_KINDS = ("none", "static_data", "adaptive_data", "omniscient")
 class CorruptionSpec:
     """What fraction of data weight is corrupted, and how.
 
-    A kind other than "none" always has rho > 0: rho = 0 turns the kind
-    into "none". ``seed`` drives the random choice of corrupted devices;
-    when None the runner substitutes its own master seed. ``realize``
-    marks the corrupted devices of a concrete population.
+    Kind "none" has rho = 0 and every other kind rho > 0: rho = 0 turns an
+    attack kind into "none", and kind "none" rejects rho > 0. ``seed``
+    drives the random choice of corrupted devices; when None the runner
+    substitutes its own master seed. ``realize`` marks the corrupted
+    devices of a concrete population.
     """
 
     kind: str = "none"
@@ -39,6 +40,8 @@ class CorruptionSpec:
             raise ValueError(f"kind must be one of {CORRUPTION_KINDS}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
+        if self.kind == "none" and self.rho > 0.0:
+            raise ValueError("rho > 0 needs an attack kind")
         if self.kind != "none" and self.rho == 0.0:
             object.__setattr__(self, "kind", "none")
 

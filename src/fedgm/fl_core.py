@@ -15,13 +15,13 @@ block of n // b steps at a time (at most one more copy of the shards),
 and every local step updates the m models as one (m, p) array. The
 aggregators are the weighted mean, the smoothed-Weiszfeld geometric
 median ("rfa"), median-of-means (group means through the oracle, then a
-server-side geometric median of the group means), and a
-single-gradient-step baseline ("sgd_step"). Each round's geometric-median
-solve starts at the broadcast model, which the server already holds, so an
-"rfa" round costs 1 to ``budget`` oracle calls. A round of one device, or one
-in which no update row is entirely finite, costs one call under every
-aggregator; the latter gives a non-finite model, which ends a run that halts
-on divergence. Metrics use uncorrupted pooled data.
+server-side geometric median of the group means), and the one-step
+baseline "sgd_step", the mean of a one-step ``local_update_sgd``. Each
+round's geometric-median solve starts at the broadcast model, which the
+server already holds, so an "rfa" round costs 1 to ``budget`` oracle calls.
+A round of one device, or one in which no update row is entirely finite,
+costs one call under every aggregator; the latter gives a non-finite model,
+which ends a run that halts on divergence. Metrics use uncorrupted pooled data.
 Doubling local steps is a ``TailAveragedSGD`` step schedule;
 ``run_rfa_doubling`` is a preset of ``run_federated``.
 """
@@ -68,7 +68,7 @@ class LrSchedule:
 
 @dataclass(frozen=True)
 class LocalSGD:
-    """Minibatch SGD pass: ceil(n * epochs / batch_size) steps."""
+    """Minibatch SGD: ``steps(n)`` steps on n samples; kind "sgd_step" runs one."""
 
     batch_size: int
     epochs: int = 1
@@ -76,6 +76,10 @@ class LocalSGD:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
+
+    def steps(self, n: int) -> int:
+        """ceil(n * epochs / batch_size): ``epochs`` passes over n samples."""
+        return math.ceil(n * self.epochs / self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,8 @@ class AggregatorSpec:
     ``budget`` and ``rel_tol`` control the smoothed Weiszfeld solve for
     kind "rfa". Kind "median_of_means" costs ``groups`` oracle calls and
     solves server side with ``max(budget, 50)`` steps and rel_tol
-    ``min(rel_tol, 1e-9)``. Kind "sgd_step" forces a single local
-    minibatch step and aggregates by the weighted mean.
+    ``min(rel_tol, 1e-9)``. Kind "sgd_step" aggregates by the weighted
+    mean, and ``run_federated`` gives its ``LocalSGD`` pass one step.
     """
 
     kind: str = "mean"
@@ -223,13 +227,13 @@ def local_update_sgd(
     w0: np.ndarray,
     gamma: float,
     batch_size: int,
-    epochs: int = 1,
+    steps: int,
 ) -> np.ndarray:
     """Minibatch SGD from w0 on each of m shards, batched across shards.
 
     ``features`` (m, n, d) and ``labels`` (m, n) stack the shards, and
-    ``rngs[k]`` is shard k's generator. Each shard runs
-    ceil(n * epochs / batch_size) steps; every minibatch is a fresh
+    ``rngs[k]`` is shard k's generator. Each shard runs ``steps`` steps
+    (``LocalSGD.steps(n)``, or 1 for "sgd_step"); every minibatch is a fresh
     uniform subset (without replacement) of the shard. One call on each
     rng draws all of its minibatches for the round. Returns the (m, p)
     final iterates, row k for shard k; gamma = 0 returns w0 in every row.
@@ -237,9 +241,8 @@ def local_update_sgd(
     n = _shard_rows(features, labels, rngs)
     if batch_size < 1 or batch_size > n:
         raise ValueError("batch_size must lie in [1, n]")
-    if epochs < 1:
-        raise ValueError("epochs must be positive")
-    steps = math.ceil(n * epochs / batch_size)
+    if steps < 1:
+        raise ValueError("steps must be positive")
     idx = np.stack([rng.random((steps, n)) for rng in rngs], 1).argsort(axis=2)[:, :, :batch_size]
     return _local_steps(task, features, labels, w0, gamma, idx, tail=1)
 
@@ -358,13 +361,9 @@ def run_federated(
         elif corruption.kind == "adaptive_data":
             y[corrupted_mask] = poison_adaptive(x[corrupted_mask], w)
 
-        if config.aggregator.kind == "sgd_step":
-            n = y.shape[1]
-            idx = np.stack([rng.choice(n, local.batch_size, replace=False) for rng in chosen])
-            updates = _local_steps(task, x, y, w, gamma, idx[None], tail=1)
-        elif isinstance(local, LocalSGD):
-            batch, epochs = local.batch_size, local.epochs
-            updates = local_update_sgd(task, x, y, chosen, w, gamma, batch, epochs)
+        if isinstance(local, LocalSGD):
+            steps = 1 if config.aggregator.kind == "sgd_step" else local.steps(y.shape[1])
+            updates = local_update_sgd(task, x, y, chosen, w, gamma, local.batch_size, steps)
         else:
             updates = local_update_tail_avg_sgd(task, x, y, chosen, w, gamma, local.steps_at(t))
 

@@ -21,7 +21,6 @@ from fedgm.cli import (
     validate_config,
     write_summary_json,
 )
-from fedgm.cli import UsageError
 from fedgm.fl_core import TRACE_CSV_COLUMNS
 
 
@@ -57,11 +56,11 @@ EQUILATERAL = "0,0,1\n2,0,1\n1,1.7320508075688772,1\n"
 
 class TestConfigHandling:
     def test_merge_rejects_unknown_block(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             merge_config({"tasks": {}})
 
     def test_merge_rejects_unknown_key_with_dotted_path(self):
-        with pytest.raises(UsageError, match=r"task\.dd"):
+        with pytest.raises(ValueError, match=r"task\.dd"):
             merge_config({"task": {"dd": 5}})
 
     def test_merge_keeps_defaults_for_missing_keys(self):
@@ -71,14 +70,14 @@ class TestConfigHandling:
 
     def test_validate_rejects_rho_without_attack(self):
         merged = merge_config({"corruption": {"rho": 0.2}})
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             validate_config(merged)
 
     def test_validate_rejects_oversized_batch(self):
         merged = merge_config(
             {"task": {"samples_per_device": 5}, "algorithm": {"batch_size": 6}}
         )
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             validate_config(merged)
 
     def test_missing_config_file_is_exit_1(self, tmp_path, capsys):
@@ -150,6 +149,7 @@ class TestGmSolve:
             ("5\n", "line 1"),
             ("0,0,0\n", "weight"),
             ("", "no points"),
+            ("0,0,1\nnan,0,1\n", "line 2: non-finite value"),
         ],
     )
     def test_malformed_input_exit_1_with_diagnostics(
@@ -159,6 +159,14 @@ class TestGmSolve:
         rc = main(["gm-solve", path])
         assert rc == 1
         assert fragment in capsys.readouterr().err
+
+    def test_blank_rows_are_skipped(self, tmp_path, capsys):
+        rows = EQUILATERAL.splitlines()
+        spaced = write_points(tmp_path, f"\n{rows[0]}\n , \n{rows[1]}\n\n{rows[2]}\n", "b.csv")
+        assert main(["gm-solve", spaced]) == 0
+        with_blanks = capsys.readouterr().out
+        assert main(["gm-solve", write_points(tmp_path, EQUILATERAL)]) == 0
+        assert with_blanks == capsys.readouterr().out
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["gm-solve", str(tmp_path / "absent.csv")])
@@ -363,6 +371,52 @@ class TestSimulate:
         summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
         assert summary["per_seed"][0]["diverged"] is True
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_empty_seed_list_exit_1_before_output(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
+        assert main([command, cfg, *sweep, "--seeds", ""]) == 1
+        assert capsys.readouterr().err == "error: run.seeds must be a nonempty list\n"
+        assert not os.path.exists(tmp_path / "runs")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_fewer_training_rows_than_dimensions_exit_1_before_output(
+        self, tmp_path, capsys, command
+    ):
+        # 2 devices x 4 samples = 8 training rows in d = 10: the pooled
+        # least-squares optimum is not unique.
+        cfg = write_config(
+            tmp_path,
+            task={"d": 10, "devices": 2, "samples_per_device": 4},
+            algorithm={"batch_size": 4},
+            run={"devices_per_round": 1},
+        )
+        sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
+        assert main([command, cfg, *sweep]) == 1
+        assert capsys.readouterr().err == (
+            "error: task.devices * task.samples_per_device must be at least task.d\n"
+        )
+        assert not os.path.exists(tmp_path / "runs")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1]", "config root must be a JSON object"),
+            ('{"task": 5}', "config block 'task' must be an object"),
+            ('{"task": {"d": 1' + "0" * 400 + "}}",
+             "malformed config value: int too large to convert to float"),
+        ],
+        ids=["list_root", "number_block", "huge_int"],
+    )
+    def test_malformed_config_exit_1_before_output(
+        self, tmp_path, capsys, monkeypatch, text, message
+    ):
+        monkeypatch.chdir(tmp_path)  # the default outdir is relative
+        (tmp_path / "config.json").write_text(text, encoding="utf-8")
+        assert main(["simulate", "config.json"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_bad_seed_override_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["simulate", cfg, "--seeds", "1,x"]) == 1
@@ -406,9 +460,15 @@ class TestSimulate:
             {"task": {"noise_std": True}},
             {"run": {"outdir": 5}},
             {"run": {"seeds": [-1]}},
+            {"task": {"d": 0}},
+            {"task": {"test_samples": 0}},
+            {"task": {"noise_std": -0.1}},
+            {"task": {"feature_bound": 0.0}},
+            {"run": {"devices_per_round": 9}},
         ],
         ids=["bool_devices", "bool_rounds", "bool_seed", "nan_noise_std", "inf_feature_bound",
-             "bool_noise_std", "int_outdir", "negative_seed"],
+             "bool_noise_std", "int_outdir", "negative_seed", "zero_d", "zero_test_samples",
+             "negative_noise_std", "zero_feature_bound", "more_per_round_than_devices"],
     )
     def test_bad_task_or_run_value_exit_1_before_output(
         self, tmp_path, capsys, monkeypatch, blocks

@@ -37,6 +37,11 @@ class TestCorruptionSpec:
         spec = CorruptionSpec(kind="omniscient", rho=0.0)
         assert spec.kind == "none"
 
+    def test_positive_rho_without_an_attack_is_rejected(self):
+        # Accepted, it would run clean while labelled as attacked.
+        with pytest.raises(ValueError, match="needs an attack kind"):
+            CorruptionSpec(kind="none", rho=0.3)
+
 
 class TestSelectCorrupted:
     """The weight rule ``realize`` draws corrupted devices by."""

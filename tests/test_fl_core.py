@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedgm import fl_core
 from fedgm.corruption import CorruptionSpec, realize
 from fedgm.fl_core import (
     AggregatorSpec,
@@ -128,7 +130,7 @@ class TestLocalUpdates:
         task, _ = small_task()
         x, y, rngs = make_shards()
         w0 = np.ones(3)
-        out = local_update_sgd(task, x, y, rngs, w0, 0.0, batch_size=5)
+        out = local_update_sgd(task, x, y, rngs, w0, 0.0, batch_size=5, steps=4)
         assert np.array_equal(out[0], w0)
 
     def test_full_batch_single_epoch_is_one_gradient_step(self):
@@ -136,15 +138,16 @@ class TestLocalUpdates:
         x, y, rngs = make_shards(n=16)
         w0 = np.full(3, 0.5)
         gamma = 0.2
-        out = local_update_sgd(task, x, y, rngs, w0, gamma, batch_size=16, epochs=1)
+        out = local_update_sgd(task, x, y, rngs, w0, gamma, batch_size=16, steps=1)
         expected = w0 - gamma * task.gradient(w0, x[0], y[0])
         assert np.allclose(out[0], expected, atol=1e-12)
 
     def test_step_count_scales_with_epochs(self):
         task, _ = small_task()
         w0 = np.zeros(3)
-        a = local_update_sgd(task, *make_shards((3,)), w0, 0.05, batch_size=4, epochs=1)[0]
-        b = local_update_sgd(task, *make_shards((3,)), w0, 0.05, batch_size=4, epochs=3)[0]
+        one, three = (LocalSGD(batch_size=4, epochs=e).steps(20) for e in (1, 3))
+        a = local_update_sgd(task, *make_shards((3,)), w0, 0.05, batch_size=4, steps=one)[0]
+        b = local_update_sgd(task, *make_shards((3,)), w0, 0.05, batch_size=4, steps=three)[0]
         # more passes from the same starting rng pull the iterate further
         assert not np.allclose(a, b)
 
@@ -152,9 +155,11 @@ class TestLocalUpdates:
         task, _ = small_task()
         shards = make_shards(n=10)
         with pytest.raises(ValueError):
-            local_update_sgd(task, *shards, np.zeros(3), 0.1, batch_size=11)
+            local_update_sgd(task, *shards, np.zeros(3), 0.1, batch_size=11, steps=1)
         with pytest.raises(ValueError):
-            local_update_sgd(task, *shards, np.zeros(3), 0.1, batch_size=0)
+            local_update_sgd(task, *shards, np.zeros(3), 0.1, batch_size=0, steps=1)
+        with pytest.raises(ValueError, match="steps"):
+            local_update_sgd(task, *shards, np.zeros(3), 0.1, batch_size=5, steps=0)
 
     def test_tail_avg_zero_rate_returns_start(self):
         task, _ = small_task()
@@ -186,7 +191,7 @@ class TestLocalUpdates:
         ]
         for features, labels, gens, match in cases:
             with pytest.raises(ValueError, match=match):
-                local_update_sgd(task, features, labels, gens, np.zeros(3), 0.1, batch_size=5)
+                local_update_sgd(task, features, labels, gens, np.zeros(3), 0.1, 5, steps=1)
             with pytest.raises(ValueError, match=match):
                 local_update_tail_avg_sgd(task, features, labels, gens, np.zeros(3), 0.1, steps=4)
 
@@ -221,9 +226,10 @@ class TestBatchedLocalUpdates:
         x, y, device_rngs = make_shards((0, 10, 20))
         rngs = copy.deepcopy(device_rngs)
         w0, gamma, batch, epochs = np.full(3, -0.1), 0.2, 6, 2
-        out = local_update_sgd(task, x, y, device_rngs, w0, gamma, batch, epochs)
+        steps = LocalSGD(batch, epochs).steps(20)
+        assert steps == math.ceil(20 * epochs / batch)
+        out = local_update_sgd(task, x, y, device_rngs, w0, gamma, batch, steps)
         assert out.shape == (3, 3)
-        steps = math.ceil(20 * epochs / batch)
         for k, (dev_rng, rng) in enumerate(zip(device_rngs, rngs)):
             draws = rng.random((steps, x.shape[1])).argsort(axis=1)[:, :batch]
             w = w0.copy()
@@ -711,6 +717,34 @@ class TestRunFederated:
             seed=0,
         )
         assert len(traces) == 5
+
+    # 20 samples per device at batch 7: a one-epoch pass is ceil(20 / 7) = 3 steps.
+    @pytest.mark.parametrize("kind,steps", [("sgd_step", 1), ("mean", 3)])
+    def test_minibatch_rounds_share_one_local_update_sgd(self, kind, steps, monkeypatch):
+        """An sgd_step round is a one-step local_update_sgd; a mean round runs steps(n).
+
+        Both go through the name that perfbench wraps, and only the two
+        local rules run ``_local_steps``.
+        """
+        calls, callers = [], []
+        real_steps = fl_core._local_steps
+
+        def record(task, features, labels, rngs, w0, gamma, batch_size, steps):
+            calls.append((batch_size, steps))
+            return local_update_sgd(task, features, labels, rngs, w0, gamma, batch_size, steps)
+
+        def spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_steps(*args, **kwargs)
+
+        monkeypatch.setattr("fedgm.fl_core.local_update_sgd", record)
+        monkeypatch.setattr("fedgm.fl_core._local_steps", spy)
+        task, part = small_task()
+        config = clean_config(kind, batch_size=7)
+        traces = run_federated(task, part, CorruptionSpec(), config, rounds=4, seed=2)
+        assert len(traces) == 4
+        assert calls == [(7, steps)] * 4
+        assert callers == ["local_update_sgd"] * 4
 
     def test_sgd_step_requires_local_sgd_spec(self):
         with pytest.raises(ValueError):
