@@ -1,7 +1,8 @@
 """Three device corruption models and how the corrupted set is drawn.
 
-Corrupted devices are sampled uniformly until their data weight strictly
-exceeds the target fraction rho, and marked in one boolean mask per run.
+Every device holds the same share of the data. Corrupted devices are
+sampled uniformly until their share strictly exceeds the target fraction
+rho, and marked in one boolean mask per run.
 Each round the attack rewrites only the corrupted rows it gathered:
 static poisoning negates their features; adaptive poisoning relabels them
 against whatever model the server broadcasts; the omniscient attack skips
@@ -21,11 +22,10 @@ from fedgm import (
 from fedgm.tasks import exact_optimum
 
 print("=== choosing who is corrupted ===")
-alphas = np.full(20, 0.05)
 spec = CorruptionSpec(kind="static_data", rho=0.25, seed=3)
-corrupted = realize(spec, alphas)
+corrupted = realize(spec, 20)
 print(f"rho = {spec.rho}: corrupted devices {np.flatnonzero(corrupted)}")
-print(f"their combined data weight: {alphas[corrupted].sum():.2f} (strictly above rho)")
+print(f"their combined data weight: {corrupted.sum() / 20:.2f} (strictly above rho)")
 
 print("\n=== static data poisoning ===")
 rng = np.random.default_rng(1)

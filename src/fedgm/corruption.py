@@ -1,8 +1,8 @@
 """Device corruption models for federated simulations.
 
 ``realize`` marks the corrupted devices in a (K,) boolean mask, sampling
-the population uniformly without replacement until their cumulative data
-weight strictly exceeds the target fraction rho. Three attack families
+K equal devices uniformly without replacement until their weight, 1/K
+each, strictly exceeds the target fraction rho. Three attack families
 act, round by round, on the rows that the mask selects: static data
 poisoning (feature negation), adaptive data poisoning (relabel against the
 current broadcast model), and an omniscient update attack that replaces
@@ -46,22 +46,23 @@ class CorruptionSpec:
             object.__setattr__(self, "kind", "none")
 
 
-def realize(spec: CorruptionSpec, alphas: np.ndarray, fallback_seed: int = 0) -> np.ndarray:
-    """The (K,) boolean mask of corrupted devices in a population of K.
+def realize(spec: CorruptionSpec, devices: int, fallback_seed: int = 0) -> np.ndarray:
+    """The (K,) boolean mask of corrupted devices in a population of K = ``devices``.
 
-    Devices are drawn in a uniformly random order until the ``alphas``
-    (data weights summing to one) of those drawn strictly exceed
-    ``spec.rho``, or the population runs out; kind "none" marks nobody.
-    ``fallback_seed`` stands in for ``spec.seed`` when that is None.
+    Every device weighs 1/K. Devices are drawn in a uniformly random order
+    until the float sum of their weights strictly exceeds ``spec.rho``, or
+    the population runs out; kind "none" marks nobody. ``fallback_seed``
+    stands in for ``spec.seed`` when that is None.
     """
-    alphas = np.asarray(alphas, dtype=float).ravel()
-    mask = np.zeros(alphas.shape[0], dtype=bool)
+    mask = np.zeros(devices, dtype=bool)
     if spec.kind != "none":
         seed = spec.seed if spec.seed is not None else fallback_seed
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0DE]))
-        order = rng.permutation(mask.shape[0])
-        # The running weight first exceeds rho at position `count - 1`.
-        count = np.searchsorted(np.cumsum(alphas[order]), spec.rho, side="right") + 1
+        order = rng.permutation(devices)
+        # The running weight first exceeds rho at position `count - 1`. Sums
+        # of 1/K are inexact, so floor(rho * K) + 1 can give another count.
+        running = np.cumsum(np.full(devices, 1.0 / devices))
+        count = np.searchsorted(running, spec.rho, side="right") + 1
         mask[order[:count]] = True
     return mask
 

@@ -45,25 +45,23 @@ AGGREGATOR_KINDS = ("mean", "rfa", "median_of_means", "sgd_step")
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Piecewise-constant schedule gamma_t = gamma0 * decay^(t // decay_every)."""
+    """Piecewise-constant schedule gamma_t = gamma0 * decay^(t // decay_every).
+
+    ``decay`` lies in (0, 1], so the rate never grows: every rate lies in
+    [0, gamma0] and is finite.
+    """
 
     gamma0: float
     decay: float = 1.0
     decay_every: int = 1
 
     def __post_init__(self) -> None:
-        if not (0 <= self.gamma0 < math.inf and 0 < self.decay < math.inf) or self.decay_every < 1:
-            raise ValueError("invalid learning-rate schedule")
+        if not (0 <= self.gamma0 < math.inf and 0 < self.decay <= 1) or self.decay_every < 1:
+            raise ValueError("need finite gamma0 >= 0, decay in (0, 1] and decay_every >= 1")
 
     def gamma_at(self, t: int) -> float:
-        """The rate of round t; ValueError if it is not a finite float."""
-        try:
-            gamma = self.gamma0 * self.decay ** (t // self.decay_every)
-        except OverflowError:
-            gamma = math.inf
-        if not math.isfinite(gamma):
-            raise ValueError(f"the learning rate of round {t} is not finite")
-        return gamma
+        """The rate of round t, in [0, gamma0]."""
+        return self.gamma0 * self.decay ** (t // self.decay_every)
 
 
 @dataclass(frozen=True)
@@ -326,8 +324,6 @@ def run_federated(
     a round's train loss exceeds ``DIVERGENCE_LOSS`` or turns non-finite
     the run is marked diverged by its trace and, with
     ``halt_on_divergence``, stops early. rounds = 0 returns an empty trace.
-    The rate is monotone in the round, so a schedule whose rate in the last
-    round is not finite raises ValueError before round 0.
     """
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
@@ -335,12 +331,11 @@ def run_federated(
         raise ValueError("adaptive_data poisoning needs a least-squares task")
     if config.devices_per_round > partition.devices:
         raise ValueError("devices_per_round exceeds the population")
-    config.lr.gamma_at(max(rounds, 1) - 1)
     oracle = oracle if oracle is not None else SecureAverageOracle("plain")
     server_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E7]))
     children = np.random.SeedSequence([int(seed), 0xFED]).spawn(partition.devices)
     rngs = [np.random.default_rng(child) for child in children]
-    corrupted = realize(corruption, partition.alphas, fallback_seed=seed)
+    corrupted = realize(corruption, partition.devices, fallback_seed=seed)
 
     # Equal shards: every selected device weighs n / (m * n) = 1/m.
     round_weights = np.full(config.devices_per_round, 1.0 / config.devices_per_round)

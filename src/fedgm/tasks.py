@@ -43,12 +43,14 @@ def exact_optimum(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the feature second-moment matrix is numerically rank deficient.
+        If the feature second-moment matrix is numerically rank deficient:
+        its smallest eigenvalue is not above 1e-12 times its largest, a
+        test that does not change when the features are rescaled.
     """
     n = features.shape[0]
     gram = features.T @ features / n
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
+    if not eigs[0] > 1e-12 * eigs[-1]:
         raise ValueError("feature matrix is rank deficient; optimum is not unique")
     return np.linalg.solve(gram, features.T @ labels / n)
 
@@ -68,10 +70,6 @@ class FederatedPartition:
     @property
     def devices(self) -> int:
         return len(self.device_features)
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.full(self.devices, 1.0 / self.devices)
 
 
 def partition_data(

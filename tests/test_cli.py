@@ -344,12 +344,37 @@ class TestSimulate:
     def test_rate_that_is_not_finite_exit_1_before_output(
         self, tmp_path, capsys, command, gamma0, decay
     ):
-        # The rate of round 2 overflows a float or is an infinite product.
+        # The rate of round 2 would overflow a float or be an infinite
+        # product; a decay above 1 is rejected, whatever the round count.
         cfg = write_config(tmp_path, algorithm={"gamma0": gamma0, "decay": decay})
         sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
         assert main([command, cfg, *sweep, "--rounds", "3"]) == 1
-        assert capsys.readouterr().err == "error: the learning rate of round 2 is not finite\n"
+        assert capsys.readouterr().err == (
+            "error: need finite gamma0 >= 0, decay in (0, 1] and decay_every >= 1\n"
+        )
         assert not os.path.exists(tmp_path / "runs")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("feature_bound", [1e-300, 1e154])
+    def test_feature_bound_outside_its_range_exit_1_before_output(
+        self, tmp_path, capsys, command, feature_bound
+    ):
+        # At 1e154 eigvalsh does not converge; at 1e-300 the Gram matrix underflows to 0.
+        cfg = write_config(tmp_path, task={"feature_bound": feature_bound})
+        sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
+        assert main([command, cfg, *sweep]) == 1
+        assert capsys.readouterr().err == (
+            "error: need task.noise_std >= 0 and task.feature_bound in [1e-100, 1e100]\n"
+        )
+        assert not os.path.exists(tmp_path / "runs")
+
+    @pytest.mark.parametrize("feature_bound", [1e-100, 1e-6])
+    def test_small_feature_bound_runs(self, tmp_path, feature_bound):
+        # A rank test that was not scale free called these tasks rank deficient.
+        cfg = write_config(tmp_path, task={"feature_bound": feature_bound})
+        assert main(["simulate", cfg]) == 0
+        summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
+        assert summary["diverged_seeds"] == 0
 
     @pytest.mark.parametrize("aggregator", ["mean", "rfa", "median_of_means"])
     @pytest.mark.parametrize("mode", ["plain", "masked"])

@@ -43,67 +43,93 @@ class TestCorruptionSpec:
             CorruptionSpec(kind="none", rho=0.3)
 
 
+def weighted_realize(spec, alphas, fallback_seed=0):
+    """Reference: the corrupted mask drawn by arbitrary data weights ``alphas``."""
+    alphas = np.asarray(alphas, dtype=float).ravel()
+    mask = np.zeros(alphas.shape[0], dtype=bool)
+    if spec.kind != "none":
+        seed = spec.seed if spec.seed is not None else fallback_seed
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0DE]))
+        order = rng.permutation(mask.shape[0])
+        count = np.searchsorted(np.cumsum(alphas[order]), spec.rho, side="right") + 1
+        mask[order[:count]] = True
+    return mask
+
+
 class TestSelectCorrupted:
-    """The weight rule ``realize`` draws corrupted devices by."""
+    """The weight rule ``realize`` draws corrupted devices by: 1/K per device."""
 
     def test_rho_zero_selects_nobody(self):
         # rho = 0 turns any kind into "none", which marks nobody.
-        mask = realize(CorruptionSpec(kind="static_data", rho=0.0), np.full(10, 0.1))
+        mask = realize(CorruptionSpec(kind="static_data", rho=0.0), 10)
         assert mask.dtype == bool and mask.shape == (10,) and not mask.any()
 
     def test_uniform_four_devices_at_quarter(self):
         # each device holds weight 1/4; one device only reaches 0.25, and
         # cumulative weight must strictly pass rho, so two are needed
-        mask = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=1), np.full(4, 0.25))
+        mask = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=1), 4)
         assert mask.sum() == 2
 
     def test_stops_once_weight_exceeds_rho(self):
         alphas = np.full(100, 0.01)
-        mask = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=2), alphas)
+        mask = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=2), 100)
         weight = alphas[mask].sum()
         assert weight > 0.25 - 1e-12
         assert weight - alphas[mask].min() <= 0.25 + 1e-12
 
     def test_ids_sorted_and_unique(self):
         # A mask holds each device at most once, in id order.
-        mask = realize(CorruptionSpec(kind="omniscient", rho=0.4, seed=3), np.full(20, 0.05))
+        mask = realize(CorruptionSpec(kind="omniscient", rho=0.4, seed=3), 20)
         ids = np.flatnonzero(mask)
         assert ids.tolist() == sorted(set(ids.tolist())) and len(ids) == mask.sum() > 0
 
-    @given(seed=RNG_SEEDS, rho=st.floats(min_value=0.01, max_value=0.9))
+    @given(
+        seed=RNG_SEEDS,
+        rho=st.floats(min_value=0.01, max_value=0.9),
+        devices=st.integers(min_value=1, max_value=60),
+    )
     @settings(max_examples=50, deadline=None)
-    def test_weight_always_strictly_exceeds_rho(self, seed, rho):
-        rng = np.random.default_rng(seed)
-        alphas = rng.uniform(0.5, 2.0, 30)
-        alphas = alphas / alphas.sum()
-        mask = realize(CorruptionSpec(kind="static_data", rho=rho, seed=seed), alphas)
-        assert alphas[mask].sum() > rho - 1e-12
+    def test_weight_always_strictly_exceeds_rho(self, seed, rho, devices):
+        mask = realize(CorruptionSpec(kind="static_data", rho=rho, seed=seed), devices)
+        assert mask.sum() / devices > rho - 1e-12
+        # One device fewer would not have exceeded rho.
+        assert (mask.sum() - 1) / devices <= rho + 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_same_mask_as_the_data_weight_rule(self, seed):
+        # Sums of 1/K are inexact, so a count of floor(rho * K) + 1 would
+        # differ: at K = 100 and rho = 0.25 the float sum gives 25, not 26.
+        for devices in range(1, 201):
+            alphas = np.full(devices, 1.0 / devices)
+            grid = [0.05, 0.1, 0.25, 0.3, 1 / 3, 0.45, 0.5, 0.9, 0.99]
+            grid += [j / devices for j in range(1, devices, max(1, devices // 10))]
+            for rho in grid:
+                spec = CorruptionSpec(kind="omniscient", rho=rho, seed=seed)
+                expected = weighted_realize(spec, alphas)
+                assert np.array_equal(realize(spec, devices), expected), (devices, rho)
+        spec = CorruptionSpec(kind="omniscient", rho=0.25, seed=seed)
+        assert realize(spec, 100).sum() == 25
 
 
 class TestRealize:
     def test_none_realizes_empty(self):
-        mask = realize(CorruptionSpec(), np.full(5, 0.2))
+        mask = realize(CorruptionSpec(), 5)
         assert mask.dtype == bool and mask.shape == (5,) and not mask.any()
 
     def test_deterministic_in_spec_seed(self):
-        alphas = np.full(50, 0.02)
-        a = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=9), alphas)
-        b = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=9), alphas)
+        a = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=9), 50)
+        b = realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=9), 50)
         assert np.array_equal(a, b)
 
     def test_fallback_seed_used_when_spec_seed_missing(self):
-        alphas = np.full(50, 0.02)
-        a = realize(CorruptionSpec(kind="omniscient", rho=0.25), alphas, fallback_seed=1)
-        b = realize(CorruptionSpec(kind="omniscient", rho=0.25), alphas, fallback_seed=2)
+        a = realize(CorruptionSpec(kind="omniscient", rho=0.25), 50, fallback_seed=1)
+        b = realize(CorruptionSpec(kind="omniscient", rho=0.25), 50, fallback_seed=2)
         assert not np.array_equal(a, b)
 
     def test_ids_are_sorted_and_outweigh_rho(self):
-        rng = np.random.default_rng(4)
-        alphas = rng.uniform(0.5, 1.5, 20)
-        alphas = alphas / alphas.sum()
-        mask = realize(CorruptionSpec(kind="static_data", rho=0.3, seed=0), alphas)
-        assert mask.shape == alphas.shape
-        assert alphas[mask].sum() > 0.3
+        mask = realize(CorruptionSpec(kind="static_data", rho=0.3, seed=0), 20)
+        assert mask.dtype == bool and mask.shape == (20,)
+        assert mask.sum() / 20 > 0.3
 
 
 class TestPoisonTransforms:

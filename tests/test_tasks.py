@@ -56,6 +56,17 @@ class TestLeastSquares:
         with pytest.raises(ValueError):
             exact_optimum(x, np.ones(10))
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e-6, 1.0, 1e6, 1e100])
+    def test_rank_test_does_not_depend_on_the_feature_scale(self, scale):
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((50, 3)), rng.standard_normal(50)
+        # Scaling the features by s scales the optimum by 1/s.
+        assert np.allclose(scale * exact_optimum(scale * x, y), exact_optimum(x, y), rtol=1e-9)
+        deficient = x.copy()
+        deficient[:, 2] = 2.0 * deficient[:, 0]
+        with pytest.raises(ValueError, match="rank deficient"):
+            exact_optimum(scale * deficient, y)
+
 
 class TestGenerateLSTask:
     def test_deterministic_for_fixed_seed(self):
@@ -126,7 +137,7 @@ class TestGeneratorValidation:
     @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
     def test_valid_input_accepted(self, kind):
         task, part = generate(kind)
-        assert part.devices == 4 and np.all(np.isfinite(part.alphas))
+        assert part.devices == 4 and np.all(np.isfinite(part.device_features))
 
 
 class TestPartition:
@@ -134,7 +145,8 @@ class TestPartition:
         task, part = generate_ls_task(3, 8, 12, 0.1, seed=6)
         assert part.devices == 8
         assert all(f.shape == (12, 3) for f in part.device_features)
-        assert np.array_equal(part.alphas, np.full(8, 1 / 8))
+        # Equal shards: every device holds 12 of the 96 samples, so weighs 1/8.
+        assert part.device_labels.shape == (8, 12) and not hasattr(part, "alphas")
         names = [f.name for f in dataclasses.fields(FederatedPartition)]
         assert names == ["device_features", "device_labels"]
 
