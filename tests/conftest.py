@@ -45,6 +45,21 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
+def pytest_terminal_summary(terminalreporter):
+    """Print the mode line that the golden-output comparison records.
+
+    ``tests/test_reruns.py`` records whether it compared the outputs byte
+    for byte or within a tolerance, and against which fingerprint, so every
+    run's log says so.
+    """
+    for reports in terminalreporter.stats.values():
+        for report in reports:
+            if getattr(report, "when", None) == "call":
+                for name, value in report.user_properties:
+                    if name == "golden":
+                        terminalreporter.write_line(value)
+
+
 POOL_SIZE = 100
 POOL_NU = 1e-6
 POOL_BUDGET = 50

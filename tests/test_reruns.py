@@ -19,23 +19,46 @@ trees must match file by file and be readable by ``fedgm report``.
   takes several steps) spans several blocks of the solver's distance pass.
   3001 is not a multiple of the block's rows, so the diff covers a pass
   whose last block is shifted back to end at the last row.
+
+The tree is also held to the committed one under ``tests/golden``, so a
+change that alters any output bit fails here. That tree was written on the
+platform its ``fingerprint.json`` names. On a matching platform the files
+must be byte-identical. Elsewhere, another BLAS core or numpy build may move
+the last bits: every float must lie within ``RTOL`` of the golden value, and
+every other value (integers, strings, booleans, nulls), every key and every
+row must match exactly. The test records which mode ran, and the end of the
+pytest run prints it. An intended output change regenerates the tree with
+
+    PYTHONPATH=src python tests/test_reruns.py
 """
 
 from __future__ import annotations
 
+import csv
+import ctypes
 import json
+import math
 import os
+import platform
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fedgm
 from fedgm.cli import main
 
 ATTACK = {"kind": "omniscient", "rho": 0.25}
 MASKED_RUN = {"rounds": 5, "seeds": [0, 1], "oracle_mode": "masked"}
+GOLDEN = Path(__file__).parent / "golden"
+# With OPENBLAS_CORETYPE set to Haswell, Zen, SandyBridge or Katmai instead
+# of the SkylakeX core the tree was written with, 24 of the 26 files change,
+# each float by at most 1.7e-14 relative, and no other value changes.
+RTOL = 1e-10
 
 CONFIGS = {
     "rerun": {"corruption": ATTACK, "algorithm": {"aggregator": "rfa"}, "run": MASKED_RUN},
@@ -103,28 +126,134 @@ def invocations(cfg: dict, points: str) -> list[list[str]]:
     ]
 
 
-def test_reruns_in_two_processes_write_identical_trees(tmp_path):
-    cfg, points = write_inputs(tmp_path)
-    argvs = json.dumps(invocations(cfg, points))
+def start(workdir: Path, argvs: str, hash_seed: str) -> subprocess.Popen:
+    """Run the invocations through fedgm's main in a fresh process inside ``workdir``."""
     src = str(Path(fedgm.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    procs = []
-    for hash_seed in ("1", "2"):
-        workdir = tmp_path / f"rerun{hash_seed}"
-        workdir.mkdir()
-        env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed}
-        procs.append(
-            subprocess.Popen(
-                [sys.executable, "-c", RUN_ALL, argvs],
-                cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            )
-        )
+    workdir.mkdir()
+    env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed}
+    return subprocess.Popen(
+        [sys.executable, "-c", RUN_ALL, argvs],
+        cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def files_under(tree: Path) -> list[Path]:
+    return sorted(p.relative_to(tree) for p in tree.rglob("*") if p.is_file())
+
+
+def blas_core() -> str | None:
+    """The kernel family numpy's bundled OpenBLAS chose at run time, or None if unreadable."""
+    root = Path(np.__file__).parent
+    for lib in (*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(handle, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return None
+
+
+def fingerprint() -> dict:
+    return {
+        "blas_core": blas_core(),
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def cell(token: str):
+    """A CSV cell as an int, else a float, else the string itself."""
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    return token
+
+
+def values(path: Path) -> list[tuple]:
+    """(position, value) for every value in a JSON or CSV output file, in order."""
+    if path.suffix == ".csv":
+        with path.open(newline="", encoding="utf-8") as f:
+            return [((i, j), cell(t)) for i, row in enumerate(csv.reader(f)) for j, t in enumerate(row)]
+    out = []
+
+    def walk(node, where):
+        if isinstance(node, dict):
+            for key, child in node.items():
+                walk(child, (*where, key))
+        elif isinstance(node, list):
+            for i, child in enumerate(node):
+                walk(child, (*where, i))
+        else:
+            out.append((where, node))
+
+    walk(json.loads(path.read_text(encoding="utf-8")), ())
+    return out
+
+
+def relative_gap(got, want) -> float | None:
+    """0 or the relative difference of two floats; None if the values do not match in kind."""
+    if type(got) is not type(want):
+        return None
+    if not isinstance(want, float):
+        return 0.0 if got == want else None
+    if got == want or (math.isnan(got) and math.isnan(want)):
+        return 0.0
+    if not (math.isfinite(got) and math.isfinite(want)):
+        return None
+    return abs(got - want) / max(abs(got), abs(want))
+
+
+def compare_to_golden(tree: Path, golden: Path = GOLDEN) -> tuple[str, str | None]:
+    """Compare an output tree with the golden one: (the mode line, the first mismatch or None).
+
+    Bytes when this platform's fingerprint is the golden one, else floats
+    within ``RTOL`` and everything else exactly.
+    """
+    runs = golden / "runs"
+    want_fp = json.loads((golden / "fingerprint.json").read_text(encoding="utf-8"))
+    have_fp = fingerprint()
+    byte_mode = have_fp == want_fp
+    line = f"golden outputs: byte mode, fingerprint {have_fp}"
+    if not byte_mode:
+        line = f"golden outputs: tolerance mode (rtol {RTOL:g}), fingerprint {have_fp}, golden {want_fp}"
+    files = files_under(runs)
+    if files_under(tree) != files:
+        return line, f"files {files_under(tree)} != golden {files}"
+    changed = [rel for rel in files if (tree / rel).read_bytes() != (runs / rel).read_bytes()]
+    if byte_mode:
+        return line, f"{[str(r) for r in changed]} differ from the golden bytes" if changed else None
+    worst = 0.0
+    for rel in changed:
+        got, want = values(tree / rel), values(runs / rel)
+        if [w for w, _ in got] != [w for w, _ in want]:
+            return line, f"{rel}: keys or rows differ from the golden file"
+        for (where, g), (_, w) in zip(got, want):
+            gap = relative_gap(g, w)
+            if gap is None or gap > RTOL:
+                return line, f"{rel} at {where}: {g!r} != golden {w!r}"
+            worst = max(worst, gap)
+    return f"{line}; {len(changed)} of {len(files)} files differ in bytes, largest relative difference {worst:.3g}", None
+
+
+def test_reruns_in_two_processes_write_identical_trees(tmp_path, record_property):
+    cfg, points = write_inputs(tmp_path)
+    argvs = json.dumps(invocations(cfg, points))
+    procs = [start(tmp_path / f"rerun{h}", argvs, h) for h in ("1", "2")]
     for proc in procs:
         _, err = proc.communicate(timeout=600)
         assert proc.returncode == 0, err
 
     trees = [tmp_path / f"rerun{hash_seed}" / "runs" for hash_seed in ("1", "2")]
-    files = [sorted(p.relative_to(tree) for p in tree.rglob("*") if p.is_file()) for tree in trees]
+    files = [files_under(tree) for tree in trees]
     # 7 two-seed simulate dirs of 3 files, the one-seed diverged dir of 2,
     # 2 sweep.csv files and the gm-solve JSON.
     assert files[0] == files[1] and len(files[0]) == 7 * 3 + 2 + 2 + 1
@@ -133,3 +262,57 @@ def test_reruns_in_two_processes_write_identical_trees(tmp_path):
     diverged = json.loads((trees[0] / "diverged" / "summary.json").read_text())
     assert diverged["per_seed"][0]["diverged"] is True
     assert main(["report", str(trees[0])]) == 0
+
+    line, mismatch = compare_to_golden(trees[0])
+    record_property("golden", line)
+    assert mismatch is None, (
+        f"{line}: {mismatch}. If the change is meant to alter outputs, regenerate "
+        "the tree with: PYTHONPATH=src python tests/test_reruns.py"
+    )
+
+
+@pytest.mark.parametrize("byte_mode", [True, False])
+def test_each_golden_mode_catches_what_it_promises(tmp_path, byte_mode):
+    """One ulp fails only byte mode; ten times RTOL, or a changed integer, fails both."""
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN / "runs", golden / "runs")
+    fp = fingerprint() if byte_mode else {**fingerprint(), "blas_core": "another core"}
+    (golden / "fingerprint.json").write_text(json.dumps(fp), encoding="utf-8")
+    line, mismatch = compare_to_golden(golden / "runs", golden)
+    assert mismatch is None and ("byte mode" in line) == byte_mode
+
+    trace = Path("omniscient") / "0.csv"
+    rows = list(csv.reader((golden / "runs" / trace).open(newline="", encoding="utf-8")))
+    loss = float(rows[1][1])
+    assert rows[0][1] == "train_loss" and rows[0][4] == "oracle_calls"
+    edits = [
+        (1, repr(math.nextafter(loss, math.inf)), byte_mode),
+        (1, repr(loss * (1 + 10 * RTOL)), True),
+        (4, str(int(rows[1][4]) + 1), True),
+    ]
+    for n, (column, token, caught) in enumerate(edits):
+        tree = tmp_path / f"tree{n}"
+        shutil.copytree(golden / "runs", tree)
+        edited = [row[:] for row in rows]
+        edited[1][column] = token
+        with (tree / trace).open("w", newline="", encoding="utf-8") as f:
+            csv.writer(f, lineterminator="\n").writerows(edited)
+        assert (compare_to_golden(tree, golden)[1] is not None) == caught, token
+
+
+def regenerate() -> None:
+    """Rewrite tests/golden from one fresh run, with this platform's fingerprint."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, points = write_inputs(Path(tmp))
+        proc = start(Path(tmp) / "rerun", json.dumps(invocations(cfg, points)), "1")
+        _, err = proc.communicate(timeout=600)
+        if proc.returncode != 0:
+            sys.exit(err)
+        shutil.rmtree(GOLDEN / "runs", ignore_errors=True)
+        shutil.copytree(Path(tmp) / "rerun" / "runs", GOLDEN / "runs")
+    text = json.dumps(fingerprint(), indent=2, sort_keys=True) + "\n"
+    (GOLDEN / "fingerprint.json").write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()
