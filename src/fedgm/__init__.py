@@ -26,17 +26,14 @@ from .geomed import (
     GMResult,
     WeightedPointSet,
     brute_force_gm,
-    displacement_bound,
     gm_objective,
     smoothed_weiszfeld,
 )
 from .secure_avg import SecureAverageOracle
 from .tasks import (
     FederatedPartition,
-    MultinomialLogisticTask,
     SyntheticLSTask,
     exact_optimum,
-    generate_logistic_task,
     generate_ls_task,
     least_squares_gradient,
     least_squares_loss,
@@ -52,7 +49,6 @@ __all__ = [
     "GMResult",
     "LocalSGD",
     "LrSchedule",
-    "MultinomialLogisticTask",
     "RoundConfig",
     "RoundTrace",
     "SecureAverageOracle",
@@ -61,9 +57,7 @@ __all__ = [
     "WeightedPointSet",
     "aggregate",
     "brute_force_gm",
-    "displacement_bound",
     "exact_optimum",
-    "generate_logistic_task",
     "generate_ls_task",
     "gm_objective",
     "least_squares_gradient",

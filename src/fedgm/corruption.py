@@ -77,8 +77,7 @@ def poison_adaptive(features: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     The corrupted device then faithfully fits data whose exact local
     optimum is -w, dragging the aggregate away from wherever the server
-    currently is. Regression transform; classification tasks need their
-    own relabeling. Deterministic in (features, w).
+    currently is. Deterministic in (features, w).
     """
     return np.asarray(features, dtype=float) @ (-np.asarray(w, dtype=float))
 

@@ -327,8 +327,6 @@ def run_federated(
     """
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    if corruption.kind == "adaptive_data" and task.kind != "least_squares":
-        raise ValueError("adaptive_data poisoning needs a least-squares task")
     if config.devices_per_round > partition.devices:
         raise ValueError("devices_per_round exceeds the population")
     oracle = oracle if oracle is not None else SecureAverageOracle("plain")

@@ -341,19 +341,3 @@ def brute_force_gm(point_set: WeightedPointSet) -> np.ndarray:
             return z_cur
         g_prev = min(g_prev, float(res.fun))
     raise RuntimeError("brute_force_gm did not stabilize within the refinement cap")
-
-
-def displacement_bound(theta: float, eps: float, max_honest_dist: float) -> float:
-    """How far an eps-approximate geometric median can move under corruption.
-
-    For corrupted weight theta < 1/2, any point whose objective is within
-    eps of optimal on the corrupted instance lies within
-    2 (1 - theta) / (1 - 2 theta) * max_honest_dist + eps / (1 - 2 theta)
-    of any reference point whose max distance to the honest points is
-    max_honest_dist.
-    """
-    if not 0.0 <= theta < 0.5:
-        raise ValueError("theta must lie in [0, 0.5)")
-    if eps < 0.0 or max_honest_dist < 0.0:
-        raise ValueError("eps and max_honest_dist must be nonnegative")
-    return (2.0 * (1.0 - theta) * max_honest_dist + eps) / (1.0 - 2.0 * theta)

@@ -1,15 +1,14 @@
-"""Synthetic federated learning tasks with analytically checkable optima.
+"""A synthetic federated learning task with an exactly known optimum.
 
-The main task is well-specified least squares: features are drawn with
-norms bounded by a known radius, labels are a fixed linear function of the
+The task is well-specified least squares: features are drawn with norms
+bounded by a known radius, labels are a fixed linear function of the
 features plus Gaussian noise, and the pooled empirical minimizer comes
-from the normal equations. A multinomial logistic task is included for
-qualitative runs; it shares the partitioner and the gradient conventions.
+from the normal equations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,15 +86,6 @@ def partition_data(
     )
 
 
-def _split(features: np.ndarray, labels: np.ndarray, devices: int, per_device: int) -> tuple:
-    """(train_x, train_y, test_x, test_y, partition of the train rows); no empty test split."""
-    partition = partition_data(features, labels, devices, per_device)
-    n = devices * per_device
-    if features.shape[0] <= n:
-        raise ValueError("test_samples must be positive")
-    return features[:n], labels[:n], features[n:], labels[n:], partition
-
-
 def _bounded_features(rng: np.random.Generator, n: int, d: int, bound: float) -> np.ndarray:
     """n random directions with radii in [0.3, 1] * bound, centred, max norm = bound."""
     if d < 1 or bound <= 0.0:
@@ -129,8 +119,6 @@ class SyntheticLSTask:
     test_features: np.ndarray
     test_labels: np.ndarray
 
-    kind = "least_squares"
-
     def loss(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
         return least_squares_loss(w, features, labels)
 
@@ -160,8 +148,11 @@ def generate_ls_task(
     """
     if noise_std < 0.0:
         raise ValueError("noise_std must be nonnegative")
+    if test_samples < 1:
+        raise ValueError("test_samples must be positive")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A5C]))
-    n = devices * samples_per_device + test_samples
+    n_train = devices * samples_per_device
+    n = n_train + test_samples
 
     phi = _bounded_features(rng, n, d, feature_bound)
 
@@ -171,8 +162,8 @@ def generate_ls_task(
     if noise_std > 0.0:
         labels = labels + noise_std * rng.standard_normal(n)
 
-    train_x, train_y, test_x, test_y, partition = _split(phi, labels, devices, samples_per_device)
-
+    partition = partition_data(phi, labels, devices, samples_per_device)
+    train_x, train_y = phi[:n_train], labels[:n_train]
     task = SyntheticLSTask(
         d=d,
         feature_bound=float(feature_bound),
@@ -180,98 +171,7 @@ def generate_ls_task(
         optimum=exact_optimum(train_x, train_y),
         train_features=train_x,
         train_labels=train_y,
-        test_features=test_x,
-        test_labels=test_y,
+        test_features=phi[n_train:],
+        test_labels=labels[n_train:],
     )
     return task, partition
-
-
-@dataclass(frozen=True)
-class MultinomialLogisticTask:
-    """Softmax regression over the same bounded feature distribution.
-
-    The parameter vector is the (classes, d) weight matrix flattened in row
-    order. ``optimum`` is the pooled empirical minimizer found numerically.
-    Provided for qualitative experiments; there is no closed-form optimum.
-    """
-
-    d: int
-    classes: int
-    feature_bound: float
-    optimum: np.ndarray
-    train_features: np.ndarray
-    train_labels: np.ndarray
-    test_features: np.ndarray
-    test_labels: np.ndarray
-
-    kind = "logistic"
-
-    def loss(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-        logits = features @ w.reshape(self.classes, self.d).T
-        logits = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(logits).sum(axis=1))
-        picked = logits[np.arange(features.shape[0]), labels.astype(int)]
-        return float(np.mean(logz - picked))
-
-    def gradient(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Gradient of ``loss``; batched like ``least_squares_gradient``.
-
-        w (..., classes * d), features (..., b, d) and labels (..., b) give
-        shape (..., classes * d).
-        """
-        weights = w.reshape(*w.shape[:-1], self.classes, self.d)
-        logits = np.einsum("...bd,...cd->...bc", features, weights)
-        logits = logits - logits.max(axis=-1, keepdims=True)
-        p = np.exp(logits)
-        p = p / p.sum(axis=-1, keepdims=True)
-        hot = np.zeros_like(p)
-        np.put_along_axis(hot, labels.astype(int)[..., None], 1.0, axis=-1)
-        grad = np.einsum("...bc,...bd->...cd", p - hot, features) / features.shape[-2]
-        return grad.reshape(w.shape)
-
-
-def generate_logistic_task(
-    d: int,
-    classes: int,
-    devices: int,
-    samples_per_device: int,
-    feature_bound: float = 1.0,
-    seed: int = 0,
-    test_samples: int = 500,
-) -> tuple[MultinomialLogisticTask, FederatedPartition]:
-    """Softmax-regression analogue of ``generate_ls_task``."""
-    if classes < 2:
-        raise ValueError("classes must be at least 2")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x10615]))
-    n = devices * samples_per_device + test_samples
-
-    phi = _bounded_features(rng, n, d, feature_bound)
-
-    w_star = rng.standard_normal((classes, d)) * 3.0
-    logits = phi @ w_star.T
-    p = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = p / p.sum(axis=1, keepdims=True)
-    labels = np.array([rng.choice(classes, p=row) for row in p], dtype=float)
-
-    train_x, train_y, test_x, test_y, partition = _split(phi, labels, devices, samples_per_device)
-
-    stub = MultinomialLogisticTask(
-        d=d,
-        classes=classes,
-        feature_bound=float(feature_bound),
-        optimum=np.zeros(classes * d),
-        train_features=train_x,
-        train_labels=train_y,
-        test_features=test_x,
-        test_labels=test_y,
-    )
-    from scipy import optimize  # imported here: `import fedgm` stays scipy-free
-    res = optimize.minimize(
-        stub.loss,
-        np.zeros(classes * d),
-        args=(train_x, train_y),
-        jac=stub.gradient,
-        method="L-BFGS-B",
-        options={"maxiter": 500, "gtol": 1e-10},
-    )
-    return replace(stub, optimum=np.asarray(res.x, dtype=float)), partition

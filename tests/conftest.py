@@ -1,9 +1,9 @@
 """Shared fixtures and reference helpers for the geometric-median tests.
 
 ``eta_update``, ``lipschitz_constant``, ``smoothed_objective``,
-``hull_distance`` and ``diameter`` are independent reference
-implementations that the solver's trace and iterates are checked against;
-the package itself does not need them.
+``displacement_bound``, ``hull_distance`` and ``diameter`` are independent
+reference implementations that the solver's trace, iterates and robustness
+are checked against; the package itself does not need them.
 
 The pool pairs every instance with both solver outputs (iterative and
 brute force) so equivalence, convergence-speed and invariant checks can
@@ -100,6 +100,22 @@ def smoothed_objective(z: np.ndarray, point_set: WeightedPointSet, nu: float) ->
     z = np.asarray(z, dtype=float).ravel()
     r = np.linalg.norm(point_set.points - z, axis=1)
     return float(point_set.weights @ np.where(r <= nu, r * r / (2.0 * nu) + nu / 2.0, r))
+
+
+def displacement_bound(theta: float, eps: float, max_honest_dist: float) -> float:
+    """How far an eps-approximate geometric median can move under corruption.
+
+    For corrupted weight theta < 1/2, any point whose objective is within
+    eps of optimal on the corrupted instance lies within
+    2 (1 - theta) / (1 - 2 theta) * max_honest_dist + eps / (1 - 2 theta)
+    of any reference point whose max distance to the honest points is
+    max_honest_dist.
+    """
+    if not 0.0 <= theta < 0.5:
+        raise ValueError("theta must lie in [0, 0.5)")
+    if eps < 0.0 or max_honest_dist < 0.0:
+        raise ValueError("eps and max_honest_dist must be nonnegative")
+    return (2.0 * (1.0 - theta) * max_honest_dist + eps) / (1.0 - 2.0 * theta)
 
 
 def hull_distance(z: np.ndarray, points: np.ndarray) -> float:

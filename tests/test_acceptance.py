@@ -25,14 +25,13 @@ from fedgm.fl_core import (
 from fedgm.geomed import (
     WeightedPointSet,
     brute_force_gm,
-    displacement_bound,
     gm_objective,
     smoothed_weiszfeld,
 )
 from fedgm.secure_avg import SecureAverageOracle
-from fedgm.tasks import generate_logistic_task, generate_ls_task
+from fedgm.tasks import generate_ls_task
 
-from conftest import POOL_NU, diameter, hull_distance, smoothed_objective
+from conftest import POOL_NU, diameter, displacement_bound, hull_distance, smoothed_objective
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = "") -> bool:
@@ -345,25 +344,13 @@ def _central_fd(loss, w, args, h=1e-6):
 def test_criterion_09_gradient_probes():
     rng = np.random.default_rng(905)
     errors = []
-    for i, d in enumerate((3, 6, 10, 4, 8)):
+    for i, d in enumerate((1, 2, 3, 4, 6, 8, 10, 16, 25, 40)):
         task, _ = generate_ls_task(
             d, 4, 30, 0.2, seed=100 + i, test_samples=20
         )
         x, y = task.train_features, task.train_labels
         for _ in range(10):
             w = rng.standard_normal(d)
-            g = task.gradient(w, x, y)
-            fd = _central_fd(task.loss, w, (x, y))
-            errors.append(
-                float(np.abs(g - fd).max()) / max(1.0, float(np.abs(g).max()))
-            )
-    for i in range(2):
-        task, _ = generate_logistic_task(
-            3, 3, 4, 30, seed=200 + i, test_samples=20
-        )
-        x, y = task.train_features, task.train_labels
-        for _ in range(25):
-            w = rng.standard_normal(task.classes * task.d)
             g = task.gradient(w, x, y)
             fd = _central_fd(task.loss, w, (x, y))
             errors.append(

@@ -770,7 +770,7 @@ class TestEntryPoint:
         import subprocess
         import sys
 
-        # scipy is only needed by brute_force_gm and generate_logistic_task.
+        # scipy is only needed by brute_force_gm.
         code = "import sys, fedgm, fedgm.cli; assert 'scipy' not in sys.modules"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -28,9 +28,11 @@ from fedgm.fl_core import (
     sample_devices,
     trace_diverged,
 )
-from fedgm.geomed import WeightedPointSet, displacement_bound, smoothed_weiszfeld
+from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
 from fedgm.secure_avg import SecureAverageOracle
-from fedgm.tasks import generate_logistic_task, generate_ls_task
+from fedgm.tasks import generate_ls_task
+
+from conftest import displacement_bound
 
 
 def small_task(seed=0, noise=0.1, d=3, devices=10, n_k=20):
@@ -657,28 +659,6 @@ class TestRunFederated:
         )
         assert len(traces) == 6
         assert all(math.isfinite(t.train_loss) for t in traces)
-
-    @pytest.mark.parametrize("kind", ["none", "static_data", "omniscient"])
-    def test_logistic_task_runs(self, kind):
-        task, part = generate_logistic_task(3, 3, 10, 20)
-        rho = 0.0 if kind == "none" else 0.3
-        traces = run_federated(
-            task, part, CorruptionSpec(kind=kind, rho=rho, seed=1), clean_config(), rounds=3
-        )
-        assert len(traces) == 3
-        assert all(math.isfinite(t.train_loss) and math.isfinite(t.test_loss) for t in traces)
-        assert all(math.isfinite(t.dist_to_opt_sq) for t in traces)
-
-    def test_adaptive_corruption_rejected_on_logistic_task(self):
-        task, part = generate_logistic_task(3, 3, 10, 20)
-        with pytest.raises(ValueError, match="least-squares"):
-            run_federated(
-                task,
-                part,
-                CorruptionSpec(kind="adaptive_data", rho=0.3, seed=1),
-                clean_config(),
-                rounds=1,
-            )
 
     def test_omniscient_attack_diverges_mean_at_high_rate(self):
         task, part = generate_ls_task(10, 100, 50, 0.1, seed=0)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from fedgm.geomed import (
     WeightedPointSet,
     brute_force_gm,
-    displacement_bound,
     gm_objective,
     smoothed_weiszfeld,
 )
@@ -22,6 +21,7 @@ from fedgm.secure_avg import SecureAverageOracle
 
 from conftest import (
     diameter,
+    displacement_bound,
     eta_update,
     hull_distance,
     lipschitz_constant,
