@@ -82,7 +82,6 @@ DEFAULT_CONFIG: dict = {
         "outdir": "runs",
         "devices_per_round": 10,
         "oracle_mode": "plain",
-        "halt_on_divergence": True,
     },
 }
 
@@ -125,18 +124,17 @@ def merge_config(user: dict) -> dict:
 def _coerce(name: str, value, default):
     """Return value as the JSON type of default, or raise ValueError.
 
-    Booleans and strings must already have that type. Numbers must be finite
-    and not booleans; an integer default also needs an integral value. A
-    list default (the seeds) needs a nonempty list of such elements.
+    Strings must already be strings. Numbers must be finite and not
+    booleans; an integer default also needs an integral value. A list
+    default (the seeds) needs a nonempty list of such elements.
     """
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
             raise ValueError(f"{name} must be a nonempty list")
         return [_coerce(name, item, default[0]) for item in value]
-    if isinstance(default, (bool, str)):
-        if type(value) is not type(default):
-            kind = "boolean" if isinstance(default, bool) else "string"
-            raise ValueError(f"{name} must be a {kind}")
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string")
         return value
     integral = isinstance(default, int)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -203,14 +201,13 @@ def _round_config(config: dict) -> RoundConfig:
             rel_tol=algo["rel_tol"],
             groups=algo["groups"],
         ),
-        halt_on_divergence=run["halt_on_divergence"],
     )
 
 
 def run_one_seed(config: dict, seed: int) -> tuple[list[RoundTrace], SecureAverageOracle]:
     """Run one seeded federated experiment described by a validated config."""
     task, partition = generate_ls_task(**config["task"], seed=seed)
-    corruption = CorruptionSpec(**config["corruption"], seed=seed)
+    corruption = CorruptionSpec(**config["corruption"])
     oracle = SecureAverageOracle(config["run"]["oracle_mode"], seed=seed)
     traces = run_federated(
         task,

@@ -21,7 +21,7 @@ round's geometric-median solve starts at the broadcast model, which the
 server already holds, so an "rfa" round costs 1 to ``budget`` oracle calls.
 A round of one device, or one in which no update row is entirely finite,
 costs one call under every aggregator; the latter gives a non-finite model,
-which ends a run that halts on divergence. Metrics use uncorrupted pooled data.
+which ends the run. Metrics use uncorrupted pooled data.
 Doubling local steps is a ``TailAveragedSGD`` step schedule;
 ``run_rfa_doubling`` is a preset of ``run_federated``.
 """
@@ -106,7 +106,8 @@ class AggregatorSpec:
     """Which aggregator a round uses and its knobs.
 
     ``budget`` and ``rel_tol`` control the smoothed Weiszfeld solve for
-    kind "rfa". Kind "median_of_means" costs ``groups`` oracle calls and
+    kind "rfa". Kind "median_of_means" needs ``groups`` >= 2, since one
+    group's median is its mean; it costs ``groups`` oracle calls and
     solves server side with ``max(budget, 50)`` steps and rel_tol
     ``min(rel_tol, 1e-9)``. Kind "sgd_step" aggregates by the weighted
     mean, and ``run_federated`` gives its ``LocalSGD`` pass one step.
@@ -123,6 +124,8 @@ class AggregatorSpec:
             raise ValueError(f"aggregator kind must be one of {AGGREGATOR_KINDS}")
         if not 0 < self.nu < math.inf > self.rel_tol >= 0 or min(self.budget, self.groups) < 1:
             raise ValueError("need finite nu > 0 and rel_tol >= 0, and budget and groups >= 1")
+        if self.kind == "median_of_means" and self.groups < 2:
+            raise ValueError("median_of_means needs groups >= 2")
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,6 @@ class RoundConfig:
     local: LocalSGD | TailAveragedSGD
     lr: LrSchedule
     aggregator: AggregatorSpec = field(default_factory=AggregatorSpec)
-    halt_on_divergence: bool = True
 
     def __post_init__(self) -> None:
         if self.devices_per_round < 1:
@@ -320,10 +322,10 @@ def run_federated(
     the features, adaptive poisoning relabels them against the broadcast
     model, and the omniscient attack replaces the updates before
     aggregation. Train/test losses and the squared distance to the task's
-    pooled optimum are recorded after every round on uncorrupted data. If
-    a round's train loss exceeds ``DIVERGENCE_LOSS`` or turns non-finite
-    the run is marked diverged by its trace and, with
-    ``halt_on_divergence``, stops early. rounds = 0 returns an empty trace.
+    pooled optimum are recorded after every round on uncorrupted data. The
+    run stops after the first round whose train loss exceeds
+    ``DIVERGENCE_LOSS`` or turns non-finite, so that round ends a diverged
+    trace. rounds = 0 returns an empty trace.
     """
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
@@ -380,7 +382,7 @@ def run_federated(
                 selected=tuple(int(k) for k in selected),
             )
         )
-        if config.halt_on_divergence and loss_diverged(train_loss):
+        if loss_diverged(train_loss):
             break
     return traces
 

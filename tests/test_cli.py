@@ -261,15 +261,14 @@ class TestSimulate:
         assert summary["aggregate"]["final_train_loss"] is None
 
     def test_diverged_summary_is_strict_json(self, tmp_path):
-        # Without the halt, an omniscient attack on the mean drives every
-        # final loss to inf, which strict JSON cannot hold.
+        # At batch 1 and gamma0 1e4 round 0 ends on a NaN model, so every
+        # final is non-finite, which strict JSON cannot hold.
         cfg = write_config(
             tmp_path,
-            corruption={"kind": "omniscient", "rho": 0.25},
-            algorithm={"gamma0": 30.0},
-            run={"rounds": 150, "seeds": [0], "halt_on_divergence": False},
+            algorithm={"batch_size": 1, "epochs": 10, "gamma0": 10000.0},
+            run={"seeds": [0]},
         )
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.warns(RuntimeWarning):  # overflow, then inf - inf
             assert main(["simulate", cfg]) == 0
 
         def reject(constant):
@@ -278,7 +277,7 @@ class TestSimulate:
         text = (tmp_path / "runs" / "summary.json").read_text()
         row = json.loads(text, parse_constant=reject)["per_seed"][0]
         assert row["diverged"] is True
-        assert row["rounds_completed"] == 150
+        assert row["rounds_completed"] == 1
         for key in ("final_train_loss", "final_test_loss", "final_dist_to_opt_sq"):
             assert row[key] is None
 
@@ -395,6 +394,28 @@ class TestSimulate:
         assert trace.splitlines()[1:] == ["0,nan,nan,nan,1,0"]
         summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
         assert summary["per_seed"][0]["diverged"] is True
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_halt_on_divergence_key_exit_1_before_output(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, run={"halt_on_divergence": False})
+        sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
+        assert main([command, cfg, *sweep]) == 1
+        assert capsys.readouterr().err == "error: unknown config key run.halt_on_divergence\n"
+        assert not os.path.exists(tmp_path / "runs")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_median_of_means_without_groups_exit_1_before_output(
+        self, tmp_path, capsys, command
+    ):
+        # The default algorithm.groups is 1, and one group's median is the mean.
+        cfg = write_config(tmp_path)
+        if command == "simulate":
+            argv = ["simulate", cfg, "--aggregator", "median_of_means"]
+        else:
+            argv = ["sweep", cfg, "--axis", "aggregator", "--values", "mean,median_of_means"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: median_of_means needs groups >= 2\n"
+        assert not os.path.exists(tmp_path / "runs")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_empty_seed_list_exit_1_before_output(self, tmp_path, capsys, command):

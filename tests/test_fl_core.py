@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fedgm import fl_core
 from fedgm.corruption import CorruptionSpec, realize
 from fedgm.fl_core import (
+    DIVERGENCE_LOSS,
     AggregatorSpec,
     LocalSGD,
     LrSchedule,
@@ -104,8 +105,9 @@ class TestSchedulesAndSpecs:
             AggregatorSpec(kind="rfa", budget=0)
         with pytest.raises(ValueError):
             AggregatorSpec(kind="rfa", nu=0.0)
-        with pytest.raises(ValueError):
-            AggregatorSpec(kind="median_of_means", groups=0)
+        for groups in (0, 1):
+            with pytest.raises(ValueError, match="groups >= "):
+                AggregatorSpec(kind="median_of_means", groups=groups)
         for nu, rel_tol in ((math.nan, 1e-6), (math.inf, 1e-6), (1e-6, math.nan), (1e-6, math.inf)):
             with pytest.raises(ValueError):
                 AggregatorSpec(kind="rfa", nu=nu, rel_tol=rel_tol)
@@ -408,18 +410,11 @@ class TestAggregate:
         assert np.linalg.norm(rfa_out) < 1.0
 
     def test_median_of_means_call_count(self):
-        for groups in (1, 2, 4):
+        for groups in (2, 4):
             oracle = SecureAverageOracle("plain")
             spec = AggregatorSpec(kind="median_of_means", groups=groups)
             aggregate(self.updates, self.weights, spec, oracle, self.z0)
             assert oracle.call_count == groups
-
-    def test_median_of_means_single_group_is_the_mean(self):
-        oracle = SecureAverageOracle("plain")
-        spec = AggregatorSpec(kind="median_of_means", groups=1)
-        out = aggregate(self.updates, self.weights, spec, oracle, self.z0)
-        expected = (self.weights[:, None] * self.updates).sum(axis=0)
-        assert np.allclose(out, expected, atol=1e-9)
 
     def test_median_of_means_rejects_too_many_groups(self):
         oracle = SecureAverageOracle("plain")
@@ -537,7 +532,8 @@ class TestRunFederated:
         assert [t.oracle_calls for t in traces] == [4] * 7
         assert oracle.call_count == sum(t.oracle_calls for t in traces)
 
-    @pytest.mark.parametrize("kind", ["rfa", "median_of_means"])
+    # median_of_means needs 2 groups, which a one-device round cannot hold.
+    @pytest.mark.parametrize("kind", ["rfa"])
     @pytest.mark.parametrize("mode", ["plain", "masked"])
     def test_one_device_round_is_one_call_and_the_mean(self, kind, mode, monkeypatch):
         models = {}
@@ -679,24 +675,17 @@ class TestRunFederated:
         assert trace_diverged(traces)
         assert len(traces) < 10
 
-    def test_halt_on_divergence_false_runs_all_rounds(self):
+    # The attacked mean's train loss: 9.1e4, 4.4e10, 4.0e14 at gamma0 25
+    # and 1.7e8, 1.7e17 at gamma0 30.
+    @pytest.mark.parametrize("gamma0,stop", [(25.0, 2), (30.0, 1)])
+    def test_run_stops_at_its_first_diverged_round(self, gamma0, stop):
         task, part = generate_ls_task(10, 100, 50, 0.1, seed=0)
-        config = RoundConfig(
-            devices_per_round=10,
-            local=LocalSGD(batch_size=10, epochs=3),
-            lr=LrSchedule(gamma0=30.0),
-            aggregator=AggregatorSpec(kind="mean"),
-            halt_on_divergence=False,
-        )
-        traces = run_federated(
-            task,
-            part,
-            CorruptionSpec(kind="omniscient", rho=0.25, seed=0),
-            config,
-            rounds=5,
-            seed=0,
-        )
-        assert len(traces) == 5
+        config = RoundConfig(10, LocalSGD(batch_size=10, epochs=3), LrSchedule(gamma0=gamma0))
+        attack = CorruptionSpec(kind="omniscient", rho=0.25)
+        *before, last = run_federated(task, part, attack, config, rounds=10, seed=0)
+        assert last.round == stop and last.train_loss > DIVERGENCE_LOSS
+        assert [t.round for t in before] == list(range(stop))
+        assert all(math.isfinite(t.train_loss) and t.train_loss <= DIVERGENCE_LOSS for t in before)
 
     # 20 samples per device at batch 7: a one-epoch pass is ceil(20 / 7) = 3 steps.
     @pytest.mark.parametrize("kind,steps", [("sgd_step", 1), ("mean", 3)])

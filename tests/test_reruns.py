@@ -12,9 +12,13 @@ trees must match file by file and be readable by ``fedgm report``.
 - The median_of_means config covers the last aggregator, and the
   one-device rfa config sends each round's single model through the oracle.
 - The sgd_step run puts the one-step baseline's per-round traces in the diff.
-- The two sweeps add sweep.csv to the diff.
+- The two sweeps add sweep.csv to the diff. The aggregator sweep runs on the
+  median_of_means config, whose 3 groups only that aggregator reads, so each
+  of its rows with a twin simulate run (rfa: omniscient, median_of_means:
+  mom, sgd_step: sgd-step) must carry that run's finals.
 - In the diverging config every local update of round 0 overflows, so rfa
-  averages that round, and the run must exit 0 with a diverged trace.
+  averages that round, and the run must exit 0 with a diverged trace that
+  stops after that round.
 - The 3001 x 200 gm-solve instance (every fifth point shifted, so the solve
   takes several steps) spans several blocks of the solver's distance pass.
   3001 is not a multiple of the block's rows, so the diff covers a pass
@@ -119,7 +123,7 @@ def invocations(cfg: dict, points: str) -> list[list[str]]:
         ["simulate", cfg["rerun"], "--aggregator", "sgd_step", "--outdir", "runs/sgd-step"],
         ["sweep", cfg["rerun"], "--axis", "rho", "--values", "0,0.25",
          "--corruption", "omniscient", "--outdir", "runs/sweep-rho"],
-        ["sweep", cfg["rerun"], "--axis", "aggregator",
+        ["sweep", cfg["rerun-mom"], "--axis", "aggregator",
          "--values", "mean,rfa,median_of_means,sgd_step", "--outdir", "runs/sweep-aggregator"],
         ["gm-solve", points, "--budget", "100", "--rel-tol", "1e-9",
          "--output", "runs/gm-solve.json"],
@@ -244,6 +248,25 @@ def compare_to_golden(tree: Path, golden: Path = GOLDEN) -> tuple[str, str | Non
     return f"{line}; {len(changed)} of {len(files)} files differ in bytes, largest relative difference {worst:.3g}", None
 
 
+def read_csv(path: Path) -> list[list[str]]:
+    with path.open(newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))
+
+
+def assert_sweep_rows_match_their_twins(tree: Path) -> None:
+    """Each aggregator sweep row carries the finals of its twin simulate run, text for text."""
+    _, *rows = read_csv(tree / "sweep-aggregator" / "sweep.csv")
+    # Columns: axis, value, seed, final_train_loss, final_test_loss, diverged.
+    finals = {(row[1], row[2]): row[3:5] for row in rows}
+    twins = {"rfa": "omniscient", "median_of_means": "mom", "sgd_step": "sgd-step"}
+    assert {value for value, _ in finals} == {"mean", *twins}
+    for (value, seed), got in finals.items():
+        if value in twins:
+            last = read_csv(tree / twins[value] / f"{seed}.csv")[-1]
+            assert got == last[1:3], (value, seed)
+        assert value == "mean" or got != finals["mean", seed], (value, seed)
+
+
 def test_reruns_in_two_processes_write_identical_trees(tmp_path, record_property):
     cfg, points = write_inputs(tmp_path)
     argvs = json.dumps(invocations(cfg, points))
@@ -262,6 +285,7 @@ def test_reruns_in_two_processes_write_identical_trees(tmp_path, record_property
     diverged = json.loads((trees[0] / "diverged" / "summary.json").read_text())
     assert diverged["per_seed"][0]["diverged"] is True
     assert main(["report", str(trees[0])]) == 0
+    assert_sweep_rows_match_their_twins(trees[0])
 
     line, mismatch = compare_to_golden(trees[0])
     record_property("golden", line)
