@@ -3,8 +3,8 @@
 Four subcommands cover the full workflow: ``gm-solve`` runs the smoothed
 Weiszfeld solver on a CSV point set, ``simulate`` runs a seeded federated
 experiment from a JSON config, ``sweep`` crosses one axis (corruption
-level or aggregator) with the config's seeds, and ``report`` summarizes a
-directory of trace CSVs.
+level or aggregator) with the config's seeds, and ``report`` tabulates the
+``summary.json`` files of a directory tree.
 
 Exit codes are stable: 0 success, 1 usage, validation, read or write
 failure, 2 budget exhausted without meeting the relative-improvement
@@ -35,7 +35,6 @@ from .fl_core import (
     LrSchedule,
     RoundConfig,
     RoundTrace,
-    loss_diverged,
     run_federated,
     trace_diverged,
 )
@@ -327,55 +326,51 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for raw, point in zip(raw_values, points):
         for seed in point["run"]["seeds"]:
             traces, _ = run_one_seed(point, seed)
-            finals = (traces[-1].train_loss, traces[-1].test_loss) if traces else ("", "")
-            rows.append([args.axis, raw, seed, *finals, trace_diverged(traces)])
+            # A row is the seed's summary.json entry; csv writes a None final as "".
+            rows.append({"axis": args.axis, "value": raw, **_seed_summary(seed, traces)})
     path = os.path.join(outdir, "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_COLUMNS)
+        writer = csv.DictWriter(
+            fh, SWEEP_CSV_COLUMNS, extrasaction="ignore", lineterminator="\n"
+        )
+        writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} sweep row(s) to {path}")
     return 0
 
 
-def _read_trace_csv(path: str) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != TRACE_CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        return list(reader)
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    groups: dict[str, list[str]] = {}
-    for dirpath, _, filenames in sorted(os.walk(args.rundir)):
-        traces = sorted(
-            f for f in filenames if f.endswith(".csv") and f[: -len(".csv")].isdigit()
-        )
-        if traces:
-            groups[dirpath] = [os.path.join(dirpath, f) for f in traces]
-    if not groups:
+    dirpaths = [
+        dirpath for dirpath, _, filenames in sorted(os.walk(args.rundir))
+        if "summary.json" in filenames
+    ]
+    if not dirpaths:
         print("no runs found")
         return 1
     header = f"{'run':<40} {'seeds':>5} {'median_final_loss':>18} {'median_calls':>13} {'diverged':>9}"
-    # Every run is read before anything is printed, so a rejected CSV prints no table.
+    # Every summary is read before anything is printed, so a rejected one prints no table.
     lines = [header, "-" * len(header)]
-    for dirpath, files in groups.items():
-        finals, call_totals, diverged = [], [], 0
-        for path in files:
-            rows = _read_trace_csv(path)
-            call_totals.append(sum(int(r["oracle_calls"]) for r in rows))
-            if rows:
-                last = float(rows[-1]["train_loss"])
-                # A NaN final is a diverged run: rank it as inf, since the
-                # median of a list holding NaN depends on the list's order.
-                finals.append(math.inf if math.isnan(last) else last)
-                if loss_diverged(last):
-                    diverged += 1
+    for dirpath in dirpaths:
+        path = os.path.join(dirpath, "summary.json")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                summary = json.load(fh)
+            if summary["schema_version"] != SUMMARY_SCHEMA_VERSION:
+                raise ValueError(f"schema_version is not {SUMMARY_SCHEMA_VERSION}")
+            per_seed = summary["per_seed"]
+            # A null final is a diverged run: rank it as inf, above every finite final.
+            finals = [
+                math.inf if row["final_train_loss"] is None else row["final_train_loss"]
+                for row in per_seed
+                if row["rounds_completed"] > 0
+            ]
+            final_txt = f"{statistics.median(finals):.6g}" if finals else "-"
+            calls_txt = f"{statistics.median(row['oracle_calls_total'] for row in per_seed):g}"
+            diverged = summary["diverged_seeds"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a fedgm summary: {exc!r}") from exc
         label = os.path.relpath(dirpath, args.rundir)
-        final_txt = f"{statistics.median(finals):.6g}" if finals else "-"
-        calls_txt = f"{statistics.median(call_totals):g}"
-        lines.append(f"{label:<40} {len(files):>5} {final_txt:>18} {calls_txt:>13} {diverged:>9}")
+        lines.append(f"{label:<40} {len(per_seed):>5} {final_txt:>18} {calls_txt:>13} {diverged:>9}")
     print("\n".join(lines))
     return 0
 
@@ -474,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_rep = sub.add_parser("report", help="summarize a directory of trace CSVs")
-    p_rep.add_argument("rundir", help="directory produced by simulate/sweep runs")
+    p_rep = sub.add_parser("report", help="tabulate the summary.json files of a directory tree")
+    p_rep.add_argument("rundir", help="directory tree of simulate outdirs")
     p_rep.set_defaults(func=cmd_report)
     return parser
 

@@ -133,7 +133,9 @@ def gm_objective(z: np.ndarray, point_set: WeightedPointSet) -> float:
 
 def _smoothed_distances(r: np.ndarray, nu: float) -> np.ndarray:
     """h_nu(r) = r^2/(2 nu) + nu/2 when r <= nu, else r; g_nu(z) = sum_k a_k h_nu(||z - w_k||)."""
-    return np.where(r <= nu, r * r / (2.0 * nu) + nu / 2.0, r)
+    # Squaring min(r, nu), not r, keeps a huge discarded distance from overflowing.
+    near = np.minimum(r, nu)
+    return np.where(r <= nu, near * near / (2.0 * nu) + nu / 2.0, r)
 
 
 def smoothed_weiszfeld(

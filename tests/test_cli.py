@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import json
@@ -49,6 +50,19 @@ def write_points(tmp_path, text, name="points.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def seed_summary(seed, final):
+    """A summary.json per_seed row of one completed round; a None final is diverged."""
+    return {
+        "seed": seed,
+        "rounds_completed": 1,
+        "oracle_calls_total": 1,
+        "diverged": final is None,
+        "final_train_loss": final,
+        "final_test_loss": final,
+        "final_dist_to_opt_sq": 0.5,
+    }
 
 
 EQUILATERAL = "0,0,1\n2,0,1\n1,1.7320508075688772,1\n"
@@ -659,35 +673,45 @@ class TestSweep:
         assert row["seed"] == "3"
 
     @pytest.mark.parametrize(
-        "axis,value,flags",
+        "axis,value,flags,algorithm",
         [
-            ("rho", "0.25", ["--corruption", "omniscient", "--aggregator", "rfa"]),
-            ("aggregator", "rfa", ["--corruption", "omniscient"]),
+            ("rho", "0.25", ["--corruption", "omniscient", "--aggregator", "rfa"], {}),
+            ("aggregator", "rfa", ["--corruption", "omniscient"], {}),
+            # At batch 1 and gamma0 1e4, round 0 ends on NaN.
+            ("aggregator", "mean", ["--corruption", "omniscient"],
+             {"batch_size": 1, "epochs": 10, "gamma0": 10000.0}),
         ],
+        ids=["rho-0.25-flags0", "aggregator-rfa-flags1", "diverged"],
     )
     def test_point_is_simulate_with_the_axis_flag(
-        self, tmp_path, monkeypatch, axis, value, flags
+        self, tmp_path, monkeypatch, axis, value, flags, algorithm
     ):
         # The config's rho needs the --corruption flag to be valid.
-        cfg = write_config(tmp_path, corruption={"rho": 0.25}, run={"seeds": [2]})
-        assert main(["simulate", cfg, *flags, f"--{axis}", value]) == 0
-        summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
+        cfg = write_config(
+            tmp_path, corruption={"rho": 0.25}, algorithm=algorithm, run={"seeds": [2]}
+        )
         ran = []
 
         def record(config, seed):
             ran.append(copy.deepcopy(config))
             return run_one_seed(config, seed)
 
-        monkeypatch.setattr("fedgm.cli.run_one_seed", record)
         out = str(tmp_path / "sweep")
         argv = ["sweep", cfg, "--axis", axis, "--values", value, *flags, "--outdir", out]
-        assert main(argv) == 0
+        # A diverged run warns of its overflow.
+        with pytest.warns(RuntimeWarning) if algorithm else contextlib.nullcontext():
+            assert main(["simulate", cfg, *flags, f"--{axis}", value]) == 0
+            monkeypatch.setattr("fedgm.cli.run_one_seed", record)
+            assert main(argv) == 0
+        summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
         assert ran == [{**summary["config"], "run": {**summary["config"]["run"], "outdir": out}}]
         with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
+        # csv writes the row's text; a null final in summary.json is an empty field.
         final = summary["per_seed"][0]
-        assert float(row["final_train_loss"]) == final["final_train_loss"]
-        assert float(row["final_test_loss"]) == final["final_test_loss"]
+        for key in ("final_train_loss", "final_test_loss", "diverged"):
+            assert row[key] == ("" if final[key] is None else str(final[key]))
+        assert (row["diverged"] == "True") == bool(algorithm)
 
     def test_rfa_weakly_dominates_mean_under_attack(self, tmp_path):
         path = tmp_path / "attack.json"
@@ -744,33 +768,65 @@ class TestReport:
         assert len(rows) == 2
 
     def test_nan_final_ranks_as_diverged_whatever_the_seed_order(self, tmp_path, capsys):
-        # The same finals {1, nan, 2}, held by different seeds in each directory.
-        header = "round,train_loss,test_loss,dist_to_opt_sq,oracle_calls,corrupted_selected\n"
-        for sub, finals in (("a", ("1", "nan", "2")), ("b", ("nan", "1", "2"))):
+        # The same finals {1, null, 2}, held by different seeds in each directory.
+        for sub, finals in (("a", (1.0, None, 2.0)), ("b", (None, 1.0, 2.0))):
             rundir = tmp_path / "grid" / sub
             rundir.mkdir(parents=True)
-            for seed, loss in enumerate(finals):
-                text = header + f"0,{loss},{loss},0.5,1,0\n"
-                (rundir / f"{seed}.csv").write_text(text, encoding="utf-8")
+            per_seed = [seed_summary(seed, final) for seed, final in enumerate(finals)]
+            write_summary_json(str(rundir / "summary.json"), DEFAULT_CONFIG, per_seed)
         assert main(["report", str(tmp_path / "grid")]) == 0
         out = capsys.readouterr().out
         rows = [l.split() for l in out.splitlines() if l and not l.startswith(("run", "-"))]
         assert [row[0] for row in rows] == ["a", "b"]
         assert rows[0][1:] == rows[1][1:] == ["3", "2", "1", "1"]
 
-    def test_rejects_foreign_csv_columns(self, tmp_path, capsys):
+    def test_counts_only_the_seeds_its_summary_lists(self, tmp_path, capsys):
+        # The second run leaves the first run's traces of seeds 1 and 2 behind.
+        cfg = write_config(tmp_path)
+        assert main(["simulate", cfg, "--seeds", "0,1,2"]) == 0
+        assert main(["simulate", cfg, "--aggregator", "rfa", "--seeds", "0"]) == 0
+        (final,) = json.loads((tmp_path / "runs" / "summary.json").read_text())["per_seed"]
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "runs")]) == 0
+        out = capsys.readouterr().out
+        (row,) = [l.split() for l in out.splitlines() if l and not l.startswith(("run", "-"))]
+        assert row[1:] == [
+            "1",
+            f"{final['final_train_loss']:.6g}",
+            f"{final['oracle_calls_total']:g}",
+            "0",
+        ]
+
+    def test_trace_csvs_without_a_summary_are_no_run(self, tmp_path, capsys):
+        # What a simulate that exited 1 partway leaves behind.
+        header = ",".join(TRACE_CSV_COLUMNS)
+        (tmp_path / "0.csv").write_text(header + "\n0,1,1,0.5,1,0\n", encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == "no runs found\n"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text[:-2],
+            lambda text: f"[{text}]",
+            lambda text: text.replace('"schema_version": 1', '"schema_version": 2'),
+            lambda text: text.replace('"diverged_seeds"', '"diverged_runs"'),
+        ],
+        ids=["not-json", "not-an-object", "foreign-schema-version", "missing-key"],
+    )
+    def test_rejects_foreign_summary(self, tmp_path, capsys, edit):
         # A good run sorts ahead of the foreign one; no table is printed.
         rundir = tmp_path / "runs"
-        (rundir / "a").mkdir(parents=True)
-        (rundir / "b").mkdir()
-        header = ",".join(TRACE_CSV_COLUMNS)
-        (rundir / "a" / "0.csv").write_text(header + "\n0,1,1,0.5,1,0\n", encoding="utf-8")
-        (rundir / "b" / "0.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+        for sub in ("a", "b"):
+            (rundir / sub).mkdir(parents=True)
+            path = rundir / sub / "summary.json"
+            write_summary_json(str(path), DEFAULT_CONFIG, [seed_summary(0, 1.0)])
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
         rc = main(["report", str(rundir)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert "unexpected columns" in captured.err
+        assert captured.err.startswith(f"error: {path}: ")
 
 
 class TestEntryPoint:

@@ -266,11 +266,13 @@ class TestWeiszfeldStep:
 
 class TestSmoothedWeiszfeld:
     def test_equilateral_terminates_at_centroid(self):
-        ps = equilateral()
-        res = smoothed_weiszfeld(ps)
-        assert res.converged_by == "relative_improvement"
-        assert res.iterations <= 2
-        assert np.allclose(res.z, ps.points.mean(axis=0), atol=1e-9)
+        # At 1e152, r^2 / (2 nu) overflows for every distance, all far above nu.
+        for scale in (1.0, 1e152):
+            ps = WeightedPointSet(scale * equilateral().points, equilateral().weights)
+            res = smoothed_weiszfeld(ps)
+            assert res.converged_by == "relative_improvement"
+            assert res.iterations <= 2
+            assert np.allclose(res.z, ps.points.mean(axis=0), atol=1e-9 * scale)
 
     def test_two_point_weighted_median(self):
         nu = 1e-6
