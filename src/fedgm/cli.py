@@ -2,9 +2,9 @@
 
 Four subcommands cover the full workflow: ``gm-solve`` runs the smoothed
 Weiszfeld solver on a CSV point set, ``simulate`` runs a seeded federated
-experiment from a JSON config, ``sweep`` crosses one axis (corruption
-level or aggregator) with the config's seeds, and ``report`` tabulates the
-``summary.json`` files of a directory tree.
+experiment from a JSON config, ``sweep`` runs one such experiment per
+value of one axis (rho or aggregator), each in a subdirectory of the outdir,
+and ``report`` tabulates the ``summary.json`` files of a directory tree.
 
 Exit codes are stable: 0 success, 1 usage, validation, read or write
 failure, 2 budget exhausted without meeting the relative-improvement
@@ -43,8 +43,6 @@ from .secure_avg import SecureAverageOracle
 from .tasks import generate_ls_task
 
 SUMMARY_SCHEMA_VERSION = 1
-
-SWEEP_CSV_COLUMNS = ("axis", "value", "seed", "final_train_loss", "final_test_loss", "diverged")
 
 # Learning-rate and local-pass defaults were tuned once on the uncorrupted
 # synthetic least-squares task and are frozen across corruption settings.
@@ -158,6 +156,8 @@ def validate_config(config: dict) -> dict:
         # Far outside this range the pooled optimum's solve overflows or underflows.
         if task["noise_std"] < 0 or not 1e-100 <= task["feature_bound"] <= 1e100:
             raise ValueError("need task.noise_std >= 0 and task.feature_bound in [1e-100, 1e100]")
+        if not run["outdir"]:
+            raise ValueError("run.outdir must not be empty")
         if run["rounds"] < 0 or min(run["seeds"]) < 0:
             raise ValueError("run.rounds and run.seeds must be nonnegative")
         if len(set(run["seeds"])) < len(run["seeds"]):
@@ -272,6 +272,11 @@ def write_summary_json(path: str, config: dict, per_seed: list[dict]) -> None:
         fh.write(text + "\n")
 
 
+def _split_list(text: str) -> list[str]:
+    """The entries of a comma-separated flag, stripped, without empty ones."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def _apply_overrides(config: dict, overrides: dict) -> dict:
     """Set the key of each table flag with a text in ``overrides``, read as its default's type."""
     for flag, (dotted, _) in OVERRIDE_FLAGS.items():
@@ -282,7 +287,7 @@ def _apply_overrides(config: dict, overrides: dict) -> dict:
         default = DEFAULT_CONFIG[block][key]
         try:
             if isinstance(default, list):
-                value = [type(default[0])(item) for item in text.split(",") if item]
+                value = [type(default[0])(item) for item in _split_list(text)]
             else:
                 value = type(default)(text)
         except ValueError as exc:
@@ -291,8 +296,8 @@ def _apply_overrides(config: dict, overrides: dict) -> dict:
     return config
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = validate_config(_apply_overrides(load_config(args.config), vars(args)))
+def _simulate(config: dict) -> None:
+    """Run every seed of a validated config and write its traces and summary.json to run.outdir."""
     outdir = config["run"]["outdir"]
     os.makedirs(outdir, exist_ok=True)
     per_seed = []
@@ -302,12 +307,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         per_seed.append(_seed_summary(seed, traces))
     write_summary_json(os.path.join(outdir, "summary.json"), config, per_seed)
     print(f"wrote {len(per_seed)} trace file(s) and summary.json to {outdir}")
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    _simulate(validate_config(_apply_overrides(load_config(args.config), vars(args))))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), vars(args))
-    raw_values = [v for v in args.values.split(",") if v]
+    raw_values = _split_list(args.values)
     if not raw_values:
         raise ValueError("sweep needs at least one --values entry")
     # A point is the config with one more override flag, --<axis> <value>.
@@ -316,26 +325,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         validate_config(_apply_overrides(copy.deepcopy(config), {args.axis: raw}))
         for raw in raw_values
     ]
+    # Compared before each point gets its own outdir, so 0 and 0.0 are one point.
     for i, point in enumerate(points):
         if point in points[:i]:
             first = raw_values[points.index(point)]
             raise ValueError(f"--values {raw_values[i]!r} repeats the sweep point {first!r}")
-    outdir = points[0]["run"]["outdir"]
-    os.makedirs(outdir, exist_ok=True)
-    rows = []
     for raw, point in zip(raw_values, points):
-        for seed in point["run"]["seeds"]:
-            traces, _ = run_one_seed(point, seed)
-            # A row is the seed's summary.json entry; csv writes a None final as "".
-            rows.append({"axis": args.axis, "value": raw, **_seed_summary(seed, traces)})
-    path = os.path.join(outdir, "sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, SWEEP_CSV_COLUMNS, extrasaction="ignore", lineterminator="\n"
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} sweep row(s) to {path}")
+        point["run"]["outdir"] = os.path.join(point["run"]["outdir"], f"{args.axis}={raw}")
+        _simulate(point)
     return 0
 
 
@@ -347,11 +344,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not dirpaths:
         print("no runs found")
         return 1
-    header = f"{'run':<40} {'seeds':>5} {'median_final_loss':>18} {'median_calls':>13} {'diverged':>9}"
     # Every summary is read before anything is printed, so a rejected one prints no table.
-    lines = [header, "-" * len(header)]
+    rows = []
     for dirpath in dirpaths:
         path = os.path.join(dirpath, "summary.json")
+        label = os.path.relpath(dirpath, args.rundir)
         try:
             with open(path, encoding="utf-8") as fh:
                 summary = json.load(fh)
@@ -366,12 +363,13 @@ def cmd_report(args: argparse.Namespace) -> int:
             ]
             final_txt = f"{statistics.median(finals):.6g}" if finals else "-"
             calls_txt = f"{statistics.median(row['oracle_calls_total'] for row in per_seed):g}"
-            diverged = summary["diverged_seeds"]
+            rows.append((label, len(per_seed), final_txt, calls_txt, summary["diverged_seeds"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a fedgm summary: {exc!r}") from exc
-        label = os.path.relpath(dirpath, args.rundir)
-        lines.append(f"{label:<40} {len(per_seed):>5} {final_txt:>18} {calls_txt:>13} {diverged:>9}")
-    print("\n".join(lines))
+    width = max(len(row[0]) for row in [("run",), *rows])
+    line = f"{{:<{width}}} {{:>5}} {{:>18}} {{:>13}} {{:>9}}".format
+    header = line("run", "seeds", "median_final_loss", "median_calls", "diverged")
+    print("\n".join([header, "-" * len(header), *(line(*row) for row in rows)]))
     return 0
 
 
@@ -411,12 +409,13 @@ def read_point_csv(path: str) -> WeightedPointSet:
 
 def cmd_gm_solve(args: argparse.Namespace) -> int:
     point_set = read_point_csv(args.input)
+    # The reference runs first, so an instance above its size limit fails before the solve.
+    z_ref = brute_force_gm(point_set) if args.reference else None
     result = smoothed_weiszfeld(
         point_set, nu=args.nu, budget=args.budget, rel_tol=args.rel_tol
     )
     payload = {"schema_version": SUMMARY_SCHEMA_VERSION, **result.to_json_dict()}
     if args.reference:
-        z_ref = brute_force_gm(point_set)
         g_ref = gm_objective(z_ref, point_set)
         payload["reference_objective"] = g_ref
         payload["relative_gap"] = (result.g_value - g_ref) / max(abs(g_ref), 1e-300)
@@ -446,13 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gm.add_argument(
         "--reference",
         action="store_true",
-        help="also solve by an independent brute-force method and report the gap",
+        help="also solve by an independent brute-force method (m <= 50, d <= 10), report the gap",
     )
     p_gm.add_argument("--output", help="write JSON here instead of stdout")
     p_gm.set_defaults(func=cmd_gm_solve)
 
     p_sim = sub.add_parser("simulate", help="run a seeded federated experiment")
-    p_sweep = sub.add_parser("sweep", help="cross one axis with the config's seeds")
+    p_sweep = sub.add_parser("sweep", help="run simulate once per value of one axis")
     for p in (p_sim, p_sweep):
         p.add_argument("config", help="JSON config file")
     p_sweep.add_argument(

@@ -15,7 +15,6 @@ import pytest
 
 from fedgm.cli import (
     DEFAULT_CONFIG,
-    SWEEP_CSV_COLUMNS,
     main,
     merge_config,
     run_one_seed,
@@ -147,6 +146,17 @@ class TestGmSolve:
         assert payload["reference_objective"] == pytest.approx(0.3, abs=1e-6)
         assert abs(payload["relative_gap"]) < 1e-5
 
+    def test_reference_size_limit_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("solved an instance the reference cannot check")
+
+        monkeypatch.setattr("fedgm.cli.smoothed_weiszfeld", fail)
+        path = write_points(tmp_path, "".join(f"{i},0,1\n" for i in range(51)))
+        assert main(["gm-solve", path, "--reference"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limited to small instances (m <= 50, d <= 10)" in captured.err
+
     def test_output_file(self, tmp_path, capsys):
         path = write_points(tmp_path, EQUILATERAL)
         out_path = tmp_path / "result.json"
@@ -239,6 +249,18 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_empty_outdir_exit_1_before_output(self, tmp_path, capsys, monkeypatch, command):
+        # Else a sweep would write its point directories into the working directory.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
+        assert main([command, cfg, *sweep, "--outdir", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: run.outdir must not be empty\n"
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_writes_trace_per_seed_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -597,15 +619,19 @@ class TestSimulate:
 
 class TestSweep:
     def test_rho_axis_long_csv(self, tmp_path):
+        # Entries are stripped and empty ones dropped, in --values as in --seeds.
         cfg = write_config(tmp_path, corruption={"kind": "static_data", "rho": 0.1})
-        rc = main(["sweep", cfg, "--axis", "rho", "--values", "0,0.2", "--rounds", "3"])
+        rc = main(["sweep", cfg, "--axis", "rho", "--values", " 0, 0.2,", "--seeds", "0, 1, ",
+                   "--rounds", "3"])
         assert rc == 0
-        with open(tmp_path / "runs" / "sweep.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert tuple(rows[0].keys()) == SWEEP_CSV_COLUMNS
-        assert len(rows) == 2 * 2
-        assert {r["value"] for r in rows} == {"0", "0.2"}
-        assert all(r["axis"] == "rho" for r in rows)
+        assert sorted(os.listdir(tmp_path / "runs")) == ["rho=0", "rho=0.2"]
+        for name, rho in (("rho=0", 0.0), ("rho=0.2", 0.2)):
+            point = tmp_path / "runs" / name
+            assert sorted(os.listdir(point)) == ["0.csv", "1.csv", "summary.json"]
+            summary = json.loads((point / "summary.json").read_text())
+            assert summary["config"]["corruption"] == {"kind": "static_data", "rho": rho}
+            assert summary["config"]["run"]["outdir"] == str(point)
+            assert [row["rounds_completed"] for row in summary["per_seed"]] == [3, 3]
 
     def test_empty_values_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -665,12 +691,11 @@ class TestSweep:
             )
             == 0
         )
-        summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
-        with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
-            row = list(csv.DictReader(fh))[0]
-        assert float(row["final_train_loss"]) == summary["per_seed"][0]["final_train_loss"]
-        assert float(row["final_test_loss"]) == summary["per_seed"][0]["final_test_loss"]
-        assert row["seed"] == "3"
+        point = tmp_path / "sw" / "rho=0"
+        assert (point / "3.csv").read_bytes() == (tmp_path / "sim" / "3.csv").read_bytes()
+        summaries = [json.loads((d / "summary.json").read_text()) for d in (tmp_path / "sim", point)]
+        assert summaries[0]["per_seed"] == summaries[1]["per_seed"]
+        assert summaries[1]["per_seed"][0]["seed"] == 3
 
     @pytest.mark.parametrize(
         "axis,value,flags,algorithm",
@@ -703,15 +728,16 @@ class TestSweep:
             assert main(["simulate", cfg, *flags, f"--{axis}", value]) == 0
             monkeypatch.setattr("fedgm.cli.run_one_seed", record)
             assert main(argv) == 0
+        point = Path(out) / f"{axis}={value}"
         summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
-        assert ran == [{**summary["config"], "run": {**summary["config"]["run"], "outdir": out}}]
-        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
-            (row,) = csv.DictReader(fh)
-        # csv writes the row's text; a null final in summary.json is an empty field.
-        final = summary["per_seed"][0]
-        for key in ("final_train_loss", "final_test_loss", "diverged"):
-            assert row[key] == ("" if final[key] is None else str(final[key]))
-        assert (row["diverged"] == "True") == bool(algorithm)
+        twin = {**summary["config"], "run": {**summary["config"]["run"], "outdir": str(point)}}
+        assert ran == [twin]
+        assert sorted(os.listdir(out)) == [point.name]
+        assert (point / "2.csv").read_bytes() == (tmp_path / "runs" / "2.csv").read_bytes()
+        assert json.loads((point / "summary.json").read_text()) == {**summary, "config": twin}
+        (final,) = summary["per_seed"]
+        assert final["diverged"] == bool(algorithm)
+        assert (final["final_train_loss"] is None) == bool(algorithm)
 
     def test_rfa_weakly_dominates_mean_under_attack(self, tmp_path):
         path = tmp_path / "attack.json"
@@ -726,11 +752,23 @@ class TestSweep:
         )
         assert main(["sweep", str(path), "--axis", "aggregator",
                      "--values", "mean,rfa"]) == 0
-        with open(tmp_path / "runs" / "sweep.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        finals = {(r["value"], r["seed"]): float(r["final_train_loss"]) for r in rows}
-        for seed in ("0", "1"):
-            assert finals[("rfa", seed)] <= finals[("mean", seed)]
+        mean, rfa = (
+            json.loads((tmp_path / "runs" / f"aggregator={v}" / "summary.json").read_text())
+            for v in ("mean", "rfa")
+        )
+        assert [row["seed"] for row in mean["per_seed"]] == [row["seed"] for row in rfa["per_seed"]]
+        for m, r in zip(mean["per_seed"], rfa["per_seed"]):
+            assert r["final_train_loss"] <= m["final_train_loss"]
+
+    def test_report_tabulates_the_points(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, corruption={"kind": "omniscient"})
+        assert main(["sweep", cfg, "--axis", "rho", "--values", "0,0.25", "--rounds", "2"]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "runs")]) == 0
+        out = capsys.readouterr().out
+        rows = [l.split() for l in out.splitlines() if l and not l.startswith(("run", "-"))]
+        assert [row[0] for row in rows] == ["rho=0", "rho=0.25"]
+        assert all(row[1] == "2" and row[4] == "0" for row in rows)
 
 
 class TestReport:
@@ -755,7 +793,9 @@ class TestReport:
         assert fields[4] == "0"
 
     def test_groups_subdirectories(self, tmp_path, capsys):
-        for sub in ("a", "b"):
+        # The run column is as wide as the longest label, here 43 characters.
+        long = os.path.join("sweep-aggregator", "aggregator=median_of_means")
+        for sub in ("a", "b", long):
             cfg = write_config(
                 tmp_path, run={"outdir": str(tmp_path / "grid" / sub), "seeds": [0]}
             )
@@ -764,8 +804,10 @@ class TestReport:
         rc = main(["report", str(tmp_path / "grid")])
         out = capsys.readouterr().out
         assert rc == 0
-        rows = [l for l in out.splitlines() if l and not l.startswith(("run", "-"))]
-        assert len(rows) == 2
+        lines = out.splitlines()
+        rows = [l for l in lines if l and not l.startswith(("run", "-"))]
+        assert [row.split()[0] for row in rows] == ["a", "b", long]
+        assert {len(l) for l in lines} == {len(long) + 49}
 
     def test_nan_final_ranks_as_diverged_whatever_the_seed_order(self, tmp_path, capsys):
         # The same finals {1, null, 2}, held by different seeds in each directory.

@@ -12,10 +12,11 @@ trees must match file by file and be readable by ``fedgm report``.
 - The median_of_means config covers the last aggregator, and the
   one-device rfa config sends each round's single model through the oracle.
 - The sgd_step run puts the one-step baseline's per-round traces in the diff.
-- The two sweeps add sweep.csv to the diff. The aggregator sweep runs on the
-  median_of_means config, whose 3 groups only that aggregator reads, so each
-  of its rows with a twin simulate run (rfa: omniscient, median_of_means:
-  mom, sgd_step: sgd-step) must carry that run's finals.
+- Each sweep point is a simulate run in a directory of its own. The
+  aggregator sweep runs on the median_of_means config, whose 3 groups only
+  that aggregator reads, so each of its points with a twin simulate run
+  (rfa: omniscient, median_of_means: mom, sgd_step: sgd-step) must write
+  that run's trace files byte for byte.
 - In the diverging config every local update of round 0 overflows, so rfa
   averages that round, and the run must exit 0 with a diverged trace that
   stops after that round.
@@ -60,7 +61,7 @@ ATTACK = {"kind": "omniscient", "rho": 0.25}
 MASKED_RUN = {"rounds": 5, "seeds": [0, 1], "oracle_mode": "masked"}
 GOLDEN = Path(__file__).parent / "golden"
 # With OPENBLAS_CORETYPE set to Haswell, Zen, SandyBridge or Katmai instead
-# of the SkylakeX core the tree was written with, 24 of the 26 files change,
+# of the SkylakeX core the tree was written with, 40 of the 42 files change,
 # each float by at most 1.7e-14 relative, and no other value changes.
 RTOL = 1e-10
 
@@ -248,23 +249,19 @@ def compare_to_golden(tree: Path, golden: Path = GOLDEN) -> tuple[str, str | Non
     return f"{line}; {len(changed)} of {len(files)} files differ in bytes, largest relative difference {worst:.3g}", None
 
 
-def read_csv(path: Path) -> list[list[str]]:
-    with path.open(newline="", encoding="utf-8") as f:
-        return list(csv.reader(f))
-
-
-def assert_sweep_rows_match_their_twins(tree: Path) -> None:
-    """Each aggregator sweep row carries the finals of its twin simulate run, text for text."""
-    _, *rows = read_csv(tree / "sweep-aggregator" / "sweep.csv")
-    # Columns: axis, value, seed, final_train_loss, final_test_loss, diverged.
-    finals = {(row[1], row[2]): row[3:5] for row in rows}
+def assert_sweep_points_match_their_twins(tree: Path) -> None:
+    """Each aggregator sweep point writes the traces of its twin simulate run, byte for byte."""
+    sweep = tree / "sweep-aggregator"
     twins = {"rfa": "omniscient", "median_of_means": "mom", "sgd_step": "sgd-step"}
-    assert {value for value, _ in finals} == {"mean", *twins}
-    for (value, seed), got in finals.items():
-        if value in twins:
-            last = read_csv(tree / twins[value] / f"{seed}.csv")[-1]
-            assert got == last[1:3], (value, seed)
-        assert value == "mean" or got != finals["mean", seed], (value, seed)
+    assert sorted(p.name for p in sweep.iterdir()) == sorted(
+        f"aggregator={value}" for value in ("mean", *twins)
+    )
+    for seed in (0, 1):
+        mean = (sweep / "aggregator=mean" / f"{seed}.csv").read_bytes()
+        for value, twin in twins.items():
+            got = (sweep / f"aggregator={value}" / f"{seed}.csv").read_bytes()
+            assert got == (tree / twin / f"{seed}.csv").read_bytes(), (value, seed)
+            assert got != mean, (value, seed)
 
 
 def test_reruns_in_two_processes_write_identical_trees(tmp_path, record_property):
@@ -278,14 +275,14 @@ def test_reruns_in_two_processes_write_identical_trees(tmp_path, record_property
     trees = [tmp_path / f"rerun{hash_seed}" / "runs" for hash_seed in ("1", "2")]
     files = [files_under(tree) for tree in trees]
     # 7 two-seed simulate dirs of 3 files, the one-seed diverged dir of 2,
-    # 2 sweep.csv files and the gm-solve JSON.
-    assert files[0] == files[1] and len(files[0]) == 7 * 3 + 2 + 2 + 1
+    # 2 + 4 two-seed sweep points of 3 files and the gm-solve JSON.
+    assert files[0] == files[1] and len(files[0]) == 7 * 3 + 2 + 6 * 3 + 1
     for rel in files[0]:
         assert (trees[0] / rel).read_bytes() == (trees[1] / rel).read_bytes(), rel
     diverged = json.loads((trees[0] / "diverged" / "summary.json").read_text())
     assert diverged["per_seed"][0]["diverged"] is True
     assert main(["report", str(trees[0])]) == 0
-    assert_sweep_rows_match_their_twins(trees[0])
+    assert_sweep_points_match_their_twins(trees[0])
 
     line, mismatch = compare_to_golden(trees[0])
     record_property("golden", line)
