@@ -54,7 +54,6 @@ DEFAULT_CONFIG: dict = {
         "devices": 100,
         "samples_per_device": 50,
         "noise_std": 0.1,
-        "feature_bound": 1.0,
         "test_samples": 1000,
     },
     "corruption": {
@@ -64,7 +63,6 @@ DEFAULT_CONFIG: dict = {
     "algorithm": {
         "aggregator": "mean",
         "budget": 3,
-        "nu": 1e-6,
         "rel_tol": 1e-6,
         "groups": 1,
         "batch_size": 10,
@@ -153,9 +151,8 @@ def validate_config(config: dict) -> dict:
         # Fewer training rows than dimensions make the pooled optimum not unique.
         if task["devices"] * task["samples_per_device"] < task["d"]:
             raise ValueError("task.devices * task.samples_per_device must be at least task.d")
-        # Far outside this range the pooled optimum's solve overflows or underflows.
-        if task["noise_std"] < 0 or not 1e-100 <= task["feature_bound"] <= 1e100:
-            raise ValueError("need task.noise_std >= 0 and task.feature_bound in [1e-100, 1e100]")
+        if task["noise_std"] < 0:
+            raise ValueError("task.noise_std must be nonnegative")
         if not run["outdir"]:
             raise ValueError("run.outdir must not be empty")
         if run["rounds"] < 0 or min(run["seeds"]) < 0:
@@ -178,7 +175,7 @@ def validate_config(config: dict) -> dict:
 def load_config(path: str) -> dict:
     """Read a JSON config file and merge it onto the defaults, unvalidated."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             user = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
@@ -195,7 +192,6 @@ def _round_config(config: dict) -> RoundConfig:
         lr=LrSchedule(algo["gamma0"], algo["decay"], algo["decay_every"]),
         aggregator=AggregatorSpec(
             kind=algo["aggregator"],
-            nu=algo["nu"],
             budget=algo["budget"],
             rel_tol=algo["rel_tol"],
             groups=algo["groups"],
@@ -376,7 +372,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def read_point_csv(path: str) -> WeightedPointSet:
     """Parse a point-set CSV: one point per row, last column its weight."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read input file: {exc}") from exc

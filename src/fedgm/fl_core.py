@@ -38,7 +38,10 @@ from .corruption import CorruptionSpec, omniscient_updates, poison_adaptive, poi
 from .geomed import WeightedPointSet, smoothed_weiszfeld
 from .secure_avg import SecureAverageOracle
 
+# Both assume the unit feature scale of ``tasks``, every feature norm at most 1: the
+# train loss that marks divergence, and the smoothing radius of every aggregation solve.
 DIVERGENCE_LOSS = 1e12
+NU = 1e-6
 
 AGGREGATOR_KINDS = ("mean", "rfa", "median_of_means", "sgd_step")
 
@@ -106,15 +109,15 @@ class AggregatorSpec:
     """Which aggregator a round uses and its knobs.
 
     ``budget`` and ``rel_tol`` control the smoothed Weiszfeld solve for
-    kind "rfa". Kind "median_of_means" needs ``groups`` >= 2, since one
-    group's median is its mean; it costs ``groups`` oracle calls and
-    solves server side with ``max(budget, 50)`` steps and rel_tol
+    kind "rfa", which smooths at the fixed radius ``NU``. Kind
+    "median_of_means" needs ``groups`` >= 2, since one group's median is
+    its mean; it costs ``groups`` oracle calls and solves server side,
+    also at ``NU``, with ``max(budget, 50)`` steps and rel_tol
     ``min(rel_tol, 1e-9)``. Kind "sgd_step" aggregates by the weighted
     mean, and ``run_federated`` gives its ``LocalSGD`` pass one step.
     """
 
     kind: str = "mean"
-    nu: float = 1e-6
     budget: int = 3
     rel_tol: float = 1e-6
     groups: int = 1
@@ -122,8 +125,8 @@ class AggregatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator kind must be one of {AGGREGATOR_KINDS}")
-        if not 0 < self.nu < math.inf > self.rel_tol >= 0 or min(self.budget, self.groups) < 1:
-            raise ValueError("need finite nu > 0 and rel_tol >= 0, and budget and groups >= 1")
+        if not math.inf > self.rel_tol >= 0 or min(self.budget, self.groups) < 1:
+            raise ValueError("need finite rel_tol >= 0, and budget and groups >= 1")
         if self.kind == "median_of_means" and self.groups < 2:
             raise ValueError("median_of_means needs groups >= 2")
 
@@ -296,13 +299,13 @@ def aggregate(
         return oracle.average(updates, weights)
     if spec.kind == "rfa":
         point_set = WeightedPointSet(updates, weights)
-        return smoothed_weiszfeld(point_set, spec.nu, spec.budget, spec.rel_tol, z0, oracle).z
+        return smoothed_weiszfeld(point_set, NU, spec.budget, spec.rel_tol, z0, oracle).z
     # median_of_means
     chunks = np.array_split(np.arange(m), spec.groups)
     means = [oracle.average(updates[chunk], weights[chunk]) for chunk in chunks]
     group_weights = [weights[chunk].sum() for chunk in chunks]
     point_set = WeightedPointSet(np.asarray(means), np.asarray(group_weights))
-    return smoothed_weiszfeld(point_set, spec.nu, max(spec.budget, 50), min(spec.rel_tol, 1e-9)).z
+    return smoothed_weiszfeld(point_set, NU, max(spec.budget, 50), min(spec.rel_tol, 1e-9)).z
 
 
 def run_federated(
@@ -413,13 +416,13 @@ def run_rfa_doubling(
 
     A preset of ``run_federated``: round t runs ``base_steps * 2^t``
     single-sample SGD steps per selected device (constant ``base_steps``
-    when schedule="constant") at the fixed rate 1 / (2 * feature_bound^2),
-    then aggregates with a geometric-median solve at rel_tol 1e-13.
+    when schedule="constant") at the rate 1 / (2 R^2) = 0.5 of unit-norm
+    features, then aggregates with a geometric-median solve at rel_tol 1e-13.
     """
     config = RoundConfig(
         devices_per_round=devices_per_round,
         local=TailAveragedSGD(base_steps, schedule),
-        lr=LrSchedule(gamma0=1.0 / (2.0 * task.feature_bound**2)),
+        lr=LrSchedule(gamma0=0.5),
         aggregator=AggregatorSpec(kind="rfa", budget=budget, rel_tol=1e-13),
     )
     return run_federated(task, partition, corruption, config, rounds, seed, oracle)

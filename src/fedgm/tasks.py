@@ -1,9 +1,10 @@
 """A synthetic federated learning task with an exactly known optimum.
 
 The task is well-specified least squares: features are drawn with norms
-bounded by a known radius, labels are a fixed linear function of the
-features plus Gaussian noise, and the pooled empirical minimizer comes
-from the normal equations.
+at most 1, labels are a fixed linear function of the features plus
+Gaussian noise, and the pooled empirical minimizer comes from the normal
+equations. The unit feature scale is fixed: the constants of ``fl_core``
+assume it.
 """
 
 from __future__ import annotations
@@ -86,32 +87,31 @@ def partition_data(
     )
 
 
-def _bounded_features(rng: np.random.Generator, n: int, d: int, bound: float) -> np.ndarray:
-    """n random directions with radii in [0.3, 1] * bound, centred, max norm = bound."""
-    if d < 1 or bound <= 0.0:
-        raise ValueError("d and feature_bound must be positive")
+def _bounded_features(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n random directions with radii in [0.3, 1], centred, then scaled to max norm 1."""
+    if d < 1:
+        raise ValueError("d must be positive")
     raw = rng.standard_normal((n, d))
     norms = np.linalg.norm(raw, axis=1)
     norms[norms == 0.0] = 1.0
-    radii = bound * rng.uniform(0.3, 1.0, size=n)
+    radii = rng.uniform(0.3, 1.0, size=n)
     phi = raw / norms[:, None] * radii[:, None]
     phi = phi - phi.mean(axis=0)
     max_norm = float(np.linalg.norm(phi, axis=1).max())
     if max_norm > 0.0:
-        phi = phi * (bound / max_norm)
+        phi = phi * (1.0 / max_norm)
     return phi
 
 
 @dataclass(frozen=True)
 class SyntheticLSTask:
-    """Well-specified least-squares problem over bounded features.
+    """Well-specified least-squares problem over features of norm at most 1.
 
     ``w_star`` generated the labels; ``optimum`` is the pooled empirical
     minimizer (identical to ``w_star`` when the labels carry no noise).
     """
 
     d: int
-    feature_bound: float
     w_star: np.ndarray
     optimum: np.ndarray
     train_features: np.ndarray
@@ -131,7 +131,6 @@ def generate_ls_task(
     devices: int,
     samples_per_device: int,
     noise_std: float,
-    feature_bound: float = 1.0,
     seed: int = 0,
     test_samples: int = 1000,
 ) -> tuple[SyntheticLSTask, FederatedPartition]:
@@ -139,12 +138,11 @@ def generate_ls_task(
 
     Features are drawn as uniformly random directions with radii spread
     over a range (so the second-moment spectrum is not degenerate), then
-    centered empirically and rescaled so the largest norm equals
-    ``feature_bound`` exactly. The ground truth ``w_star`` is a uniformly
-    random unit vector, so signal magnitude is comparable across seeds and
-    dimensions. Labels are <w_star, x> plus independent Gaussian noise of
-    standard deviation ``noise_std``. Everything is deterministic given
-    ``seed``.
+    centered empirically and rescaled so the largest norm is exactly 1.
+    The ground truth ``w_star`` is a uniformly random unit vector, so
+    signal magnitude is comparable across seeds and dimensions. Labels
+    are <w_star, x> plus independent Gaussian noise of standard deviation
+    ``noise_std``. Everything is deterministic given ``seed``.
     """
     if noise_std < 0.0:
         raise ValueError("noise_std must be nonnegative")
@@ -154,7 +152,7 @@ def generate_ls_task(
     n_train = devices * samples_per_device
     n = n_train + test_samples
 
-    phi = _bounded_features(rng, n, d, feature_bound)
+    phi = _bounded_features(rng, n, d)
 
     direction = rng.standard_normal(d)
     w_star = direction / np.linalg.norm(direction)
@@ -166,7 +164,6 @@ def generate_ls_task(
     train_x, train_y = phi[:n_train], labels[:n_train]
     task = SyntheticLSTask(
         d=d,
-        feature_bound=float(feature_bound),
         w_star=w_star,
         optimum=exact_optimum(train_x, train_y),
         train_features=train_x,

@@ -105,6 +105,12 @@ class TestConfigHandling:
         assert rc == 1
         assert "JSON" in capsys.readouterr().err
 
+    def test_config_with_a_byte_order_mark_is_read(self, tmp_path):
+        cfg = Path(write_config(tmp_path, run={"rounds": 1, "seeds": [0]}))
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert main(["simulate", str(cfg)]) == 0
+        assert (tmp_path / "runs" / "summary.json").exists()
+
     def test_readme_config_block_is_the_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r"### Config file\n.*?```json\n(.*?)```", readme, re.DOTALL)
@@ -191,6 +197,13 @@ class TestGmSolve:
         with_blanks = capsys.readouterr().out
         assert main(["gm-solve", write_points(tmp_path, EQUILATERAL)]) == 0
         assert with_blanks == capsys.readouterr().out
+
+    def test_byte_order_mark_is_not_part_of_the_first_cell(self, tmp_path, capsys):
+        bom = write_points(tmp_path, "\ufeff" + EQUILATERAL, "bom.csv")
+        assert main(["gm-solve", bom]) == 0
+        with_bom = capsys.readouterr().out
+        assert main(["gm-solve", write_points(tmp_path, EQUILATERAL)]) == 0
+        assert with_bom == capsys.readouterr().out
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["gm-solve", str(tmp_path / "absent.csv")])
@@ -389,28 +402,6 @@ class TestSimulate:
         )
         assert not os.path.exists(tmp_path / "runs")
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    @pytest.mark.parametrize("feature_bound", [1e-300, 1e154])
-    def test_feature_bound_outside_its_range_exit_1_before_output(
-        self, tmp_path, capsys, command, feature_bound
-    ):
-        # At 1e154 eigvalsh does not converge; at 1e-300 the Gram matrix underflows to 0.
-        cfg = write_config(tmp_path, task={"feature_bound": feature_bound})
-        sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
-        assert main([command, cfg, *sweep]) == 1
-        assert capsys.readouterr().err == (
-            "error: need task.noise_std >= 0 and task.feature_bound in [1e-100, 1e100]\n"
-        )
-        assert not os.path.exists(tmp_path / "runs")
-
-    @pytest.mark.parametrize("feature_bound", [1e-100, 1e-6])
-    def test_small_feature_bound_runs(self, tmp_path, feature_bound):
-        # A rank test that was not scale free called these tasks rank deficient.
-        cfg = write_config(tmp_path, task={"feature_bound": feature_bound})
-        assert main(["simulate", cfg]) == 0
-        summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
-        assert summary["diverged_seeds"] == 0
-
     @pytest.mark.parametrize("aggregator", ["mean", "rfa", "median_of_means"])
     @pytest.mark.parametrize("mode", ["plain", "masked"])
     def test_round_without_a_finite_update_ends_diverged(self, tmp_path, aggregator, mode):
@@ -437,6 +428,21 @@ class TestSimulate:
         sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
         assert main([command, cfg, *sweep]) == 1
         assert capsys.readouterr().err == "error: unknown config key run.halt_on_divergence\n"
+        assert not os.path.exists(tmp_path / "runs")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize(
+        "block,key,value", [("task", "feature_bound", 1.0), ("algorithm", "nu", 1e-6)]
+    )
+    def test_fixed_scale_key_exit_1_before_output(
+        self, tmp_path, capsys, command, block, key, value
+    ):
+        # Features have norm at most 1 and every aggregation solve uses
+        # fl_core.NU, so neither key is a config key, even at its old default.
+        cfg = write_config(tmp_path, **{block: {key: value}})
+        sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
+        assert main([command, cfg, *sweep]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key {block}.{key}\n"
         assert not os.path.exists(tmp_path / "runs")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -514,7 +520,6 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "algorithm",
         [
-            {"nu": "1e-6"},
             {"gamma0": "18"},
             {"gamma0": float("nan")},
             {"budget": 2.7},
@@ -522,7 +527,7 @@ class TestSimulate:
             {"epochs": True},
             {"aggregator": "median_of_means", "groups": 20},
         ],
-        ids=["string_nu", "string_gamma0", "nan_gamma0", "real_budget", "real_batch_size",
+        ids=["string_gamma0", "nan_gamma0", "real_budget", "real_batch_size",
              "bool_epochs", "too_many_groups"],
     )
     def test_bad_algorithm_value_exit_1_before_output(self, tmp_path, capsys, algorithm):
@@ -538,19 +543,17 @@ class TestSimulate:
             {"run": {"rounds": True}},
             {"run": {"seeds": [True]}},
             {"task": {"noise_std": float("nan")}},
-            {"task": {"feature_bound": float("inf")}},
             {"task": {"noise_std": True}},
             {"run": {"outdir": 5}},
             {"run": {"seeds": [-1]}},
             {"task": {"d": 0}},
             {"task": {"test_samples": 0}},
             {"task": {"noise_std": -0.1}},
-            {"task": {"feature_bound": 0.0}},
             {"run": {"devices_per_round": 9}},
         ],
-        ids=["bool_devices", "bool_rounds", "bool_seed", "nan_noise_std", "inf_feature_bound",
-             "bool_noise_std", "int_outdir", "negative_seed", "zero_d", "zero_test_samples",
-             "negative_noise_std", "zero_feature_bound", "more_per_round_than_devices"],
+        ids=["bool_devices", "bool_rounds", "bool_seed", "nan_noise_std", "bool_noise_std",
+             "int_outdir", "negative_seed", "zero_d", "zero_test_samples", "negative_noise_std",
+             "more_per_round_than_devices"],
     )
     def test_bad_task_or_run_value_exit_1_before_output(
         self, tmp_path, capsys, monkeypatch, blocks

@@ -103,14 +103,12 @@ class TestSchedulesAndSpecs:
             AggregatorSpec(kind="trimmed_mean")
         with pytest.raises(ValueError):
             AggregatorSpec(kind="rfa", budget=0)
-        with pytest.raises(ValueError):
-            AggregatorSpec(kind="rfa", nu=0.0)
         for groups in (0, 1):
             with pytest.raises(ValueError, match="groups >= "):
                 AggregatorSpec(kind="median_of_means", groups=groups)
-        for nu, rel_tol in ((math.nan, 1e-6), (math.inf, 1e-6), (1e-6, math.nan), (1e-6, math.inf)):
+        for rel_tol in (-1e-6, math.nan, math.inf):
             with pytest.raises(ValueError):
-                AggregatorSpec(kind="rfa", nu=nu, rel_tol=rel_tol)
+                AggregatorSpec(kind="rfa", rel_tol=rel_tol)
 
     def test_round_config_validation(self):
         with pytest.raises(ValueError):
@@ -310,7 +308,7 @@ class TestAggregate:
             out = aggregate(self.updates, self.weights, spec, oracle, z0=z0)
             res = smoothed_weiszfeld(
                 WeightedPointSet(self.updates, self.weights),
-                nu=spec.nu,
+                nu=1e-6,
                 budget=budget,
                 rel_tol=0.0,
                 z0=z0,
@@ -788,3 +786,25 @@ class TestDoublingRunner:
             task, part, CorruptionSpec(), 5, 4, 3, seed=1, schedule="constant"
         )
         assert len(traces) == 3
+
+    @pytest.mark.parametrize("schedule", ["doubling", "constant"])
+    def test_preset_is_run_federated_at_rate_one_half(self, schedule):
+        # The rate 1 / (2 R^2) of unit-norm features, and the preset's solver settings.
+        task, part = small_task(noise=0.05)
+        oracles = SecureAverageOracle("plain"), SecureAverageOracle("plain")
+        preset = run_rfa_doubling(
+            task, part, CorruptionSpec(), 5, 2, 4, seed=3, schedule=schedule, budget=7,
+            oracle=oracles[0],
+        )
+        config = RoundConfig(
+            devices_per_round=5,
+            local=TailAveragedSGD(2, schedule),
+            lr=LrSchedule(0.5),
+            aggregator=AggregatorSpec("rfa", budget=7, rel_tol=1e-13),
+        )
+        spelled_out = run_federated(
+            task, part, CorruptionSpec(), config, rounds=4, seed=3, oracle=oracles[1]
+        )
+        assert len(preset) == 4
+        assert preset == spelled_out
+        assert oracles[0].call_count == oracles[1].call_count

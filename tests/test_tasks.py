@@ -77,11 +77,11 @@ class TestGenerateLSTask:
         assert not np.array_equal(a.train_labels, c.train_labels)
 
     def test_feature_norms_bounded_with_spread(self):
-        task, _ = generate_ls_task(5, 20, 30, 0.1, feature_bound=2.0, seed=1)
+        task, _ = generate_ls_task(5, 20, 30, 0.1, seed=1)
         norms = np.linalg.norm(
             np.vstack([task.train_features, task.test_features]), axis=1
         )
-        assert norms.max() == pytest.approx(2.0, rel=1e-12)
+        assert norms.max() == pytest.approx(1.0, abs=1e-12)
         assert norms.min() < 0.9 * norms.max()
 
     def test_features_are_centered(self):
@@ -102,13 +102,11 @@ class TestGenerateLSTask:
             generate_ls_task(0, 5, 5, 0.1)
         with pytest.raises(ValueError):
             generate_ls_task(3, 5, 5, -0.1)
-        with pytest.raises(ValueError):
-            generate_ls_task(3, 5, 5, 0.1, feature_bound=0.0)
 
 
 def generate(**sizes):
     """A small valid least-squares task, with ``sizes`` overriding its inputs."""
-    kwargs = dict(d=3, devices=4, samples_per_device=5, feature_bound=1.0, test_samples=6)
+    kwargs = dict(d=3, devices=4, samples_per_device=5, test_samples=6)
     kwargs.update(sizes)
     return generate_ls_task(noise_std=0.1, **kwargs)
 
@@ -122,13 +120,11 @@ class TestGeneratorValidation:
             {"d": 0},
             {"devices": 0},
             {"samples_per_device": 0},
-            {"feature_bound": 0.0},
-            {"feature_bound": -1.0},
             {"test_samples": 0},
         ],
         ids=[
             f"{name}-least_squares"
-            for name in ("d", "devices", "samples_per_device", "zero_bound", "negative_bound", "test_samples")
+            for name in ("d", "devices", "samples_per_device", "test_samples")
         ],
     )
     def test_rejects_bad_input(self, bad):
