@@ -239,28 +239,11 @@ def _seed_summary(seed: int, traces: list[RoundTrace]) -> dict:
     return summary
 
 
-def _aggregate(per_seed: list[dict], key: str) -> dict | None:
-    # _seed_summary writes every non-finite final as None
-    finite = [row[key] for row in per_seed if row[key] is not None]
-    if not finite:
-        return None
-    return {
-        "min": min(finite),
-        "max": max(finite),
-        "mean": sum(finite) / len(finite),
-    }
-
-
 def write_summary_json(path: str, config: dict, per_seed: list[dict]) -> None:
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "config": config,
         "per_seed": per_seed,
-        "aggregate": {
-            "final_train_loss": _aggregate(per_seed, "final_train_loss"),
-            "final_test_loss": _aggregate(per_seed, "final_test_loss"),
-        },
-        "diverged_seeds": sum(row["diverged"] for row in per_seed),
     }
     # Serialize before opening, so a value JSON cannot encode leaves no cut-off file.
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
@@ -338,8 +321,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if "summary.json" in filenames
     ]
     if not dirpaths:
-        print("no runs found")
-        return 1
+        raise ValueError(f"no summary.json under {args.rundir}")
     # Every summary is read before anything is printed, so a rejected one prints no table.
     rows = []
     for dirpath in dirpaths:
@@ -359,7 +341,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             ]
             final_txt = f"{statistics.median(finals):.6g}" if finals else "-"
             calls_txt = f"{statistics.median(row['oracle_calls_total'] for row in per_seed):g}"
-            rows.append((label, len(per_seed), final_txt, calls_txt, summary["diverged_seeds"]))
+            diverged = sum(row["diverged"] for row in per_seed)
+            rows.append((label, len(per_seed), final_txt, calls_txt, diverged))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a fedgm summary: {exc!r}") from exc
     width = max(len(row[0]) for row in [("run",), *rows])

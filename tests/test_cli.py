@@ -282,13 +282,10 @@ class TestSimulate:
         outdir = tmp_path / "runs"
         assert (outdir / "0.csv").exists() and (outdir / "1.csv").exists()
         summary = json.loads((outdir / "summary.json").read_text())
+        # Nothing derived across seeds: report combines them.
+        assert set(summary) == {"schema_version", "config", "per_seed"}
         assert summary["schema_version"] == 1
         assert [row["seed"] for row in summary["per_seed"]] == [0, 1]
-        agg = summary["aggregate"]["final_train_loss"]
-        finals = [row["final_train_loss"] for row in summary["per_seed"]]
-        assert agg["min"] == pytest.approx(min(finals))
-        assert agg["max"] == pytest.approx(max(finals))
-        assert agg["mean"] == pytest.approx(sum(finals) / len(finals))
 
     def test_trace_csv_shape(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -307,7 +304,6 @@ class TestSimulate:
         assert content == header + "\n"
         summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
         assert summary["per_seed"][0]["final_train_loss"] is None
-        assert summary["aggregate"]["final_train_loss"] is None
 
     def test_diverged_summary_is_strict_json(self, tmp_path):
         # At batch 1 and gamma0 1e4 round 0 ends on a NaN model, so every
@@ -604,7 +600,7 @@ class TestSimulate:
                     float(plain[column]), rel=1e-12, abs=0.0
                 )
 
-    def test_omniscient_mean_marked_diverged(self, tmp_path):
+    def test_omniscient_mean_marked_diverged(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             task={"d": 10, "devices": 100, "samples_per_device": 50,
@@ -616,8 +612,11 @@ class TestSimulate:
         assert main(["simulate", cfg]) == 0
         summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
         assert summary["per_seed"][0]["diverged"] is True
-        assert summary["diverged_seeds"] == 1
         assert summary["per_seed"][0]["rounds_completed"] < 8
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "runs")]) == 0
+        (row,) = [l.split() for l in capsys.readouterr().out.splitlines()[2:]]
+        assert row[4] == "1"
 
 
 class TestSweep:
@@ -778,7 +777,19 @@ class TestReport:
     def test_empty_directory_exit_1(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path)])
         assert rc == 1
-        assert "no runs found" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no summary.json under {tmp_path}\n"
+
+    @pytest.mark.parametrize("name", ["missing", "summary.json"])
+    def test_missing_path_or_file_exit_1(self, tmp_path, capsys, name):
+        # A mistyped path fails as an empty tree does, on stderr.
+        write_summary_json(str(tmp_path / "summary.json"), DEFAULT_CONFIG, [seed_summary(0, 1.0)])
+        rundir = str(tmp_path / name)
+        assert main(["report", rundir]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no summary.json under {rundir}\n"
 
     def test_summarizes_runs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -825,6 +836,36 @@ class TestReport:
         assert [row[0] for row in rows] == ["a", "b"]
         assert rows[0][1:] == rows[1][1:] == ["3", "2", "1", "1"]
 
+    def test_diverged_column_counts_the_per_seed_flags(self, tmp_path, capsys):
+        # One seed diverged to NaN (a null final), one stopped at a finite
+        # loss above the divergence threshold: both count.
+        per_seed = [seed_summary(0, 1.0), seed_summary(1, None), seed_summary(2, 1e13)]
+        per_seed[2]["diverged"] = True
+        path = tmp_path / "summary.json"
+        write_summary_json(str(path), DEFAULT_CONFIG, per_seed)
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        assert summary == {"schema_version": 1, "config": DEFAULT_CONFIG, "per_seed": per_seed}
+        assert main(["report", str(tmp_path)]) == 0
+        (row,) = [l.split() for l in capsys.readouterr().out.splitlines()[2:]]
+        assert row == [".", "3", "1e+13", "1", "2"]
+
+    def test_summary_with_cross_seed_keys_reports_the_same_line(self, tmp_path, capsys):
+        # Summaries written before report derived every cross-seed figure also
+        # hold an "aggregate" block and a "diverged_seeds" count; report ignores both.
+        per_seed = [seed_summary(0, 1.0), seed_summary(1, None), seed_summary(2, 3.0)]
+        for sub in ("new", "old"):
+            (tmp_path / sub).mkdir()
+            write_summary_json(str(tmp_path / sub / "summary.json"), DEFAULT_CONFIG, per_seed)
+        old = tmp_path / "old" / "summary.json"
+        summary = json.loads(old.read_text(encoding="utf-8"))
+        finals = {"min": 1.0, "max": 3.0, "mean": 2.0}
+        summary["aggregate"] = {"final_train_loss": finals, "final_test_loss": finals}
+        summary["diverged_seeds"] = 1
+        old.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 0
+        rows = [l.split() for l in capsys.readouterr().out.splitlines()[2:]]
+        assert rows == [["new", "3", "3", "1", "1"], ["old", "3", "3", "1", "1"]]
+
     def test_counts_only_the_seeds_its_summary_lists(self, tmp_path, capsys):
         # The second run leaves the first run's traces of seeds 1 and 2 behind.
         cfg = write_config(tmp_path)
@@ -847,7 +888,9 @@ class TestReport:
         header = ",".join(TRACE_CSV_COLUMNS)
         (tmp_path / "0.csv").write_text(header + "\n0,1,1,0.5,1,0\n", encoding="utf-8")
         assert main(["report", str(tmp_path)]) == 1
-        assert capsys.readouterr().out == "no runs found\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no summary.json under {tmp_path}\n"
 
     @pytest.mark.parametrize(
         "edit",
@@ -855,7 +898,7 @@ class TestReport:
             lambda text: text[:-2],
             lambda text: f"[{text}]",
             lambda text: text.replace('"schema_version": 1', '"schema_version": 2'),
-            lambda text: text.replace('"diverged_seeds"', '"diverged_runs"'),
+            lambda text: text.replace('"oracle_calls_total"', '"oracle_calls"'),
         ],
         ids=["not-json", "not-an-object", "foreign-schema-version", "missing-key"],
     )

@@ -32,7 +32,13 @@ must be byte-identical. Elsewhere, another BLAS core or numpy build may move
 the last bits: every float must lie within ``RTOL`` of the golden value, and
 every other value (integers, strings, booleans, nulls), every key and every
 row must match exactly. The test records which mode ran, and the end of the
-pytest run prints it. An intended output change regenerates the tree with
+pytest run prints it.
+
+Tolerance mode also meets real drift: a third process runs the same
+invocations with ``OPENBLAS_CORETYPE`` naming another OpenBLAS core, and its
+tree must pass the golden comparison in tolerance mode. That check is
+skipped when the core in use cannot be read, or when the switch left every
+output byte as it was. An intended output change regenerates the tree with
 
     PYTHONPATH=src python tests/test_reruns.py
 """
@@ -63,6 +69,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # With OPENBLAS_CORETYPE set to Haswell, Zen, SandyBridge or Katmai instead
 # of the SkylakeX core the tree was written with, 40 of the 42 files change,
 # each float by at most 1.7e-14 relative, and no other value changes.
+# test_golden_tolerance_mode_on_another_blas_core checks one such core.
 RTOL = 1e-10
 
 CONFIGS = {
@@ -131,12 +138,17 @@ def invocations(cfg: dict, points: str) -> list[list[str]]:
     ]
 
 
-def start(workdir: Path, argvs: str, hash_seed: str) -> subprocess.Popen:
-    """Run the invocations through fedgm's main in a fresh process inside ``workdir``."""
+def start(workdir: Path, argvs: str, hash_seed: str, core: str | None = None) -> subprocess.Popen:
+    """Run the invocations through fedgm's main in a fresh process inside ``workdir``.
+
+    ``core``, if given, is the OpenBLAS core the process must use.
+    """
     src = str(Path(fedgm.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     workdir.mkdir()
     env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed}
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
     return subprocess.Popen(
         [sys.executable, "-c", RUN_ALL, argvs],
         cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -162,6 +174,14 @@ def blas_core() -> str | None:
                 get.argtypes, get.restype = [], ctypes.c_char_p
                 return get().decode()
     return None
+
+
+def other_core() -> str | None:
+    """An OpenBLAS core other than the one in use, or None if that one is unreadable."""
+    core = blas_core()
+    if core is None:
+        return None
+    return "SandyBridge" if core == "Haswell" else "Haswell"
 
 
 def fingerprint() -> dict:
@@ -217,15 +237,18 @@ def relative_gap(got, want) -> float | None:
     return abs(got - want) / max(abs(got), abs(want))
 
 
-def compare_to_golden(tree: Path, golden: Path = GOLDEN) -> tuple[str, str | None]:
+def compare_to_golden(
+    tree: Path, golden: Path = GOLDEN, have_fp: dict | None = None
+) -> tuple[str, str | None]:
     """Compare an output tree with the golden one: (the mode line, the first mismatch or None).
 
-    Bytes when this platform's fingerprint is the golden one, else floats
-    within ``RTOL`` and everything else exactly.
+    Bytes when the fingerprint of the platform that wrote the tree (by
+    default this one) is the golden one, else floats within ``RTOL`` and
+    everything else exactly.
     """
     runs = golden / "runs"
     want_fp = json.loads((golden / "fingerprint.json").read_text(encoding="utf-8"))
-    have_fp = fingerprint()
+    have_fp = have_fp or fingerprint()
     byte_mode = have_fp == want_fp
     line = f"golden outputs: byte mode, fingerprint {have_fp}"
     if not byte_mode:
@@ -264,15 +287,28 @@ def assert_sweep_points_match_their_twins(tree: Path) -> None:
             assert got != mean, (value, seed)
 
 
-def test_reruns_in_two_processes_write_identical_trees(tmp_path, record_property):
+@pytest.fixture(scope="module")
+def rerun_trees(tmp_path_factory) -> dict[str, Path]:
+    """The output trees of the invocations, each run by a fresh process, all at once.
+
+    "1" and "2" ran under PYTHONHASHSEED 1 and 2. "core" ran on
+    ``other_core()``, and is absent when that is None.
+    """
+    tmp_path = tmp_path_factory.mktemp("reruns")
     cfg, points = write_inputs(tmp_path)
     argvs = json.dumps(invocations(cfg, points))
-    procs = [start(tmp_path / f"rerun{h}", argvs, h) for h in ("1", "2")]
-    for proc in procs:
+    procs = {h: start(tmp_path / f"rerun{h}", argvs, h) for h in ("1", "2")}
+    core = other_core()
+    if core is not None:
+        procs["core"] = start(tmp_path / "reruncore", argvs, "1", core)
+    for proc in procs.values():
         _, err = proc.communicate(timeout=600)
         assert proc.returncode == 0, err
+    return {name: tmp_path / f"rerun{name}" / "runs" for name in procs}
 
-    trees = [tmp_path / f"rerun{hash_seed}" / "runs" for hash_seed in ("1", "2")]
+
+def test_reruns_in_two_processes_write_identical_trees(rerun_trees, record_property):
+    trees = [rerun_trees["1"], rerun_trees["2"]]
     files = [files_under(tree) for tree in trees]
     # 7 two-seed simulate dirs of 3 files, the one-seed diverged dir of 2,
     # 2 + 4 two-seed sweep points of 3 files and the gm-solve JSON.
@@ -290,6 +326,18 @@ def test_reruns_in_two_processes_write_identical_trees(tmp_path, record_property
         f"{line}: {mismatch}. If the change is meant to alter outputs, regenerate "
         "the tree with: PYTHONPATH=src python tests/test_reruns.py"
     )
+
+
+def test_golden_tolerance_mode_on_another_blas_core(rerun_trees, record_property):
+    """Real drift from another BLAS core stays within ``RTOL`` of the golden tree."""
+    if "core" not in rerun_trees:
+        pytest.skip("numpy's OpenBLAS core is unreadable, so no other core can be named")
+    core, tree, native = other_core(), rerun_trees["core"], rerun_trees["1"]
+    if all((tree / rel).read_bytes() == (native / rel).read_bytes() for rel in files_under(native)):
+        pytest.skip(f"OPENBLAS_CORETYPE={core} changed no output byte, so it took no effect")
+    line, mismatch = compare_to_golden(tree, have_fp={**fingerprint(), "blas_core": core})
+    record_property("golden", line)
+    assert mismatch is None, f"{line}: {mismatch}"
 
 
 @pytest.mark.parametrize("byte_mode", [True, False])
