@@ -12,13 +12,16 @@ holds n samples, so each of the m selected models weighs 1/m. Local
 updates take the round's (m, n, d) slice and m rngs: each device draws
 all of its sample indices for the round in one call, rows are gathered a
 block of n // b steps at a time (at most one more copy of the shards),
-and every local step updates the m models as one (m, p) array. The
-aggregators are the weighted mean, the smoothed-Weiszfeld geometric
-median ("rfa"), median-of-means (group means through the oracle, then a
-server-side geometric median of the group means), and the one-step
-baseline "sgd_step", the mean of a one-step ``local_update_sgd``. Each
-round's geometric-median solve starts at the broadcast model, which the
-server already holds, so an "rfa" round costs 1 to ``budget`` oracle calls.
+and every local step updates the m models as one (m, p) array. A
+single-sample step (every tail-averaged step, and every step at batch
+size 1) is the least-squares step computed in ``_local_steps`` itself; a
+minibatch step calls ``task.gradient``. The aggregators are the weighted
+mean, the smoothed-Weiszfeld geometric median ("rfa"), median-of-means
+(group means through the oracle, then a server-side geometric median of
+the group means), and the one-step baseline "sgd_step", the mean of a
+one-step ``local_update_sgd``. Each round's geometric-median solve starts
+at the broadcast model, which the server already holds, so an "rfa" round
+costs 1 to ``budget`` oracle calls.
 A round of one device, or one in which no update row is entirely finite,
 costs one call under every aggregator; the latter gives a non-finite model,
 which ends the run. Metrics use uncorrupted pooled data.
@@ -203,20 +206,30 @@ def _local_steps(
     ``idx`` (steps, m, b) says which rows each step uses: step s uses rows
     ``idx[s, k]`` of shard k. Rows are gathered a block of max(1, n // b)
     steps at a time, so a block holds at most one more copy of the shards.
-    Returns the (m, p) average of the last ``tail`` iterates (the final
-    iterate when tail = 1).
+    A one-row step (b = 1) is the least-squares step computed here, the
+    row times gamma times its residual, with no ``task.gradient`` call; a
+    minibatch step (b > 1) calls ``task.gradient``. Returns the (m, p)
+    average of the last ``tail`` iterates (the final iterate when tail = 1).
     """
     m, n = labels.shape
     features, labels = features.reshape(m * n, -1), labels.reshape(m * n)
-    # Row numbers into the flattened shards.
+    # Row numbers into the flattened shards; a one-row step gathers (m, d) rows.
     rows = idx + n * np.arange(m)[:, None]
-    block, first_tail = max(1, n // rows.shape[-1]), len(rows) - tail
+    b = rows.shape[-1]
+    if b == 1:
+        rows = rows[..., 0]
+    block, first_tail = max(1, n // b), len(rows) - tail
     w = np.tile(np.asarray(w0, dtype=float), (m, 1))
     acc = np.zeros_like(w)
     for start in range(0, len(rows), block):
         batch = rows[start : start + block]
         for s, (x, y) in enumerate(zip(features[batch], labels[batch]), start):
-            w -= gamma * task.gradient(w, x, y)
+            if b == 1:
+                r = np.vecdot(x, w) - y
+                r *= gamma
+                w -= x * r[:, None]
+            else:
+                w -= gamma * task.gradient(w, x, y)
             if s >= first_tail:
                 acc += w
     return acc / tail

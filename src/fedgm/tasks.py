@@ -27,14 +27,13 @@ def least_squares_gradient(
 
     Leading batch axes are allowed: w (..., d), features (..., b, d) and
     labels (..., b) give one gradient per batch entry, shape (..., d).
-    A one-row batch (b = 1) skips the reduction over b and returns the
-    product of the row and its residual: the same bits as the einsum
-    form, except that an exact zero may keep its sign.
+    The residual is a ``vecdot`` and the reduction over b a ``matmul``. At
+    b = 1 that gives the bits of the row times its residual, the product
+    ``fl_core``'s one-row step scales by gamma, except that the reduction
+    sums from +0, so a -0 product comes back as +0.
     """
-    r = np.einsum("...bd,...d->...b", features, w) - labels
-    if features.shape[-2] == 1:
-        return features[..., 0, :] * r
-    return np.einsum("...bd,...b->...d", features, r) / features.shape[-2]
+    r = np.vecdot(features, w[..., None, :]) - labels
+    return (r[..., None, :] @ features)[..., 0, :] / features.shape[-2]
 
 
 def exact_optimum(features: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -236,6 +236,23 @@ class TestBatchedLocalUpdates:
             # one rng call per device per round
             assert dev_rng.bit_generator.state == rng.bit_generator.state
 
+    @pytest.mark.parametrize("steps", [9, 47])
+    def test_sgd_batch1_rows_match_one_row_loop(self, steps):
+        task, _ = small_task()
+        x, y, device_rngs = make_shards((0, 10, 20))
+        rngs = copy.deepcopy(device_rngs)
+        w0, gamma = np.full(3, 0.2), 0.3
+        out = local_update_sgd(task, x, y, device_rngs, w0, gamma, 1, steps)
+        assert out.shape == (3, 3)
+        for k, (dev_rng, rng) in enumerate(zip(device_rngs, rngs)):
+            idx = rng.random((steps, x.shape[1])).argsort(axis=1)[:, 0]
+            w = w0.copy()
+            for j in idx:
+                w = w - gamma * task.gradient(w, x[k, j : j + 1], y[k, j : j + 1])
+            assert np.abs(out[k] - w).max() <= 1e-12
+            # one rng call per device per round
+            assert dev_rng.bit_generator.state == rng.bit_generator.state
+
     def test_sgd_rows_match_sequential_minibatch_sgd(self):
         task, _ = small_task()
         x, y, device_rngs = make_shards((0, 10, 20))

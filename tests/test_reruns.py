@@ -7,8 +7,9 @@ trees must match file by file and be readable by ``fedgm report``.
 
 - Each corruption kind rewrites the round's corrupted rows on its own
   path: updates, features or labels.
-- The batch-1 config takes the one-row gradient path. At the default
-  gamma0 of 18 it would diverge in round 2, so it runs at 1.
+- The batch-1 config takes the one-row step that ``fl_core`` computes
+  itself, without ``task.gradient``. At the default gamma0 of 18 it would
+  diverge in round 2, so it runs at 1.
 - The median_of_means config covers the last aggregator, and the
   one-device rfa config sends each round's single model through the oracle.
 - The sgd_step run puts the one-step baseline's per-round traces in the diff.

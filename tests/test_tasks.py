@@ -185,20 +185,23 @@ class TestBatchedGradient:
 
 
 class TestOneRowGradient:
-    """A one-row batch skips the reduction over b, keeping the einsum form's bits.
+    """At b = 1 the gradient has the bits of the row times its residual.
 
-    The einsum form sums from +0, so where the row times its residual is -0
-    it returns +0 instead. ``np.array_equal`` counts the two zeros equal, and
-    no trace column, summary field or digest prints the sign of a zero.
+    That product is what ``fl_core``'s one-row step scales by gamma, so the
+    step and ``task.gradient`` see the same residual and the same product.
+    The matmul reduction over b sums from +0, so where the product is -0 the
+    gradient returns +0 instead. ``np.array_equal`` counts the two zeros
+    equal, and no trace column, summary field or digest prints the sign of
+    a zero.
     """
 
     @staticmethod
-    def einsum_form(w, features, labels):
-        r = np.einsum("...bd,...d->...b", features, w) - labels
-        return np.einsum("...bd,...b->...d", features, r) / features.shape[-2]
+    def row_times_residual(w, features, labels):
+        x = features[..., 0, :]
+        return x * (np.vecdot(x, w) - labels[..., 0])[..., None]
 
     @pytest.mark.parametrize("lead", [(), (7,)], ids=["unbatched", "batched"])
-    def test_equals_einsum_form(self, lead):
+    def test_equals_the_row_times_its_residual(self, lead):
         rng = np.random.default_rng(41)
         for _ in range(300):
             d = int(rng.integers(1, 12))
@@ -209,7 +212,7 @@ class TestOneRowGradient:
             y = sy * rng.standard_normal((*lead, 1))
             # Overflow can give inf - inf or 0 * inf, in both forms alike.
             with np.errstate(over="ignore", invalid="ignore"):
-                got, ref = least_squares_gradient(w, x, y), self.einsum_form(w, x, y)
+                got, ref = least_squares_gradient(w, x, y), self.row_times_residual(w, x, y)
             assert got.shape == (*lead, d)
             assert np.array_equal(got, ref, equal_nan=True)
 
@@ -217,7 +220,7 @@ class TestOneRowGradient:
         x = np.array([[-2.0, 0.0, 3.0]])
         w = np.array([1.0, 5.0, 1.0])
         y = x @ w
-        got, ref = least_squares_gradient(w, x, y), self.einsum_form(w, x, y)
+        got, ref = least_squares_gradient(w, x, y), self.row_times_residual(w, x, y)
         assert np.array_equal(got, ref)
-        assert not np.signbit(ref).any()
-        assert np.signbit(got).tolist() == [True, False, False]
+        assert not np.signbit(got).any()
+        assert np.signbit(ref).tolist() == [True, False, False]
