@@ -22,13 +22,7 @@ from .fl_core import (
     sample_devices,
     trace_diverged,
 )
-from .geomed import (
-    GMResult,
-    WeightedPointSet,
-    brute_force_gm,
-    gm_objective,
-    smoothed_weiszfeld,
-)
+from .geomed import GMResult, WeightedPointSet, smoothed_weiszfeld
 from .secure_avg import SecureAverageOracle
 from .tasks import (
     FederatedPartition,
@@ -56,10 +50,8 @@ __all__ = [
     "TailAveragedSGD",
     "WeightedPointSet",
     "aggregate",
-    "brute_force_gm",
     "exact_optimum",
     "generate_ls_task",
-    "gm_objective",
     "least_squares_gradient",
     "least_squares_loss",
     "local_update_sgd",

@@ -38,7 +38,7 @@ from .fl_core import (
     run_federated,
     trace_diverged,
 )
-from .geomed import WeightedPointSet, brute_force_gm, gm_objective, smoothed_weiszfeld
+from .geomed import WeightedPointSet, smoothed_weiszfeld
 from .secure_avg import SecureAverageOracle
 from .tasks import generate_ls_task
 
@@ -388,16 +388,10 @@ def read_point_csv(path: str) -> WeightedPointSet:
 
 def cmd_gm_solve(args: argparse.Namespace) -> int:
     point_set = read_point_csv(args.input)
-    # The reference runs first, so an instance above its size limit fails before the solve.
-    z_ref = brute_force_gm(point_set) if args.reference else None
     result = smoothed_weiszfeld(
         point_set, nu=args.nu, budget=args.budget, rel_tol=args.rel_tol
     )
     payload = {"schema_version": SUMMARY_SCHEMA_VERSION, **result.to_json_dict()}
-    if args.reference:
-        g_ref = gm_objective(z_ref, point_set)
-        payload["reference_objective"] = g_ref
-        payload["relative_gap"] = (result.g_value - g_ref) / max(abs(g_ref), 1e-300)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -421,11 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max Weiszfeld steps (the mean start adds one oracle call)",
     )
     p_gm.add_argument("--rel-tol", type=float, default=1e-6, help="relative improvement stop")
-    p_gm.add_argument(
-        "--reference",
-        action="store_true",
-        help="also solve by an independent brute-force method (m <= 50, d <= 10), report the gap",
-    )
     p_gm.add_argument("--output", help="write JSON here instead of stdout")
     p_gm.set_defaults(func=cmd_gm_solve)
 

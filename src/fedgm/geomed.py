@@ -124,13 +124,6 @@ class GMResult:
         }
 
 
-def gm_objective(z: np.ndarray, point_set: WeightedPointSet) -> float:
-    """Weighted sum of distances g(z) = sum_k a_k ||z - w_k||."""
-    z = np.asarray(z, dtype=float).ravel()
-    dists = np.linalg.norm(point_set.points - z, axis=1)
-    return float(point_set.weights @ dists)
-
-
 def _smoothed_distances(r: np.ndarray, nu: float) -> np.ndarray:
     """h_nu(r) = r^2/(2 nu) + nu/2 when r <= nu, else r; g_nu(z) = sum_k a_k h_nu(||z - w_k||)."""
     # Squaring min(r, nu), not r, keeps a huge discarded distance from overflowing.
@@ -267,79 +260,3 @@ def smoothed_weiszfeld(
         oracle_calls=calls,
         trace=trace,
     )
-
-
-def _weighted_coordinate_median(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Coordinate-wise weighted median; a robust starting point."""
-    m, d = points.shape
-    out = np.empty(d)
-    for j in range(d):
-        order = np.argsort(points[:, j], kind="stable")
-        cum = np.cumsum(weights[order])
-        idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
-        out[j] = points[order[min(idx, m - 1)], j]
-    return out
-
-
-def brute_force_gm(point_set: WeightedPointSet) -> np.ndarray:
-    """Reference geometric median by a method unrelated to Weiszfeld averaging.
-
-    Runs 400 projected subgradient steps with diminishing sizes from the
-    coordinate-wise weighted median, then polishes with up to 12
-    derivative-free simplex refinements of the exact (unsmoothed) objective
-    until the objective improves by less than 1e-9 between refinements.
-    Intended as an independent cross-check for small instances (m <= 50,
-    d <= 10).
-
-    Raises
-    ------
-    RuntimeError
-        If the refinement loop fails to stabilize within its cap.
-    """
-    if point_set.m > 50 or point_set.d > 10:
-        raise ValueError("brute_force_gm is limited to small instances (m <= 50, d <= 10)")
-    pts = point_set.points
-    wts = point_set.weights
-    if point_set.m == 1:
-        return pts[0].copy()
-
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    z = _weighted_coordinate_median(pts, wts)
-    dists = np.linalg.norm(pts - z, axis=1)
-    scale = float(np.median(dists))
-    if scale <= 0.0:
-        scale = float(dists.max())
-    if scale <= 0.0:
-        return pts[0].copy()  # all points identical
-
-    best_z = z.copy()
-    best_g = gm_objective(z, point_set)
-    for i in range(400):
-        diff = z - pts
-        dist = np.linalg.norm(diff, axis=1)
-        nz = dist > 0.0
-        sub = (wts[nz] / dist[nz]) @ diff[nz]
-        z = np.clip(z - (scale / math.sqrt(i + 1.0)) * sub, lo, hi)
-        g = gm_objective(z, point_set)
-        if g < best_g:
-            best_g = g
-            best_z = z.copy()
-
-    from scipy import optimize  # imported here: `import fedgm` stays scipy-free
-    fun = lambda v: gm_objective(v, point_set)
-    z_cur = best_z
-    g_prev = best_g
-    for _ in range(12):
-        res = optimize.minimize(
-            fun,
-            z_cur,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
-        )
-        if res.fun <= g_prev:
-            z_cur = np.asarray(res.x, dtype=float)
-        if abs(g_prev - res.fun) < 1e-9:
-            return z_cur
-        g_prev = min(g_prev, float(res.fun))
-    raise RuntimeError("brute_force_gm did not stabilize within the refinement cap")

@@ -92,27 +92,27 @@ class SecureAverageOracle:
         self.call_count += 1
         self.bytes_modeled += m * d + m * m
 
-        if self.mode == "plain":
-            return (weights @ values) / weights.sum()
+        if self.mode == "masked":
+            # Masked mode aggregates the stacked vector [beta * v, beta] so the
+            # weight total is never revealed in the clear either.
+            contrib = np.concatenate([values * weights[:, None], weights[:, None]], axis=1)
+            # Masks cannot hide an inf and the quantizer cannot encode one, so
+            # such a call falls through to the plain result; a diverging run
+            # then halts as it does in plain mode.
+            if np.all(np.isfinite(contrib)):
+                # Column c is encoded as rint(x * 2**shift_c). frexp bounds the
+                # column maximum below 2**e_c and (m - 1).bit_length() is
+                # ceil(log2 m), so the m encodings of a column sum to less than
+                # 2**_SUM_BITS in magnitude. ldexp applies the shift without
+                # forming 2**shift_c, which is not a finite double for tiny or
+                # subnormal columns.
+                colmax = np.abs(contrib).max(axis=0)
+                shift = _SUM_BITS - np.frexp(colmax)[1] - (m - 1).bit_length()
+                shift[colmax == 0.0] = 0
+                masked = np.rint(np.ldexp(contrib, shift)).astype(np.int64).view(np.uint64)
+                masked += _zero_sum_masks(self._rng, m, d + 1)
+                total = masked.sum(axis=0, dtype=np.uint64).view(np.int64)
+                total = np.ldexp(total.astype(float), -shift)
+                return total[:d] / total[d]
 
-        # Masked mode aggregates the stacked vector [beta * v, beta] so the
-        # weight total is never revealed in the clear either.
-        contrib = np.concatenate([values * weights[:, None], weights[:, None]], axis=1)
-        if not np.all(np.isfinite(contrib)):
-            # Masks cannot hide an inf and the quantizer cannot encode one;
-            # the plain result lets a diverging run halt as it does in plain mode.
-            return (weights @ values) / weights.sum()
-
-        # Column c is encoded as rint(x * 2**shift_c). frexp bounds the column
-        # maximum below 2**e_c and (m - 1).bit_length() is ceil(log2 m), so
-        # the m encodings of a column sum to less than 2**_SUM_BITS in
-        # magnitude. ldexp applies the shift without forming 2**shift_c,
-        # which is not a finite double for tiny or subnormal columns.
-        colmax = np.abs(contrib).max(axis=0)
-        shift = _SUM_BITS - np.frexp(colmax)[1] - (m - 1).bit_length()
-        shift[colmax == 0.0] = 0
-        masked = np.rint(np.ldexp(contrib, shift)).astype(np.int64).view(np.uint64)
-        masked += _zero_sum_masks(self._rng, m, d + 1)
-        total = masked.sum(axis=0, dtype=np.uint64).view(np.int64)
-        total = np.ldexp(total.astype(float), -shift)
-        return total[:d] / total[d]
+        return (weights @ values) / weights.sum()

@@ -1,9 +1,11 @@
 """Shared fixtures and reference helpers for the geometric-median tests.
 
 ``eta_update``, ``lipschitz_constant``, ``smoothed_objective``,
-``displacement_bound``, ``hull_distance`` and ``diameter`` are independent
-reference implementations that the solver's trace, iterates and robustness
-are checked against; the package itself does not need them.
+``displacement_bound``, ``hull_distance``, ``diameter``, ``gm_objective``
+and ``brute_force_gm`` (with its helper ``_weighted_coordinate_median``)
+are independent reference implementations that the solver's trace,
+iterates, accuracy and robustness are checked against; the package itself
+does not need them, and scipy is needed only here.
 
 The pool pairs every instance with both solver outputs (iterative and
 brute force) so equivalence, convergence-speed and invariant checks can
@@ -15,6 +17,7 @@ one the equivalence checks target.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,13 +26,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from fedgm.geomed import (
-    GMResult,
-    WeightedPointSet,
-    brute_force_gm,
-    gm_objective,
-    smoothed_weiszfeld,
-)
+from fedgm.geomed import GMResult, WeightedPointSet, smoothed_weiszfeld
 
 
 def pytest_collection_modifyitems(items):
@@ -147,6 +144,88 @@ def diameter(points: np.ndarray) -> float:
     """Largest pairwise distance between rows. O(m^2 d); point sets here are small."""
     diff = points[:, None, :] - points[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=2)).max())
+
+
+def gm_objective(z: np.ndarray, point_set: WeightedPointSet) -> float:
+    """Weighted sum of distances g(z) = sum_k a_k ||z - w_k||."""
+    z = np.asarray(z, dtype=float).ravel()
+    dists = np.linalg.norm(point_set.points - z, axis=1)
+    return float(point_set.weights @ dists)
+
+
+def _weighted_coordinate_median(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Coordinate-wise weighted median; a robust starting point."""
+    m, d = points.shape
+    out = np.empty(d)
+    for j in range(d):
+        order = np.argsort(points[:, j], kind="stable")
+        cum = np.cumsum(weights[order])
+        idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
+        out[j] = points[order[min(idx, m - 1)], j]
+    return out
+
+
+def brute_force_gm(point_set: WeightedPointSet) -> np.ndarray:
+    """Reference geometric median by a method unrelated to Weiszfeld averaging.
+
+    Runs 400 projected subgradient steps with diminishing sizes from the
+    coordinate-wise weighted median, then polishes with up to 12
+    derivative-free simplex refinements of the exact (unsmoothed) objective
+    until the objective improves by less than 1e-9 between refinements.
+    Intended as an independent cross-check for small instances (m <= 50,
+    d <= 10).
+
+    Raises
+    ------
+    RuntimeError
+        If the refinement loop fails to stabilize within its cap.
+    """
+    if point_set.m > 50 or point_set.d > 10:
+        raise ValueError("brute_force_gm is limited to small instances (m <= 50, d <= 10)")
+    pts = point_set.points
+    wts = point_set.weights
+    if point_set.m == 1:
+        return pts[0].copy()
+
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    z = _weighted_coordinate_median(pts, wts)
+    dists = np.linalg.norm(pts - z, axis=1)
+    scale = float(np.median(dists))
+    if scale <= 0.0:
+        scale = float(dists.max())
+    if scale <= 0.0:
+        return pts[0].copy()  # all points identical
+
+    best_z = z.copy()
+    best_g = gm_objective(z, point_set)
+    for i in range(400):
+        diff = z - pts
+        dist = np.linalg.norm(diff, axis=1)
+        nz = dist > 0.0
+        sub = (wts[nz] / dist[nz]) @ diff[nz]
+        z = np.clip(z - (scale / math.sqrt(i + 1.0)) * sub, lo, hi)
+        g = gm_objective(z, point_set)
+        if g < best_g:
+            best_g = g
+            best_z = z.copy()
+
+    fun = lambda v: gm_objective(v, point_set)
+    z_cur = best_z
+    g_prev = best_g
+    for _ in range(12):
+        res = optimize.minimize(
+            fun,
+            z_cur,
+            method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
+        )
+        if res.fun <= g_prev:
+            z_cur = np.asarray(res.x, dtype=float)
+        if abs(g_prev - res.fun) < 1e-9:
+            return z_cur
+        g_prev = min(g_prev, float(res.fun))
+    raise RuntimeError("brute_force_gm did not stabilize within the refinement cap")
 
 
 @dataclass(frozen=True)

@@ -22,16 +22,19 @@ from fedgm.fl_core import (
     run_federated,
     run_rfa_doubling,
 )
-from fedgm.geomed import (
-    WeightedPointSet,
-    brute_force_gm,
-    gm_objective,
-    smoothed_weiszfeld,
-)
+from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
 from fedgm.secure_avg import SecureAverageOracle
 from fedgm.tasks import generate_ls_task
 
-from conftest import POOL_NU, diameter, displacement_bound, hull_distance, smoothed_objective
+from conftest import (
+    POOL_NU,
+    brute_force_gm,
+    diameter,
+    displacement_bound,
+    gm_objective,
+    hull_distance,
+    smoothed_objective,
+)
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = "") -> bool:

@@ -144,25 +144,6 @@ class TestGmSolve:
         assert payload["oracle_calls"] == payload["iterations"] + 1
         assert payload["iterations"] <= 3
 
-    def test_reference_comparison(self, tmp_path, capsys):
-        path = write_points(tmp_path, "0,0.7\n1,0.3\n")
-        rc = main(["gm-solve", path, "--reference", "--budget", "100"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["reference_objective"] == pytest.approx(0.3, abs=1e-6)
-        assert abs(payload["relative_gap"]) < 1e-5
-
-    def test_reference_size_limit_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("solved an instance the reference cannot check")
-
-        monkeypatch.setattr("fedgm.cli.smoothed_weiszfeld", fail)
-        path = write_points(tmp_path, "".join(f"{i},0,1\n" for i in range(51)))
-        assert main(["gm-solve", path, "--reference"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "limited to small instances (m <= 50, d <= 10)" in captured.err
-
     def test_output_file(self, tmp_path, capsys):
         path = write_points(tmp_path, EQUILATERAL)
         out_path = tmp_path / "result.json"
@@ -935,9 +916,40 @@ class TestEntryPoint:
         import subprocess
         import sys
 
-        # scipy is only needed by brute_force_gm.
+        # scipy is a test-only dependency: the package never imports it.
         code = "import sys, fedgm, fedgm.cli; assert 'scipy' not in sys.modules"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
+        import subprocess
+        import sys
+
+        # A None entry in sys.modules makes every import of scipy fail, so
+        # each subcommand here runs as it would with numpy alone installed.
+        code = """
+import sys
+sys.modules["scipy"] = None
+from fedgm.cli import main
+points, config, out = sys.argv[1:]
+runs = [
+    ["gm-solve", points, "--nu", "1e-6", "--budget", "50", "--rel-tol", "1e-6"],
+    ["simulate", config, "--rounds", "2", "--seeds", "0", "--outdir", out + "/simulate"],
+    ["sweep", config, "--axis", "rho", "--values", "0,0.25", "--corruption", "omniscient",
+     "--rounds", "2", "--seeds", "0", "--outdir", out + "/sweep"],
+    ["report", out + "/sweep"],
+]
+codes = [main(argv) for argv in runs]
+assert codes == [0, 0, 0, 0], codes
+"""
+        points = write_points(tmp_path, "0,0,1\n2,0,1\n1,1.7320508,1\n")  # README's triangle
+        config = tmp_path / "config.json"
+        config.write_text("{}", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, points, str(config), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
         assert proc.returncode == 0, proc.stderr
 
     def test_missing_subcommand_exit_1(self):

@@ -11,18 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgm.geomed import (
-    WeightedPointSet,
-    brute_force_gm,
-    gm_objective,
-    smoothed_weiszfeld,
-)
+from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
 from fedgm.secure_avg import SecureAverageOracle
 
 from conftest import (
+    brute_force_gm,
     diameter,
     displacement_bound,
     eta_update,
+    gm_objective,
     hull_distance,
     lipschitz_constant,
     smoothed_objective,
