@@ -6,12 +6,13 @@ smoothed objective g_nu in which each distance is replaced by a quadratic
 inside a ball of radius nu, so every update is a plain weighted average
 with bounded reweights and no division by a vanishing distance can occur.
 
-Each iteration computes the m distances once, derives the objective
-values and the reweights from them, and consumes exactly one
-weighted-average aggregation. The distances are computed a block of rows
-at a time in two block-sized buffers allocated per solve, small enough to
-stay in cache, with the same bits as
-``np.linalg.norm(points - z, axis=1)``. Every average goes through a
+Each iteration computes the m distances once, a cache-sized block of rows
+at a time, derives the objective values and the reweights from them, and
+consumes exactly one weighted-average aggregation. The distances carry the
+bits of ``sqrt(vecdot(points - z, points - z))``, whose row sums follow the
+points' memory layout. OpenBLAS splits a dot of over 10^4 entries across
+threads, so reruns are byte-identical at a fixed BLAS thread count, and
+across thread counts only while d <= 10^4. Every average goes through a
 secure-average oracle (any object with an ``average(values, weights)``
 method; a plain ``SecureAverageOracle`` by default), which is what makes
 the solver usable on top of privacy-preserving summation: the coordinator
@@ -27,9 +28,9 @@ import numpy as np
 
 from .secure_avg import SecureAverageOracle
 
-# Bytes of one block of the distance pass's buffers, small enough that both
-# stay in a core's cache. 512 KB timed no faster on m=10^4, d=100 or on
-# m=d=1000, so the smaller block is kept.
+# Bytes of one block of the distance pass's buffers, small enough to stay in
+# cache. 7-step solve medians, 128/256/512 KB: 8.8/8.6/9.1 ms at m=10^4,
+# d=100; 12.2/11.9/12.7 ms at m=d=1000 (1 BLAS thread, Xeon, SkylakeX core).
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -177,16 +178,16 @@ def smoothed_weiszfeld(
     Each iterate computes the m distances once and derives g, g_nu, the
     reweights beta_k = a_k / max(nu, ||z - w_k||) and their sum L from
     them; the next iterate is the beta-weighted average of the points.
-    The distances are computed a block of rows at a time. A block holds
-    at most 256 KB, or 8 rows if a row is larger. Each block of points
-    minus a block filled with z is squared and row-summed in place in a
-    scratch block, into a preallocated (m,) array that one ``np.sqrt``
+    The distances are computed a block of rows at a time: at most 256 KB, or
+    8 rows if a row is larger. Each block of points minus a block filled
+    with z goes to a scratch block, whose ``np.vecdot`` with itself writes
+    one BLAS dot per row into a preallocated (m,) array that one ``np.sqrt``
     then finishes. Both blocks are allocated once per call in the memory
-    layout of the points. The last block is shifted back to end at row m,
-    so every block has the same shape and no row is summed alone (a lone
+    layout of the points. The last block is shifted back to end at row m, so
+    every block has the same shape and no row is summed alone (a lone
     F-ordered row would be summed in another order). The distances thus
-    carry the same bits as ``np.linalg.norm``, while the blocks stay in
-    cache and no (m, d) array is allocated.
+    carry the bits of ``sqrt(vecdot(points - z, points - z))``, whose row
+    sums follow the points' memory layout; no (m, d) array is allocated.
     Each step minimizes the quadratic surrogate at the current iterate, so
     the smoothed objective never increases; iterates from step 1 on stay in
     the convex hull of the points. With a single point the exact answer is
@@ -223,7 +224,7 @@ def smoothed_weiszfeld(
 
     m, d = pts.shape
     rows = min(m, max(8, _BLOCK_BYTES // (8 * d)))
-    block = np.empty_like(pts[:rows])  # same memory layout as pts, so r has norm's bits
+    block = np.empty_like(pts[:rows])  # same memory layout as pts, so rows sum in its order
     z_rows = np.empty_like(block)  # z in every row: the subtraction needs no broadcast
     r = np.empty(m)
     trace: list[IterationRecord] = []
@@ -232,8 +233,7 @@ def smoothed_weiszfeld(
         for lo in range(0, m, rows):
             lo = min(lo, m - rows)
             np.subtract(pts[lo : lo + rows], z_rows, out=block)
-            np.multiply(block, block, out=block)
-            block.sum(axis=1, out=r[lo : lo + rows])
+            np.vecdot(block, block, out=r[lo : lo + rows])
         np.sqrt(r, out=r)
         g_nu = float(wts @ _smoothed_distances(r, nu))
         step_beta = wts / np.maximum(r, nu)

@@ -1,11 +1,12 @@
 """Shared fixtures and reference helpers for the geometric-median tests.
 
-``eta_update``, ``lipschitz_constant``, ``smoothed_objective``,
-``displacement_bound``, ``hull_distance``, ``diameter``, ``gm_objective``
-and ``brute_force_gm`` (with its helper ``_weighted_coordinate_median``)
-are independent reference implementations that the solver's trace,
-iterates, accuracy and robustness are checked against; the package itself
-does not need them, and scipy is needed only here.
+``row_distances``, ``eta_update``, ``lipschitz_constant``,
+``smoothed_objective``, ``displacement_bound``, ``hull_distance``,
+``diameter``, ``gm_objective`` and ``brute_force_gm`` (with its helper
+``_weighted_coordinate_median``) are independent reference
+implementations that the solver's trace, iterates, accuracy and
+robustness are checked against; the package itself does not need them,
+and scipy is needed only here.
 
 The pool pairs every instance with both solver outputs (iterative and
 brute force) so equivalence, convergence-speed and invariant checks can
@@ -63,13 +64,22 @@ POOL_BUDGET = 50
 INTERIOR_MARGIN = 0.1
 
 
+def row_distances(points: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """||w_k - z|| for every row w_k, as sqrt(vecdot(points - z, points - z)).
+
+    These are the solver's bits: ``points - z`` keeps the memory layout of
+    the points, and ``np.vecdot`` sums each row in the order that layout
+    gives, as the solver's blocked distance pass does.
+    """
+    d = points - np.asarray(z, dtype=float).ravel()
+    return np.sqrt(np.vecdot(d, d))
+
+
 def eta_update(z: np.ndarray, point_set: WeightedPointSet, nu: float) -> np.ndarray:
     """Per-point auxiliary distances eta_k = max(nu, ||z - w_k||)."""
     if nu <= 0.0:
         raise ValueError("nu must be positive")
-    z = np.asarray(z, dtype=float).ravel()
-    dists = np.linalg.norm(point_set.points - z, axis=1)
-    return np.maximum(dists, nu)
+    return np.maximum(row_distances(point_set.points, z), nu)
 
 
 def lipschitz_constant(eta: np.ndarray, point_set: WeightedPointSet) -> float:
@@ -94,8 +104,7 @@ def smoothed_objective(z: np.ndarray, point_set: WeightedPointSet, nu: float) ->
     """
     if nu <= 0.0:
         raise ValueError("nu must be positive")
-    z = np.asarray(z, dtype=float).ravel()
-    r = np.linalg.norm(point_set.points - z, axis=1)
+    r = row_distances(point_set.points, z)
     return float(point_set.weights @ np.where(r <= nu, r * r / (2.0 * nu) + nu / 2.0, r))
 
 
@@ -148,9 +157,7 @@ def diameter(points: np.ndarray) -> float:
 
 def gm_objective(z: np.ndarray, point_set: WeightedPointSet) -> float:
     """Weighted sum of distances g(z) = sum_k a_k ||z - w_k||."""
-    z = np.asarray(z, dtype=float).ravel()
-    dists = np.linalg.norm(point_set.points - z, axis=1)
-    return float(point_set.weights @ dists)
+    return float(point_set.weights @ row_distances(point_set.points, z))
 
 
 def _weighted_coordinate_median(points: np.ndarray, weights: np.ndarray) -> np.ndarray:

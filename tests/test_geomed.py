@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,7 @@ from conftest import (
     gm_objective,
     hull_distance,
     lipschitz_constant,
+    row_distances,
     smoothed_objective,
 )
 
@@ -370,7 +374,7 @@ class TestSmoothedWeiszfeld:
             assert rec.g == gm_objective(rec.z, ps)
             assert rec.g_nu == smoothed_objective(rec.z, ps, nu)
             assert rec.lipschitz == lipschitz_constant(eta_update(rec.z, ps, nu), ps)
-        dists = np.linalg.norm(res.trace[-2].z - ps.points, axis=1)
+        dists = row_distances(ps.points, res.trace[-2].z)
         assert np.array_equal(res.beta, ps.weights / np.maximum(dists, nu))
 
     def test_default_oracle_is_plain(self):
@@ -399,7 +403,7 @@ class TestSmoothedWeiszfeld:
     def test_same_bits_as_the_reference_on_every_memory_layout(self):
         # The distance buffer must follow the layout of the points: a
         # C-ordered buffer sums the rows of an F-ordered set in another
-        # order than np.linalg.norm does.
+        # order than vecdot over points - z does.
         rng = np.random.default_rng(89)
         base = rng.standard_normal((80, 90))
         weights = rng.uniform(0.2, 2.0, 40)
@@ -413,11 +417,11 @@ class TestSmoothedWeiszfeld:
             for rec in res.trace:
                 assert rec.g == gm_objective(rec.z, ps)
                 assert rec.g_nu == smoothed_objective(rec.z, ps, nu)
-            dists = np.linalg.norm(ps.points - res.trace[-2].z, axis=1)
+            dists = row_distances(ps.points, res.trace[-2].z)
             assert np.array_equal(res.beta, ps.weights / np.maximum(dists, nu))
             results.append(res)
-        # Across layouts only closeness holds: np.linalg.norm's row sums and
-        # the oracle's weights @ points both follow the memory layout.
+        # Across layouts only closeness holds: vecdot's row sums and the
+        # oracle's weights @ points both follow the memory layout.
         for res in results[1:]:
             assert np.allclose(res.z, results[0].z, rtol=0.0, atol=1e-12)
             assert np.allclose(res.beta, results[0].beta, rtol=1e-12, atol=0.0)
@@ -427,7 +431,7 @@ class TestSmoothedWeiszfeld:
         # A 1-byte budget puts the distance pass at its floor of 8 rows per
         # block, and m is not a multiple of 8. At m=41 a last block of the
         # leftover row alone would sum an F-ordered row in another order
-        # than np.linalg.norm does.
+        # than vecdot over points - z does.
         monkeypatch.setattr("fedgm.geomed._BLOCK_BYTES", 1)
         rng = np.random.default_rng(103)
         base = rng.standard_normal((2 * m, 90))
@@ -441,8 +445,49 @@ class TestSmoothedWeiszfeld:
             for rec in res.trace:
                 assert rec.g == gm_objective(rec.z, ps)
                 assert rec.g_nu == smoothed_objective(rec.z, ps, nu)
-            dists = np.linalg.norm(ps.points - res.trace[-2].z, axis=1)
+            dists = row_distances(ps.points, res.trace[-2].z)
             assert np.array_equal(res.beta, ps.weights / np.maximum(dists, nu))
+
+    def test_final_distances_are_close_to_linalg_norm_on_every_memory_layout(self):
+        # One dot per row and norm's pairwise row sum add in other orders,
+        # so the bits may differ, but only in the last place or so.
+        rng = np.random.default_rng(109)
+        base = rng.standard_normal((80, 90))
+        view = base[::2, ::3]
+        nu = 1e-3
+        for pts in (np.ascontiguousarray(view), np.asfortranarray(view), view):
+            ps = WeightedPointSet(pts, rng.uniform(0.2, 2.0, 40))
+            res = smoothed_weiszfeld(ps, nu=nu, budget=25, rel_tol=0.0)
+            norm = np.linalg.norm(ps.points - res.trace[-2].z, axis=1)
+            assert np.allclose(res.beta, ps.weights / np.maximum(norm, nu), rtol=1e-15, atol=0.0)
+
+    def test_rows_longer_than_a_threaded_dot_agree_across_blas_thread_counts(self):
+        # OpenBLAS splits a dot of more than 10^4 entries over its threads,
+        # so at d = 2*10^4 the distance bits may differ between 1 and 2
+        # threads (on an x86_64 SkylakeX core, the final z differed in about
+        # half its entries, by 1.3e-16 relative); the solve must still agree
+        # to rounding. Four steps keep the relative improvement far above
+        # rel_tol = 0, so both runs stop after the same step.
+        code = """
+import json
+import numpy as np
+from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
+rng = np.random.default_rng(113)
+ps = WeightedPointSet(rng.standard_normal((8, 20_000)), rng.uniform(0.5, 1.5, 8))
+res = smoothed_weiszfeld(ps, budget=4, rel_tol=0.0)
+print(json.dumps({"iterations": res.iterations, "z": res.z.tolist()}))
+"""
+        solves = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            solves.append(json.loads(proc.stdout))
+        assert solves[0]["iterations"] == solves[1]["iterations"] == 4
+        z1, z2 = (np.array(s["z"]) for s in solves)
+        assert np.linalg.norm(z1 - z2) <= 1e-12 * np.linalg.norm(z1)
 
     def test_solve_writes_neither_the_callers_points_nor_its_own(self):
         pts = np.random.default_rng(97).standard_normal((30, 4))
