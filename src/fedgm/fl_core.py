@@ -338,10 +338,10 @@ def run_federated(
     the features, adaptive poisoning relabels them against the broadcast
     model, and the omniscient attack replaces the updates before
     aggregation. Train/test losses and the squared distance to the task's
-    pooled optimum are recorded after every round on uncorrupted data. The
-    run stops after the first round whose train loss exceeds
-    ``DIVERGENCE_LOSS`` or turns non-finite, so that round ends a diverged
-    trace. rounds = 0 returns an empty trace.
+    pooled optimum are recorded after every round on uncorrupted data. Each
+    round's row is appended first, and the run stops as soon as
+    ``trace_diverged`` holds, so the first diverged round ends the trace.
+    rounds = 0 returns an empty trace.
     """
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
@@ -398,19 +398,17 @@ def run_federated(
                 selected=tuple(int(k) for k in selected),
             )
         )
-        if loss_diverged(train_loss):
+        if trace_diverged(traces):
             break
     return traces
 
 
-def loss_diverged(loss: float) -> bool:
-    """A loss marks divergence when it is non-finite or above ``DIVERGENCE_LOSS``."""
-    return not math.isfinite(loss) or loss > DIVERGENCE_LOSS
-
-
 def trace_diverged(traces: list[RoundTrace]) -> bool:
-    """A run is diverged when its last recorded loss is non-finite or huge."""
-    return bool(traces) and loss_diverged(traces[-1].train_loss)
+    """A run is diverged when its last train loss is non-finite or above ``DIVERGENCE_LOSS``."""
+    if not traces:
+        return False
+    loss = traces[-1].train_loss
+    return not math.isfinite(loss) or loss > DIVERGENCE_LOSS
 
 
 def run_rfa_doubling(
