@@ -182,11 +182,20 @@ def sample_devices(total: int, per_round: int, rng: np.random.Generator) -> np.n
     return np.sort(rng.choice(total, size=per_round, replace=False))
 
 
-def _shard_rows(features: np.ndarray, labels: np.ndarray, rngs: Sequence) -> int:
-    """Rows per shard n, after checking (m, n, d) features, (m, n) labels and m rngs."""
-    if features.ndim != 3 or not len(features) or labels.shape != features.shape[:2]:
-        raise ValueError("need m >= 1 stacked (n, d) shards with (m, n) labels")
-    if len(rngs) != len(features):
+def _shard_rows(
+    features: np.ndarray, selected: np.ndarray, labels: np.ndarray, rngs: Sequence
+) -> int:
+    """Rows per shard n, after checking (K, n, d) features, m ids, (m, n) labels and m rngs."""
+    m = len(selected)
+    if (
+        features.ndim != 3
+        or selected.ndim != 1
+        or not m
+        or labels.shape != (m, features.shape[1])
+        or not 0 <= selected.min() <= selected.max() < len(features)
+    ):
+        raise ValueError("need m >= 1 ids of stacked (n, d) shards with (m, n) labels")
+    if len(rngs) != m:
         raise ValueError("need one rng per shard")
     return features.shape[1]
 
@@ -194,6 +203,7 @@ def _shard_rows(features: np.ndarray, labels: np.ndarray, rngs: Sequence) -> int
 def _local_steps(
     task,
     features: np.ndarray,
+    selected: np.ndarray,
     labels: np.ndarray,
     w0: np.ndarray,
     gamma: float,
@@ -202,28 +212,33 @@ def _local_steps(
 ) -> np.ndarray:
     """SGD from w0 on m shards at once, one stacked (m, p) update per step.
 
-    ``features`` (m, n, d) and ``labels`` (m, n) hold the shards, and
-    ``idx`` (steps, m, b) says which rows each step uses: step s uses rows
-    ``idx[s, k]`` of shard k. Rows are gathered a block of max(1, n // b)
-    steps at a time, so a block holds at most one more copy of the shards.
+    Shard k is ``features[selected[k]]`` (n, d) of the (K, n, d) population,
+    with labels ``labels[k]`` (n,), and ``idx`` (steps, m, b) says which
+    rows each step uses: step s uses rows ``idx[s, k]`` of shard k. Rows are
+    gathered a block of max(1, n // b) steps at a time, so a block holds at
+    most one more copy of the round's shards.
     A one-row step (b = 1) is the least-squares step computed here, the
     row times gamma times its residual, with no ``task.gradient`` call; a
     minibatch step (b > 1) calls ``task.gradient``. Returns the (m, p)
     average of the last ``tail`` iterates (the final iterate when tail = 1).
     """
     m, n = labels.shape
-    features, labels = features.reshape(m * n, -1), labels.reshape(m * n)
-    # Row numbers into the flattened shards; a one-row step gathers (m, d) rows.
-    rows = idx + n * np.arange(m)[:, None]
-    b = rows.shape[-1]
+    b = idx.shape[-1]
+    # Shard k's row j is row j + n * selected[k] of the flattened population
+    # and row j + n * k of the flattened round labels. A one-row step
+    # gathers (m, d) rows.
+    shape = (m,) if b == 1 else (m, 1)
     if b == 1:
-        rows = rows[..., 0]
-    block, first_tail = max(1, n // b), len(rows) - tail
+        idx = idx[..., 0]
+    feature_base, label_base = (n * selected).reshape(shape), (n * np.arange(m)).reshape(shape)
+    features, labels = features.reshape(-1, features.shape[-1]), labels.reshape(m * n)
+    block, first_tail = max(1, n // b), len(idx) - tail
     w = np.tile(np.asarray(w0, dtype=float), (m, 1))
     acc = np.zeros_like(w)
-    for start in range(0, len(rows), block):
-        batch = rows[start : start + block]
-        for s, (x, y) in enumerate(zip(features[batch], labels[batch]), start):
+    for start in range(0, len(idx), block):
+        batch = idx[start : start + block]
+        x_rows, y_rows = features[batch + feature_base], labels[batch + label_base]
+        for s, (x, y) in enumerate(zip(x_rows, y_rows), start):
             if b == 1:
                 r = np.vecdot(x, w) - y
                 r *= gamma
@@ -238,6 +253,7 @@ def _local_steps(
 def local_update_sgd(
     task,
     features: np.ndarray,
+    selected: np.ndarray,
     labels: np.ndarray,
     rngs: Sequence[np.random.Generator],
     w0: np.ndarray,
@@ -247,25 +263,28 @@ def local_update_sgd(
 ) -> np.ndarray:
     """Minibatch SGD from w0 on each of m shards, batched across shards.
 
-    ``features`` (m, n, d) and ``labels`` (m, n) stack the shards, and
-    ``rngs[k]`` is shard k's generator. Each shard runs ``steps`` steps
-    (``LocalSGD.steps(n)``, or 1 for "sgd_step"); every minibatch is a fresh
-    uniform subset (without replacement) of the shard. One call on each
-    rng draws all of its minibatches for the round. Returns the (m, p)
-    final iterates, row k for shard k; gamma = 0 returns w0 in every row.
+    ``features`` (K, n, d) stacks the population's shards, read in place;
+    shard k is ``features[selected[k]]``, with labels ``labels[k]`` of the
+    round's (m, n) labels, and ``rngs[k]`` is its generator. Each shard runs
+    ``steps`` steps (``LocalSGD.steps(n)``, or 1 for "sgd_step"); every
+    minibatch is a fresh uniform subset (without replacement) of the shard.
+    One call on each rng draws all of its minibatches for the round. Returns
+    the (m, p) final iterates, row k for shard k; gamma = 0 returns w0 in
+    every row.
     """
-    n = _shard_rows(features, labels, rngs)
+    n = _shard_rows(features, selected, labels, rngs)
     if batch_size < 1 or batch_size > n:
         raise ValueError("batch_size must lie in [1, n]")
     if steps < 1:
         raise ValueError("steps must be positive")
     idx = np.stack([rng.random((steps, n)) for rng in rngs], 1).argsort(axis=2)[:, :, :batch_size]
-    return _local_steps(task, features, labels, w0, gamma, idx, tail=1)
+    return _local_steps(task, features, selected, labels, w0, gamma, idx, tail=1)
 
 
 def local_update_tail_avg_sgd(
     task,
     features: np.ndarray,
+    selected: np.ndarray,
     labels: np.ndarray,
     rngs: Sequence[np.random.Generator],
     w0: np.ndarray,
@@ -274,17 +293,17 @@ def local_update_tail_avg_sgd(
 ) -> np.ndarray:
     """Single-sample SGD on each of m shards, batched across shards.
 
-    Stacked like ``local_update_sgd``. Each shard performs ``steps`` steps
-    on samples drawn i.i.d. (with replacement) by one call on its rng, then
-    averages iterates ceil(steps/2)+1 through steps. Returns the (m, p)
-    averages, row k for shard k.
+    Takes its shards like ``local_update_sgd``. Each shard performs
+    ``steps`` steps on samples drawn i.i.d. (with replacement) by one call
+    on its rng, then averages iterates ceil(steps/2)+1 through steps.
+    Returns the (m, p) averages, row k for shard k.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    n = _shard_rows(features, labels, rngs)
+    n = _shard_rows(features, selected, labels, rngs)
     idx = np.stack([rng.integers(0, n, size=steps) for rng in rngs], axis=1)
     tail = steps - (steps + 1) // 2
-    return _local_steps(task, features, labels, w0, gamma, idx[:, :, None], tail)
+    return _local_steps(task, features, selected, labels, w0, gamma, idx[:, :, None], tail)
 
 
 def aggregate(
@@ -332,12 +351,13 @@ def run_federated(
 ) -> list[RoundTrace]:
     """Simulate the federated loop from w = 0 for the given number of rounds.
 
-    ``realize`` marks the corrupted devices once. Each round gathers a copy
-    of its selected shards, so ``partition`` is never written, and the
-    attack rewrites only their corrupted rows: static poisoning negates
-    the features, adaptive poisoning relabels them against the broadcast
-    model, and the omniscient attack replaces the updates before
-    aggregation. Train/test losses and the squared distance to the task's
+    ``realize`` marks the corrupted devices once, and ``partition`` is never
+    written. Local steps read the selected shards' features in place:
+    static poisoning negates the corrupted devices' features once per run,
+    in one copy of the shards. Each round gathers a copy of its selected
+    shards' labels, in which adaptive poisoning relabels the corrupted
+    rows against the broadcast model, and the omniscient attack replaces
+    the corrupted updates before aggregation. Train/test losses and the squared distance to the task's
     pooled optimum are recorded after every round on uncorrupted data. Each
     round's row is appended first, and the run stops as soon as
     ``trace_diverged`` holds, so the first diverged round ends the trace.
@@ -352,6 +372,12 @@ def run_federated(
     children = np.random.SeedSequence([int(seed), 0xFED]).spawn(partition.devices)
     rngs = [np.random.default_rng(child) for child in children]
     corrupted = realize(corruption, partition.devices, fallback_seed=seed)
+    # Local steps read the shards in place. Static poisoning negates the
+    # corrupted shards once, in a copy, so ``partition`` is never written.
+    features = partition.device_features
+    if corruption.kind == "static_data":
+        features = features.copy()
+        features[corrupted] = poison_static(features[corrupted])
 
     # Equal shards: every selected device weighs n / (m * n) = 1/m.
     round_weights = np.full(config.devices_per_round, 1.0 / config.devices_per_round)
@@ -362,21 +388,23 @@ def run_federated(
         selected = sample_devices(partition.devices, config.devices_per_round, server_rng)
         gamma = config.lr.gamma_at(t)
 
-        # Advanced indexing copies the round's shards, so poisoning them
+        # Advanced indexing copies the round's labels, so adaptive poisoning
         # leaves the partition (views of the task's train data) untouched.
-        x, y = partition.device_features[selected], partition.device_labels[selected]
+        y = partition.device_labels[selected]
         chosen = [rngs[k] for k in selected]
         corrupted_mask = corrupted[selected]
-        if corruption.kind == "static_data":
-            x[corrupted_mask] = poison_static(x[corrupted_mask])
-        elif corruption.kind == "adaptive_data":
-            y[corrupted_mask] = poison_adaptive(x[corrupted_mask], w)
+        if corruption.kind == "adaptive_data":
+            y[corrupted_mask] = poison_adaptive(features[selected[corrupted_mask]], w)
 
         if isinstance(local, LocalSGD):
             steps = 1 if config.aggregator.kind == "sgd_step" else local.steps(y.shape[1])
-            updates = local_update_sgd(task, x, y, chosen, w, gamma, local.batch_size, steps)
+            updates = local_update_sgd(
+                task, features, selected, y, chosen, w, gamma, local.batch_size, steps
+            )
         else:
-            updates = local_update_tail_avg_sgd(task, x, y, chosen, w, gamma, local.steps_at(t))
+            updates = local_update_tail_avg_sgd(
+                task, features, selected, y, chosen, w, gamma, local.steps_at(t)
+            )
 
         if corruption.kind == "omniscient" and corrupted_mask.any():
             updates = omniscient_updates(updates, round_weights, corrupted_mask)

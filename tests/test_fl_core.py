@@ -41,11 +41,18 @@ def small_task(seed=0, noise=0.1, d=3, devices=10, n_k=20):
 
 
 def make_shards(seeds=(0,), n=20, d=3):
-    """Stacked (m, n, d) features, (m, n) labels and m rngs, one shard per seed."""
+    """A (2m, n, d) population, the m ids of its odd shards, their (m, n) labels and m rngs.
+
+    Selected shard k, id 2k + 1, draws its rows and labels from ``seeds[k]``;
+    the even shards are noise that a step must never read.
+    """
     data = [np.random.default_rng(seed) for seed in seeds]
-    features = np.stack([rng.standard_normal((n, d)) for rng in data])
+    features = np.stack(
+        [x for rng in data for x in (np.full((n, d), np.nan), rng.standard_normal((n, d)))]
+    )
     labels = np.stack([rng.standard_normal(n) for rng in data])
-    return features, labels, [np.random.default_rng(seed + 1) for seed in seeds]
+    selected = np.arange(1, 2 * len(seeds), 2)
+    return features, selected, labels, [np.random.default_rng(seed + 1) for seed in seeds]
 
 
 class TestSchedulesAndSpecs:
@@ -143,18 +150,18 @@ class TestSamplingHelpers:
 class TestLocalUpdates:
     def test_zero_rate_returns_start(self):
         task, _ = small_task()
-        x, y, rngs = make_shards()
+        x, sel, y, rngs = make_shards()
         w0 = np.ones(3)
-        out = local_update_sgd(task, x, y, rngs, w0, 0.0, batch_size=5, steps=4)
+        out = local_update_sgd(task, x, sel, y, rngs, w0, 0.0, batch_size=5, steps=4)
         assert np.array_equal(out[0], w0)
 
     def test_full_batch_single_epoch_is_one_gradient_step(self):
         task, _ = small_task()
-        x, y, rngs = make_shards(n=16)
+        x, sel, y, rngs = make_shards(n=16)
         w0 = np.full(3, 0.5)
         gamma = 0.2
-        out = local_update_sgd(task, x, y, rngs, w0, gamma, batch_size=16, steps=1)
-        expected = w0 - gamma * task.gradient(w0, x[0], y[0])
+        out = local_update_sgd(task, x, sel, y, rngs, w0, gamma, batch_size=16, steps=1)
+        expected = w0 - gamma * task.gradient(w0, x[sel[0]], y[0])
         assert np.allclose(out[0], expected, atol=1e-12)
 
     def test_step_count_scales_with_epochs(self):
@@ -193,22 +200,28 @@ class TestLocalUpdates:
             local_update_tail_avg_sgd(task, *make_shards(), np.zeros(3), 0.1, steps=1)
 
     def test_unequal_shards_rejected(self):
-        """Features, labels and rngs must agree on m shards of n rows."""
+        """Features, ids, labels and rngs must agree on m shards of n rows."""
         task, _ = small_task()
-        x, y, rngs = make_shards((0, 1))
+        x, sel, y, rngs = make_shards((0, 1))
         cases = [
-            (x[:0], y[:0], [], "stacked"),  # no shards
-            (x[0], y[0], rngs[:1], "stacked"),  # one shard, not stacked
-            (x, y[:, :-1], rngs, "stacked"),  # labels not (m, n)
-            (x, y[0], rngs, "stacked"),  # one shard's labels for two shards
-            (x, y, rngs[:1], "one rng per shard"),  # one rng would serve both shards
-            (x, y, rngs + rngs[:1], "one rng per shard"),
+            (x, sel[:0], y[:0], [], "stacked"),  # no shards
+            (x[1], sel, y, rngs, "stacked"),  # one shard, not stacked
+            (x, sel[:, None], y, rngs, "stacked"),  # ids not one-dimensional
+            (x, sel, y[:, :-1], rngs, "stacked"),  # labels not (m, n)
+            (x, sel, y[0], rngs, "stacked"),  # one shard's labels for two shards
+            (x, sel[:1], y, rngs, "stacked"),  # one id for two shards' labels
+            (x, sel - 2, y, rngs, "stacked"),  # id -1 is not a shard
+            (x, sel + 1, y, rngs, "stacked"),  # id 4 is past the last shard
+            (x, sel, y, rngs[:1], "one rng per shard"),  # one rng would serve both shards
+            (x, sel, y, rngs + rngs[:1], "one rng per shard"),
         ]
-        for features, labels, gens, match in cases:
+        for features, ids, labels, gens, match in cases:
             with pytest.raises(ValueError, match=match):
-                local_update_sgd(task, features, labels, gens, np.zeros(3), 0.1, 5, steps=1)
+                local_update_sgd(task, features, ids, labels, gens, np.zeros(3), 0.1, 5, steps=1)
             with pytest.raises(ValueError, match=match):
-                local_update_tail_avg_sgd(task, features, labels, gens, np.zeros(3), 0.1, steps=4)
+                local_update_tail_avg_sgd(
+                    task, features, ids, labels, gens, np.zeros(3), 0.1, steps=4
+                )
 
 
 class TestBatchedLocalUpdates:
@@ -219,17 +232,17 @@ class TestBatchedLocalUpdates:
     @pytest.mark.parametrize("steps", [9, 47])
     def test_tail_avg_rows_match_one_row_loop(self, steps):
         task, _ = small_task()
-        x, y, device_rngs = make_shards((0, 10, 20))
+        x, sel, y, device_rngs = make_shards((0, 10, 20))
         rngs = copy.deepcopy(device_rngs)
         w0, gamma = np.full(3, 0.2), 0.3
-        out = local_update_tail_avg_sgd(task, x, y, device_rngs, w0, gamma, steps)
+        out = local_update_tail_avg_sgd(task, x, sel, y, device_rngs, w0, gamma, steps)
         assert out.shape == (3, 3)
         for k, (dev_rng, rng) in enumerate(zip(device_rngs, rngs)):
             idx = rng.integers(0, x.shape[1], size=steps)
             w = w0.copy()
             tail = []
             for i, j in enumerate(idx):
-                w = w - gamma * task.gradient(w, x[k, j : j + 1], y[k, j : j + 1])
+                w = w - gamma * task.gradient(w, x[sel[k], j : j + 1], y[k, j : j + 1])
                 if i + 1 >= (steps + 1) // 2 + 1:
                     tail.append(w)
             assert np.abs(out[k] - np.mean(tail, axis=0)).max() <= 1e-12
@@ -239,35 +252,35 @@ class TestBatchedLocalUpdates:
     @pytest.mark.parametrize("steps", [9, 47])
     def test_sgd_batch1_rows_match_one_row_loop(self, steps):
         task, _ = small_task()
-        x, y, device_rngs = make_shards((0, 10, 20))
+        x, sel, y, device_rngs = make_shards((0, 10, 20))
         rngs = copy.deepcopy(device_rngs)
         w0, gamma = np.full(3, 0.2), 0.3
-        out = local_update_sgd(task, x, y, device_rngs, w0, gamma, 1, steps)
+        out = local_update_sgd(task, x, sel, y, device_rngs, w0, gamma, 1, steps)
         assert out.shape == (3, 3)
         for k, (dev_rng, rng) in enumerate(zip(device_rngs, rngs)):
             idx = rng.random((steps, x.shape[1])).argsort(axis=1)[:, 0]
             w = w0.copy()
             for j in idx:
-                w = w - gamma * task.gradient(w, x[k, j : j + 1], y[k, j : j + 1])
+                w = w - gamma * task.gradient(w, x[sel[k], j : j + 1], y[k, j : j + 1])
             assert np.abs(out[k] - w).max() <= 1e-12
             # one rng call per device per round
             assert dev_rng.bit_generator.state == rng.bit_generator.state
 
     def test_sgd_rows_match_sequential_minibatch_sgd(self):
         task, _ = small_task()
-        x, y, device_rngs = make_shards((0, 10, 20))
+        x, sel, y, device_rngs = make_shards((0, 10, 20))
         rngs = copy.deepcopy(device_rngs)
         w0, gamma, batch, epochs = np.full(3, -0.1), 0.2, 6, 2
         steps = LocalSGD(batch, epochs).steps(20)
         assert steps == math.ceil(20 * epochs / batch)
-        out = local_update_sgd(task, x, y, device_rngs, w0, gamma, batch, steps)
+        out = local_update_sgd(task, x, sel, y, device_rngs, w0, gamma, batch, steps)
         assert out.shape == (3, 3)
         for k, (dev_rng, rng) in enumerate(zip(device_rngs, rngs)):
             draws = rng.random((steps, x.shape[1])).argsort(axis=1)[:, :batch]
             w = w0.copy()
             for idx in draws:
                 assert len(set(idx.tolist())) == batch
-                w = w - gamma * task.gradient(w, x[k, idx], y[k, idx])
+                w = w - gamma * task.gradient(w, x[sel[k], idx], y[k, idx])
             assert np.abs(out[k] - w).max() <= 1e-12
             assert dev_rng.bit_generator.state == rng.bit_generator.state
 
@@ -275,23 +288,23 @@ class TestBatchedLocalUpdates:
         """Guard: a long round never holds every step's rows at once.
 
         Gathering all 1000 steps' rows at once would take 50 copies of the
-        (m, n, d) features; a block of n steps takes one.
+        round's (m, n, d) features; a block of n steps takes one.
         """
         m, n, d = 4, 20, 40
         task, _ = small_task(d=d)
-        x, y, rngs = make_shards(range(m), n=n, d=d)
+        x, sel, y, rngs = make_shards(range(m), n=n, d=d)
         steps = 50 * n
-        # The per-device draws, their (steps, m) stack and the row numbers.
-        index_bytes = 3 * steps * m * 8
+        # The per-device draws and their (steps, m) stack.
+        index_bytes = 2 * steps * m * 8
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            local_update_tail_avg_sgd(task, x, y, rngs, np.zeros(d), 0.1, steps)
+            local_update_tail_avg_sgd(task, x, sel, y, rngs, np.zeros(d), 0.1, steps)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < index_bytes + 2 * x.nbytes
+        assert peak < index_bytes + 2 * x[sel].nbytes
 
 
 class TestAggregate:
@@ -631,32 +644,69 @@ class TestRunFederated:
 
     @pytest.mark.parametrize("kind", ["static_data", "adaptive_data"])
     def test_local_update_sees_exactly_the_poisoned_rows(self, kind, monkeypatch):
+        """Every row a local step gathers is the partition's row, poisoned iff its device is."""
         seen = []
+        real_steps = fl_core._local_steps
 
-        def record(task, features, labels, rngs, w0, *args):
-            seen.append((features.copy(), labels.copy(), np.array(w0, copy=True)))
-            return local_update_sgd(task, features, labels, rngs, w0, *args)
+        def spy(task, features, selected, labels, w0, gamma, idx, tail):
+            # The rows the step gathers: idx[s, k] of shard k, for every step s.
+            rows = features[selected[:, None], idx], labels[np.arange(len(selected))[:, None], idx]
+            seen.append((*rows, idx, np.array(w0, copy=True)))
+            return real_steps(task, features, selected, labels, w0, gamma, idx, tail)
 
-        monkeypatch.setattr("fedgm.fl_core.local_update_sgd", record)
+        monkeypatch.setattr("fedgm.fl_core._local_steps", spy)
         task, part = small_task()
         spec = CorruptionSpec(kind=kind, rho=0.3, seed=7)
         traces = run_federated(task, part, spec, clean_config(), rounds=6, seed=7)
         corrupted = realize(spec, part.devices, fallback_seed=7)
         assert len(seen) == len(traces) == 6
         assert any(0 < t.corrupted_selected < len(t.selected) for t in traces)
-        for (x, y, w0), trace in zip(seen, traces):
+        for (x, y, idx, w0), trace in zip(seen, traces):
             selected = np.array(trace.selected)
             mask = corrupted[selected]
             assert mask.sum() == trace.corrupted_selected
-            x_part, y_part = part.device_features[selected], part.device_labels[selected]
+            ids = selected[:, None]
+            x_part, y_part = part.device_features[ids, idx], part.device_labels[ids, idx]
             if kind == "static_data":
-                assert np.array_equal(x[mask], -x_part[mask])
-                assert np.array_equal(x[~mask], x_part[~mask])
+                assert np.array_equal(x[:, mask], -x_part[:, mask])
+                assert np.array_equal(x[:, ~mask], x_part[:, ~mask])
                 assert np.array_equal(y, y_part)
             else:
                 assert np.array_equal(x, x_part)
-                assert np.array_equal(y[mask], x_part[mask] @ -w0)
-                assert np.array_equal(y[~mask], y_part[~mask])
+                relabelled = part.device_features[selected[mask]] @ -w0
+                assert np.array_equal(y[:, mask], relabelled[np.arange(mask.sum())[:, None], idx[:, mask]])
+                assert np.array_equal(y[:, ~mask], y_part[:, ~mask])
+
+    @pytest.mark.parametrize("kind", ["none", "omniscient", "adaptive_data"])
+    def test_local_updates_read_the_partition_in_place(self, kind, monkeypatch):
+        """Without static poisoning, no round copies the population's features."""
+        seen = []
+
+        def record(task, features, *args):
+            seen.append(np.shares_memory(features, part.device_features))
+            return local_update_sgd(task, features, *args)
+
+        monkeypatch.setattr("fedgm.fl_core.local_update_sgd", record)
+        task, part = small_task()
+        rho = 0.0 if kind == "none" else 0.3
+        spec = CorruptionSpec(kind=kind, rho=rho, seed=7)
+        traces = run_federated(task, part, spec, clean_config(), rounds=4, seed=7)
+        assert seen == [True] * len(traces) == [True] * 4
+
+    def test_static_poisoning_negates_the_shards_once_per_run(self, monkeypatch):
+        calls, real_poison = [], fl_core.poison_static
+
+        def record(features):
+            calls.append(features.shape)
+            return real_poison(features)
+
+        monkeypatch.setattr("fedgm.fl_core.poison_static", record)
+        task, part = small_task()
+        spec = CorruptionSpec(kind="static_data", rho=0.3, seed=7)
+        traces = run_federated(task, part, spec, clean_config(), rounds=6, seed=7)
+        assert len(traces) == 6
+        corrupted = realize(spec, part.devices, fallback_seed=7)
+        assert calls == [(corrupted.sum(), *part.device_features.shape[1:])]
 
     def test_adaptive_corruption_runs(self):
         task, part = small_task()
@@ -713,9 +763,11 @@ class TestRunFederated:
         calls, callers = [], []
         real_steps = fl_core._local_steps
 
-        def record(task, features, labels, rngs, w0, gamma, batch_size, steps):
+        def record(task, features, selected, labels, rngs, w0, gamma, batch_size, steps):
             calls.append((batch_size, steps))
-            return local_update_sgd(task, features, labels, rngs, w0, gamma, batch_size, steps)
+            return local_update_sgd(
+                task, features, selected, labels, rngs, w0, gamma, batch_size, steps
+            )
 
         def spy(*args, **kwargs):
             callers.append(sys._getframe(1).f_code.co_name)
