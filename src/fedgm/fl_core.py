@@ -235,14 +235,19 @@ def _local_steps(
     block, first_tail = max(1, n // b), len(idx) - tail
     w = np.tile(np.asarray(w0, dtype=float), (m, 1))
     acc = np.zeros_like(w)
+    # The one-row step's residuals, as (m,) and as an (m, 1) column, and its (m, p) step.
+    r, step = np.empty(m), np.empty_like(w)
+    rc = r[:, None]
     for start in range(0, len(idx), block):
         batch = idx[start : start + block]
         x_rows, y_rows = features[batch + feature_base], labels[batch + label_base]
         for s, (x, y) in enumerate(zip(x_rows, y_rows), start):
             if b == 1:
-                r = np.vecdot(x, w) - y
+                np.vecdot(x, w, out=r)
+                r -= y
                 r *= gamma
-                w -= x * r[:, None]
+                np.multiply(x, rc, out=step)
+                w -= step
             else:
                 w -= gamma * task.gradient(w, x, y)
             if s >= first_tail:
@@ -423,7 +428,7 @@ def run_federated(
                 dist_to_opt_sq=float(np.sum((w - task.optimum) ** 2)),
                 oracle_calls=round_calls,
                 corrupted_selected=int(corrupted_mask.sum()),
-                selected=tuple(int(k) for k in selected),
+                selected=tuple(selected.tolist()),
             )
         )
         if trace_diverged(traces):
