@@ -3,11 +3,11 @@
 ``realize`` marks the corrupted devices in a (K,) boolean mask, sampling
 K equal devices uniformly without replacement until their weight, 1/K
 each, strictly exceeds the target fraction rho. Three attack families
-act, round by round, on the rows that the mask selects: static data
-poisoning (feature negation), adaptive data poisoning (relabel against the
-current broadcast model), and an omniscient update attack that replaces
-corrupted updates so the weighted round mean becomes the exact negation of
-what the honest mean would have been. Evaluation data is never touched by
+act on the rows that the mask selects: static data poisoning (feature
+negation, the same in every round), adaptive data poisoning (relabel
+against the current broadcast model), and an omniscient update attack
+that replaces corrupted updates so the weighted round mean becomes the
+exact negation of what the honest mean would have been. Evaluation data is never touched by
 any of these; every transform returns fresh arrays.
 """
 

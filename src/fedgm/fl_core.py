@@ -4,24 +4,28 @@ Each round samples a subset of devices uniformly without replacement,
 broadcasts the model, runs a faithful local update on every selected
 device (on whatever data that device holds, poisoned or not), then
 aggregates the returned models through a secure-average oracle. The
-devices are the rows of the partition's stacked (K, n, d) shard array,
-each with its own rng. One (K,) boolean mask marks the corrupted devices
-for the whole run; each attack rewrites only the corrupted rows of the
-round's gathered copies of features, labels or updates. Every device
-holds n samples, so each of the m selected models weighs 1/m. Local
-updates take the round's (m, n, d) slice and m rngs: each device draws
-all of its sample indices for the round in one call, rows are gathered a
-block of n // b steps at a time (at most one more copy of the shards),
-and every local step updates the m models as one (m, p) array. A
-single-sample step (every tail-averaged step, and every step at batch
-size 1) is the least-squares step computed in ``_local_steps`` itself; a
-minibatch step calls ``task.gradient``. The aggregators are the weighted
-mean, the smoothed-Weiszfeld geometric median ("rfa"), median-of-means
-(group means through the oracle, then a server-side geometric median of
-the group means), and the one-step baseline "sgd_step", the mean of a
-one-step ``local_update_sgd``. Each round's geometric-median solve starts
-at the broadcast model, which the server already holds, so an "rfa" round
-costs 1 to ``budget`` oracle calls.
+devices are the rows of the partition's stacked (K, n, d) shard array.
+One (K,) boolean mask marks the corrupted devices for the whole run.
+Static poisoning negates the corrupted shards once per run, in one copy;
+adaptive poisoning rewrites the corrupted rows of the round's gathered
+copy of labels, and the omniscient attack those of the round's updates.
+Every device holds n samples, so each of the m selected models weighs
+1/m. Local updates read the (K, n, d) shards in place at the round's m
+selected ids, and draw from one generator per run: one call draws the
+sample indices of every selected device for the round. How a device
+picks its samples never reaches the server, so one stream models i.i.d.
+local sampling. Rows are gathered a block of n // b steps at a time (at
+most one copy of the round's shards), and every local step updates the m
+models as one (m, p) array. A single-sample step (every tail-averaged
+step, and every step at batch size 1) is the least-squares step computed
+in ``_local_steps`` itself; a minibatch step calls ``task.gradient``.
+The aggregators are the weighted mean, the smoothed-Weiszfeld geometric
+median ("rfa"), median-of-means (group means through the oracle, then a
+server-side geometric median of the group means), and the one-step
+baseline "sgd_step", the mean of a one-step ``local_update_sgd``. Each
+round's geometric-median solve starts at the broadcast model, which the
+server already holds, so an "rfa" round costs 1 to ``budget`` oracle
+calls.
 A round of one device, or one in which no update row is entirely finite,
 costs one call under every aggregator; the latter gives a non-finite model,
 which ends the run. Metrics use uncorrupted pooled data.
@@ -32,7 +36,6 @@ Doubling local steps is a ``TailAveragedSGD`` step schedule;
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -182,10 +185,8 @@ def sample_devices(total: int, per_round: int, rng: np.random.Generator) -> np.n
     return np.sort(rng.choice(total, size=per_round, replace=False))
 
 
-def _shard_rows(
-    features: np.ndarray, selected: np.ndarray, labels: np.ndarray, rngs: Sequence
-) -> int:
-    """Rows per shard n, after checking (K, n, d) features, m ids, (m, n) labels and m rngs."""
+def _shard_rows(features: np.ndarray, selected: np.ndarray, labels: np.ndarray) -> int:
+    """Rows per shard n, after checking (K, n, d) features, m ids and (m, n) labels."""
     m = len(selected)
     if (
         features.ndim != 3
@@ -195,8 +196,6 @@ def _shard_rows(
         or not 0 <= selected.min() <= selected.max() < len(features)
     ):
         raise ValueError("need m >= 1 ids of stacked (n, d) shards with (m, n) labels")
-    if len(rngs) != m:
-        raise ValueError("need one rng per shard")
     return features.shape[1]
 
 
@@ -260,7 +259,7 @@ def local_update_sgd(
     features: np.ndarray,
     selected: np.ndarray,
     labels: np.ndarray,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
     w0: np.ndarray,
     gamma: float,
     batch_size: int,
@@ -270,19 +269,20 @@ def local_update_sgd(
 
     ``features`` (K, n, d) stacks the population's shards, read in place;
     shard k is ``features[selected[k]]``, with labels ``labels[k]`` of the
-    round's (m, n) labels, and ``rngs[k]`` is its generator. Each shard runs
-    ``steps`` steps (``LocalSGD.steps(n)``, or 1 for "sgd_step"); every
-    minibatch is a fresh uniform subset (without replacement) of the shard.
-    One call on each rng draws all of its minibatches for the round. Returns
-    the (m, p) final iterates, row k for shard k; gamma = 0 returns w0 in
-    every row.
+    round's (m, n) labels. Each shard runs ``steps`` steps
+    (``LocalSGD.steps(n)``, or 1 for "sgd_step"); every minibatch is a fresh
+    uniform subset (without replacement) of the shard: the ``batch_size``
+    smallest of n uniform keys. One call on ``rng`` draws the (steps, m, n)
+    keys of every shard for the round; shard k's are column k. Returns the
+    (m, p) final iterates, row k for shard k; gamma = 0 returns w0 in every
+    row.
     """
-    n = _shard_rows(features, selected, labels, rngs)
+    n = _shard_rows(features, selected, labels)
     if batch_size < 1 or batch_size > n:
         raise ValueError("batch_size must lie in [1, n]")
     if steps < 1:
         raise ValueError("steps must be positive")
-    idx = np.stack([rng.random((steps, n)) for rng in rngs], 1).argsort(axis=2)[:, :, :batch_size]
+    idx = rng.random((steps, len(selected), n)).argsort(axis=2)[:, :, :batch_size]
     return _local_steps(task, features, selected, labels, w0, gamma, idx, tail=1)
 
 
@@ -291,7 +291,7 @@ def local_update_tail_avg_sgd(
     features: np.ndarray,
     selected: np.ndarray,
     labels: np.ndarray,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
     w0: np.ndarray,
     gamma: float,
     steps: int,
@@ -299,14 +299,15 @@ def local_update_tail_avg_sgd(
     """Single-sample SGD on each of m shards, batched across shards.
 
     Takes its shards like ``local_update_sgd``. Each shard performs
-    ``steps`` steps on samples drawn i.i.d. (with replacement) by one call
-    on its rng, then averages iterates ceil(steps/2)+1 through steps.
-    Returns the (m, p) averages, row k for shard k.
+    ``steps`` steps on samples drawn i.i.d. (with replacement), then
+    averages iterates ceil(steps/2)+1 through steps. One call on ``rng``
+    draws the (steps, m) row numbers of every shard for the round; shard
+    k's are column k. Returns the (m, p) averages, row k for shard k.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    n = _shard_rows(features, selected, labels, rngs)
-    idx = np.stack([rng.integers(0, n, size=steps) for rng in rngs], axis=1)
+    n = _shard_rows(features, selected, labels)
+    idx = rng.integers(0, n, size=(steps, len(selected)))
     tail = steps - (steps + 1) // 2
     return _local_steps(task, features, selected, labels, w0, gamma, idx[:, :, None], tail)
 
@@ -357,13 +358,15 @@ def run_federated(
     """Simulate the federated loop from w = 0 for the given number of rounds.
 
     ``realize`` marks the corrupted devices once, and ``partition`` is never
-    written. Local steps read the selected shards' features in place:
-    static poisoning negates the corrupted devices' features once per run,
-    in one copy of the shards. Each round gathers a copy of its selected
-    shards' labels, in which adaptive poisoning relabels the corrupted
-    rows against the broadcast model, and the omniscient attack replaces
-    the corrupted updates before aggregation. Train/test losses and the squared distance to the task's
-    pooled optimum are recorded after every round on uncorrupted data. Each
+    written. Local steps read the selected shards' features in place, and
+    draw their samples from one generator per run, apart from the one
+    that selects devices. Static poisoning negates the corrupted devices'
+    features once per run, in one copy of the shards. Each round gathers a
+    copy of its selected shards' labels, in which adaptive poisoning
+    relabels the corrupted rows against the broadcast model, and the
+    omniscient attack replaces the corrupted updates before aggregation.
+    Train/test losses and the squared distance to the task's pooled
+    optimum are recorded after every round on uncorrupted data. Each
     round's row is appended first, and the run stops as soon as
     ``trace_diverged`` holds, so the first diverged round ends the trace.
     rounds = 0 returns an empty trace.
@@ -373,9 +376,9 @@ def run_federated(
     if config.devices_per_round > partition.devices:
         raise ValueError("devices_per_round exceeds the population")
     oracle = oracle if oracle is not None else SecureAverageOracle("plain")
+    # Device selection and the devices' own draws are separate streams.
     server_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E7]))
-    children = np.random.SeedSequence([int(seed), 0xFED]).spawn(partition.devices)
-    rngs = [np.random.default_rng(child) for child in children]
+    device_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFED]))
     corrupted = realize(corruption, partition.devices, fallback_seed=seed)
     # Local steps read the shards in place. Static poisoning negates the
     # corrupted shards once, in a copy, so ``partition`` is never written.
@@ -396,7 +399,6 @@ def run_federated(
         # Advanced indexing copies the round's labels, so adaptive poisoning
         # leaves the partition (views of the task's train data) untouched.
         y = partition.device_labels[selected]
-        chosen = [rngs[k] for k in selected]
         corrupted_mask = corrupted[selected]
         if corruption.kind == "adaptive_data":
             y[corrupted_mask] = poison_adaptive(features[selected[corrupted_mask]], w)
@@ -404,11 +406,11 @@ def run_federated(
         if isinstance(local, LocalSGD):
             steps = 1 if config.aggregator.kind == "sgd_step" else local.steps(y.shape[1])
             updates = local_update_sgd(
-                task, features, selected, y, chosen, w, gamma, local.batch_size, steps
+                task, features, selected, y, device_rng, w, gamma, local.batch_size, steps
             )
         else:
             updates = local_update_tail_avg_sgd(
-                task, features, selected, y, chosen, w, gamma, local.steps_at(t)
+                task, features, selected, y, device_rng, w, gamma, local.steps_at(t)
             )
 
         if corruption.kind == "omniscient" and corrupted_mask.any():

@@ -41,7 +41,7 @@ def small_task(seed=0, noise=0.1, d=3, devices=10, n_k=20):
 
 
 def make_shards(seeds=(0,), n=20, d=3):
-    """A (2m, n, d) population, the m ids of its odd shards, their (m, n) labels and m rngs.
+    """A (2m, n, d) population, the m ids of its odd shards, their (m, n) labels and an rng.
 
     Selected shard k, id 2k + 1, draws its rows and labels from ``seeds[k]``;
     the even shards are noise that a step must never read.
@@ -52,7 +52,7 @@ def make_shards(seeds=(0,), n=20, d=3):
     )
     labels = np.stack([rng.standard_normal(n) for rng in data])
     selected = np.arange(1, 2 * len(seeds), 2)
-    return features, selected, labels, [np.random.default_rng(seed + 1) for seed in seeds]
+    return features, selected, labels, np.random.default_rng(seeds[0] + 1)
 
 
 class TestSchedulesAndSpecs:
@@ -150,17 +150,17 @@ class TestSamplingHelpers:
 class TestLocalUpdates:
     def test_zero_rate_returns_start(self):
         task, _ = small_task()
-        x, sel, y, rngs = make_shards()
+        x, sel, y, rng = make_shards()
         w0 = np.ones(3)
-        out = local_update_sgd(task, x, sel, y, rngs, w0, 0.0, batch_size=5, steps=4)
+        out = local_update_sgd(task, x, sel, y, rng, w0, 0.0, batch_size=5, steps=4)
         assert np.array_equal(out[0], w0)
 
     def test_full_batch_single_epoch_is_one_gradient_step(self):
         task, _ = small_task()
-        x, sel, y, rngs = make_shards(n=16)
+        x, sel, y, rng = make_shards(n=16)
         w0 = np.full(3, 0.5)
         gamma = 0.2
-        out = local_update_sgd(task, x, sel, y, rngs, w0, gamma, batch_size=16, steps=1)
+        out = local_update_sgd(task, x, sel, y, rng, w0, gamma, batch_size=16, steps=1)
         expected = w0 - gamma * task.gradient(w0, x[sel[0]], y[0])
         assert np.allclose(out[0], expected, atol=1e-12)
 
@@ -200,89 +200,90 @@ class TestLocalUpdates:
             local_update_tail_avg_sgd(task, *make_shards(), np.zeros(3), 0.1, steps=1)
 
     def test_unequal_shards_rejected(self):
-        """Features, ids, labels and rngs must agree on m shards of n rows."""
+        """Features, ids and labels must agree on m shards of n rows."""
         task, _ = small_task()
-        x, sel, y, rngs = make_shards((0, 1))
+        x, sel, y, rng = make_shards((0, 1))
         cases = [
-            (x, sel[:0], y[:0], [], "stacked"),  # no shards
-            (x[1], sel, y, rngs, "stacked"),  # one shard, not stacked
-            (x, sel[:, None], y, rngs, "stacked"),  # ids not one-dimensional
-            (x, sel, y[:, :-1], rngs, "stacked"),  # labels not (m, n)
-            (x, sel, y[0], rngs, "stacked"),  # one shard's labels for two shards
-            (x, sel[:1], y, rngs, "stacked"),  # one id for two shards' labels
-            (x, sel - 2, y, rngs, "stacked"),  # id -1 is not a shard
-            (x, sel + 1, y, rngs, "stacked"),  # id 4 is past the last shard
-            (x, sel, y, rngs[:1], "one rng per shard"),  # one rng would serve both shards
-            (x, sel, y, rngs + rngs[:1], "one rng per shard"),
+            (x, sel[:0], y[:0]),  # no shards
+            (x[1], sel, y),  # one shard, not stacked
+            (x, sel[:, None], y),  # ids not one-dimensional
+            (x, sel, y[:, :-1]),  # labels not (m, n)
+            (x, sel, y[0]),  # one shard's labels for two shards
+            (x, sel[:1], y),  # one id for two shards' labels
+            (x, sel - 2, y),  # id -1 is not a shard
+            (x, sel + 1, y),  # id 4 is past the last shard
         ]
-        for features, ids, labels, gens, match in cases:
-            with pytest.raises(ValueError, match=match):
-                local_update_sgd(task, features, ids, labels, gens, np.zeros(3), 0.1, 5, steps=1)
-            with pytest.raises(ValueError, match=match):
-                local_update_tail_avg_sgd(
-                    task, features, ids, labels, gens, np.zeros(3), 0.1, steps=4
-                )
+        for features, ids, labels in cases:
+            with pytest.raises(ValueError, match="stacked"):
+                local_update_sgd(task, features, ids, labels, rng, np.zeros(3), 0.1, 5, steps=1)
+            with pytest.raises(ValueError, match="stacked"):
+                local_update_tail_avg_sgd(task, features, ids, labels, rng, np.zeros(3), 0.1, 4)
 
 
 class TestBatchedLocalUpdates:
-    """Each row of a batched local update matches a one-device Python loop."""
+    """Each row of a batched local update matches a one-device Python loop.
+
+    The loop replays the round's one draw call from a copy of the rng and
+    takes column k of the draws for shard k; the rng must end in the
+    copy's state, so the round drew nothing else.
+    """
 
     # Rows are gathered n // b = 20 steps at a time: 47 steps make three
     # blocks, the last one partial.
     @pytest.mark.parametrize("steps", [9, 47])
     def test_tail_avg_rows_match_one_row_loop(self, steps):
         task, _ = small_task()
-        x, sel, y, device_rngs = make_shards((0, 10, 20))
-        rngs = copy.deepcopy(device_rngs)
+        x, sel, y, rng = make_shards((0, 10, 20))
+        replay = copy.deepcopy(rng)
         w0, gamma = np.full(3, 0.2), 0.3
-        out = local_update_tail_avg_sgd(task, x, sel, y, device_rngs, w0, gamma, steps)
+        out = local_update_tail_avg_sgd(task, x, sel, y, rng, w0, gamma, steps)
         assert out.shape == (3, 3)
-        for k, (dev_rng, rng) in enumerate(zip(device_rngs, rngs)):
-            idx = rng.integers(0, x.shape[1], size=steps)
+        draws = replay.integers(0, x.shape[1], size=(steps, len(sel)))
+        # one rng call per round
+        assert rng.bit_generator.state == replay.bit_generator.state
+        for k in range(len(sel)):
             w = w0.copy()
             tail = []
-            for i, j in enumerate(idx):
+            for i, j in enumerate(draws[:, k]):
                 w = w - gamma * task.gradient(w, x[sel[k], j : j + 1], y[k, j : j + 1])
                 if i + 1 >= (steps + 1) // 2 + 1:
                     tail.append(w)
             assert np.abs(out[k] - np.mean(tail, axis=0)).max() <= 1e-12
-            # one rng call per device per round
-            assert dev_rng.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("steps", [9, 47])
     def test_sgd_batch1_rows_match_one_row_loop(self, steps):
         task, _ = small_task()
-        x, sel, y, device_rngs = make_shards((0, 10, 20))
-        rngs = copy.deepcopy(device_rngs)
+        x, sel, y, rng = make_shards((0, 10, 20))
+        replay = copy.deepcopy(rng)
         w0, gamma = np.full(3, 0.2), 0.3
-        out = local_update_sgd(task, x, sel, y, device_rngs, w0, gamma, 1, steps)
+        out = local_update_sgd(task, x, sel, y, rng, w0, gamma, 1, steps)
         assert out.shape == (3, 3)
-        for k, (dev_rng, rng) in enumerate(zip(device_rngs, rngs)):
-            idx = rng.random((steps, x.shape[1])).argsort(axis=1)[:, 0]
+        keys = replay.random((steps, len(sel), x.shape[1]))
+        # one rng call per round
+        assert rng.bit_generator.state == replay.bit_generator.state
+        for k in range(len(sel)):
             w = w0.copy()
-            for j in idx:
+            for j in keys[:, k].argsort(axis=1)[:, 0]:
                 w = w - gamma * task.gradient(w, x[sel[k], j : j + 1], y[k, j : j + 1])
             assert np.abs(out[k] - w).max() <= 1e-12
-            # one rng call per device per round
-            assert dev_rng.bit_generator.state == rng.bit_generator.state
 
     def test_sgd_rows_match_sequential_minibatch_sgd(self):
         task, _ = small_task()
-        x, sel, y, device_rngs = make_shards((0, 10, 20))
-        rngs = copy.deepcopy(device_rngs)
+        x, sel, y, rng = make_shards((0, 10, 20))
+        replay = copy.deepcopy(rng)
         w0, gamma, batch, epochs = np.full(3, -0.1), 0.2, 6, 2
         steps = LocalSGD(batch, epochs).steps(20)
         assert steps == math.ceil(20 * epochs / batch)
-        out = local_update_sgd(task, x, sel, y, device_rngs, w0, gamma, batch, steps)
+        out = local_update_sgd(task, x, sel, y, rng, w0, gamma, batch, steps)
         assert out.shape == (3, 3)
-        for k, (dev_rng, rng) in enumerate(zip(device_rngs, rngs)):
-            draws = rng.random((steps, x.shape[1])).argsort(axis=1)[:, :batch]
+        keys = replay.random((steps, len(sel), x.shape[1]))
+        assert rng.bit_generator.state == replay.bit_generator.state
+        for k in range(len(sel)):
             w = w0.copy()
-            for idx in draws:
+            for idx in keys[:, k].argsort(axis=1)[:, :batch]:
                 assert len(set(idx.tolist())) == batch
                 w = w - gamma * task.gradient(w, x[sel[k], idx], y[k, idx])
             assert np.abs(out[k] - w).max() <= 1e-12
-            assert dev_rng.bit_generator.state == rng.bit_generator.state
 
     def test_tail_avg_gathers_rows_a_block_at_a_time(self):
         """Guard: a long round never holds every step's rows at once.
@@ -292,19 +293,21 @@ class TestBatchedLocalUpdates:
         """
         m, n, d = 4, 20, 40
         task, _ = small_task(d=d)
-        x, sel, y, rngs = make_shards(range(m), n=n, d=d)
+        x, sel, y, rng = make_shards(range(m), n=n, d=d)
         steps = 50 * n
-        # The per-device draws and their (steps, m) stack.
-        index_bytes = 2 * steps * m * 8
+        # The round's (steps, m) draws.
+        index_bytes = steps * m * 8
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            local_update_tail_avg_sgd(task, x, sel, y, rngs, np.zeros(d), 0.1, steps)
+            local_update_tail_avg_sgd(task, x, sel, y, rng, np.zeros(d), 0.1, steps)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < index_bytes + 2 * x[sel].nbytes
+        # The last block's rows are still alive while the next is gathered;
+        # a third copy's worth covers the step buffers and small temporaries.
+        assert peak < index_bytes + 3 * x[sel].nbytes
 
 
 class TestAggregate:
@@ -648,10 +651,13 @@ class TestRunFederated:
         seen = []
         real_steps = fl_core._local_steps
 
+        def rows(shards, ids, idx):
+            """Rows idx[s, k] of shard ids[k] for every step s: what the steps gather."""
+            return shards[ids[:, None], idx]
+
         def spy(task, features, selected, labels, w0, gamma, idx, tail):
-            # The rows the step gathers: idx[s, k] of shard k, for every step s.
-            rows = features[selected[:, None], idx], labels[np.arange(len(selected))[:, None], idx]
-            seen.append((*rows, idx, np.array(w0, copy=True)))
+            x, y = rows(features, selected, idx), rows(labels, np.arange(len(selected)), idx)
+            seen.append((x, y, idx, np.array(w0, copy=True)))
             return real_steps(task, features, selected, labels, w0, gamma, idx, tail)
 
         monkeypatch.setattr("fedgm.fl_core._local_steps", spy)
@@ -665,8 +671,8 @@ class TestRunFederated:
             selected = np.array(trace.selected)
             mask = corrupted[selected]
             assert mask.sum() == trace.corrupted_selected
-            ids = selected[:, None]
-            x_part, y_part = part.device_features[ids, idx], part.device_labels[ids, idx]
+            x_part = rows(part.device_features, selected, idx)
+            y_part = rows(part.device_labels, selected, idx)
             if kind == "static_data":
                 assert np.array_equal(x[:, mask], -x_part[:, mask])
                 assert np.array_equal(x[:, ~mask], x_part[:, ~mask])
@@ -674,7 +680,8 @@ class TestRunFederated:
             else:
                 assert np.array_equal(x, x_part)
                 relabelled = part.device_features[selected[mask]] @ -w0
-                assert np.array_equal(y[:, mask], relabelled[np.arange(mask.sum())[:, None], idx[:, mask]])
+                own = np.arange(mask.sum())
+                assert np.array_equal(y[:, mask], rows(relabelled, own, idx[:, mask]))
                 assert np.array_equal(y[:, ~mask], y_part[:, ~mask])
 
     @pytest.mark.parametrize("kind", ["none", "omniscient", "adaptive_data"])
@@ -692,6 +699,33 @@ class TestRunFederated:
         spec = CorruptionSpec(kind=kind, rho=rho, seed=7)
         traces = run_federated(task, part, spec, clean_config(), rounds=4, seed=7)
         assert seen == [True] * len(traces) == [True] * 4
+
+    def test_a_run_builds_as_many_generators_for_1000_devices_as_for_10(self, monkeypatch):
+        """Devices share one draw stream, so no generator is built per device."""
+        built = []
+        real_default_rng = np.random.default_rng
+
+        class CountedGenerator(np.random.Generator):
+            def __init__(self, *args, **kwargs):
+                built.append("Generator")
+                super().__init__(*args, **kwargs)
+
+        def counted_default_rng(*args, **kwargs):
+            built.append("default_rng")
+            return real_default_rng(*args, **kwargs)
+
+        counts = []
+        for devices in (10, 1000):
+            task, part = generate_ls_task(3, devices, 20, 0.1, seed=0, test_samples=50)
+            spec = CorruptionSpec(kind="static_data", rho=0.3)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", counted_default_rng)
+                patch.setattr(np.random, "Generator", CountedGenerator)
+                traces = run_federated(task, part, spec, clean_config(), rounds=3, seed=0)
+            assert len(traces) == 3
+            counts.append(len(built))
+            built.clear()
+        assert counts[0] == counts[1] > 0
 
     def test_static_poisoning_negates_the_shards_once_per_run(self, monkeypatch):
         calls, real_poison = [], fl_core.poison_static
@@ -740,9 +774,9 @@ class TestRunFederated:
         assert trace_diverged(traces)
         assert len(traces) < 10
 
-    # The attacked mean's train loss: 9.1e4, 4.4e10, 4.0e14 at gamma0 25
-    # and 1.7e8, 1.7e17 at gamma0 30.
-    @pytest.mark.parametrize("gamma0,stop", [(25.0, 2), (30.0, 1)])
+    # The attacked mean's train loss: 3.6e2, 3.9e7, 6.7e11, 1.1e15 at
+    # gamma0 25 and 1.1e6, 1.2e14 at gamma0 30.
+    @pytest.mark.parametrize("gamma0,stop", [(25.0, 3), (30.0, 1)])
     def test_run_stops_at_its_first_diverged_round(self, gamma0, stop):
         task, part = generate_ls_task(10, 100, 50, 0.1, seed=0)
         config = RoundConfig(10, LocalSGD(batch_size=10, epochs=3), LrSchedule(gamma0=gamma0))
@@ -763,10 +797,10 @@ class TestRunFederated:
         calls, callers = [], []
         real_steps = fl_core._local_steps
 
-        def record(task, features, selected, labels, rngs, w0, gamma, batch_size, steps):
+        def record(task, features, selected, labels, rng, w0, gamma, batch_size, steps):
             calls.append((batch_size, steps))
             return local_update_sgd(
-                task, features, selected, labels, rngs, w0, gamma, batch_size, steps
+                task, features, selected, labels, rng, w0, gamma, batch_size, steps
             )
 
         def spy(*args, **kwargs):
