@@ -380,8 +380,7 @@ def run_federated(
     server_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E7]))
     device_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFED]))
     corrupted = realize(corruption, partition.devices, fallback_seed=seed)
-    # Local steps read the shards in place. Static poisoning negates the
-    # corrupted shards once, in a copy, so ``partition`` is never written.
+    # Local steps read these shards in place; static poisoning writes a copy.
     features = partition.device_features
     if corruption.kind == "static_data":
         features = features.copy()
