@@ -90,15 +90,17 @@ def _bounded_features(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n random directions with radii in [0.3, 1], centred, then scaled to max norm 1."""
     if d < 1:
         raise ValueError("d must be positive")
-    raw = rng.standard_normal((n, d))
-    norms = np.linalg.norm(raw, axis=1)
+    # Every step writes the drawn array in place, so no (n, d) temporary is made.
+    phi = rng.standard_normal((n, d))
+    norms = np.linalg.norm(phi, axis=1)
     norms[norms == 0.0] = 1.0
     radii = rng.uniform(0.3, 1.0, size=n)
-    phi = raw / norms[:, None] * radii[:, None]
-    phi = phi - phi.mean(axis=0)
+    phi /= norms[:, None]
+    phi *= radii[:, None]
+    phi -= phi.mean(axis=0)
     max_norm = float(np.linalg.norm(phi, axis=1).max())
     if max_norm > 0.0:
-        phi = phi * (1.0 / max_norm)
+        phi *= 1.0 / max_norm
     return phi
 
 
