@@ -214,8 +214,9 @@ def _local_steps(
     Shard k is ``features[selected[k]]`` (n, d) of the (K, n, d) population,
     with labels ``labels[k]`` (n,), and ``idx`` (steps, m, b) says which
     rows each step uses: step s uses rows ``idx[s, k]`` of shard k. Rows are
-    gathered a block of max(1, n // b) steps at a time, so a block holds at
-    most one more copy of the round's shards.
+    gathered a block of max(1, n // b) steps at a time, and a block's rows
+    are freed before the next is gathered, so a round holds at most one copy
+    of its shards.
     A one-row step (b = 1) is the least-squares step computed here, the
     row times gamma times its residual, with no ``task.gradient`` call; a
     minibatch step (b > 1) calls ``task.gradient``. Returns the (m, p)
@@ -251,6 +252,8 @@ def _local_steps(
                 w -= gamma * task.gradient(w, x, y)
             if s >= first_tail:
                 acc += w
+        # Free this block's rows before the next block is gathered.
+        del x_rows, y_rows, x, y
     return acc / tail
 
 

@@ -305,9 +305,9 @@ class TestBatchedLocalUpdates:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # The last block's rows are still alive while the next is gathered;
-        # a third copy's worth covers the step buffers and small temporaries.
-        assert peak < index_bytes + 3 * x[sel].nbytes
+        # One block's rows are alive at a time; a second copy's worth covers
+        # the step buffers and small temporaries.
+        assert peak < index_bytes + 2 * x[sel].nbytes
 
 
 class TestAggregate:
