@@ -24,7 +24,7 @@ SEED = 0
 task, partition = generate_ls_task(
     d=10, devices=100, samples_per_device=50, noise_std=0.1, seed=SEED
 )
-f0 = task.loss(np.zeros(task.d), task.train_features, task.train_labels)
+f0 = task.loss(np.zeros(task.d))[0]
 print(f"initial train loss at w = 0: {f0:.4f}\n")
 
 rows = []

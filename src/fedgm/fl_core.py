@@ -28,7 +28,9 @@ server already holds, so an "rfa" round costs 1 to ``budget`` oracle
 calls.
 A round of one device, or one in which no update row is entirely finite,
 costs one call under every aggregator; the latter gives a non-finite model,
-which ends the run. Metrics use uncorrupted pooled data.
+which ends the run. Each round's train and test losses come from
+``task.loss``, which evaluates the quadratics the task stored for its
+uncorrupted train and test splits in O(d^2), without reading a row.
 Doubling local steps is a ``TailAveragedSGD`` step schedule;
 ``run_rfa_doubling`` is a preset of ``run_federated``.
 """
@@ -368,8 +370,9 @@ def run_federated(
     copy of its selected shards' labels, in which adaptive poisoning
     relabels the corrupted rows against the broadcast model, and the
     omniscient attack replaces the corrupted updates before aggregation.
-    Train/test losses and the squared distance to the task's pooled
-    optimum are recorded after every round on uncorrupted data. Each
+    After every round, one ``task.loss(w)`` call gives the train and test
+    losses on uncorrupted data, from the task's stored quadratics, and the
+    squared distance to the task's pooled optimum is recorded with them. Each
     round's row is appended first, and the run stops as soon as
     ``trace_diverged`` holds, so the first diverged round ends the trace.
     rounds = 0 returns an empty trace.
@@ -422,8 +425,7 @@ def run_federated(
         w = aggregate(updates, round_weights, config.aggregator, oracle, z0=w)
         round_calls = oracle.call_count - calls_before
 
-        train_loss = task.loss(w, task.train_features, task.train_labels)
-        test_loss = task.loss(w, task.test_features, task.test_labels)
+        train_loss, test_loss = task.loss(w)
         traces.append(
             RoundTrace(
                 round=t,

@@ -3,8 +3,9 @@
 The task is well-specified least squares: features are drawn with norms
 at most 1, labels are a fixed linear function of the features plus
 Gaussian noise, and the pooled empirical minimizer comes from the normal
-equations. The unit feature scale is fixed: the constants of ``fl_core``
-assume it.
+equations. Each split's loss is stored as an exact quadratic about that
+minimizer, so a model is scored without reading a row. The unit feature
+scale is fixed: the constants of ``fl_core`` assume it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,21 @@ def least_squares_gradient(
     return (r[..., None, :] @ features)[..., 0, :] / features.shape[-2]
 
 
+def _gram(features: np.ndarray) -> np.ndarray:
+    """The (d, d) second-moment matrix X^T X / N of (N, d) features."""
+    return features.T @ features / features.shape[0]
+
+
+def _solve_normal_equations(
+    gram: np.ndarray, features: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """``exact_optimum`` from the features' precomputed ``_gram``."""
+    eigs = np.linalg.eigvalsh(gram)
+    if not eigs[0] > 1e-12 * eigs[-1]:
+        raise ValueError("feature matrix is rank deficient; optimum is not unique")
+    return np.linalg.solve(gram, features.T @ labels / features.shape[0])
+
+
 def exact_optimum(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Solve the normal equations for the pooled least-squares minimizer.
 
@@ -46,12 +62,7 @@ def exact_optimum(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
         its smallest eigenvalue is not above 1e-12 times its largest, a
         test that does not change when the features are rescaled.
     """
-    n = features.shape[0]
-    gram = features.T @ features / n
-    eigs = np.linalg.eigvalsh(gram)
-    if not eigs[0] > 1e-12 * eigs[-1]:
-        raise ValueError("feature matrix is rank deficient; optimum is not unique")
-    return np.linalg.solve(gram, features.T @ labels / n)
+    return _solve_normal_equations(_gram(features), features, labels)
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,17 @@ class SyntheticLSTask:
 
     ``w_star`` generated the labels; ``optimum`` is the pooled empirical
     minimizer (identical to ``w_star`` when the labels carry no noise).
+
+    Each split's ``least_squares_loss`` is a quadratic in e = w - optimum,
+    stored when the task is made; row 0 of each array is the train split
+    and row 1 the test split. With ``optimum_losses`` L(optimum),
+    ``optimum_gradients`` g = X^T (X optimum - y) / N and ``grams``
+    A = X^T X / N of that split's N rows, ``loss`` evaluates
+
+        L(w) = L(optimum) + (g + A e / 2)^T e,
+
+    exact up to rounding, in O(d^2) and without reading a row. The train g
+    is zero up to rounding and is kept, so the identity holds as written.
     """
 
     d: int
@@ -119,9 +141,15 @@ class SyntheticLSTask:
     train_labels: np.ndarray
     test_features: np.ndarray
     test_labels: np.ndarray
+    optimum_losses: np.ndarray
+    optimum_gradients: np.ndarray
+    grams: np.ndarray
 
-    def loss(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-        return least_squares_loss(w, features, labels)
+    def loss(self, w: np.ndarray) -> tuple[float, float]:
+        """(train loss, test loss) of model w, from the stored quadratics."""
+        e = w - self.optimum
+        losses = self.optimum_losses + (self.optimum_gradients + 0.5 * (self.grams @ e)) @ e
+        return float(losses[0]), float(losses[1])
 
     def gradient(self, w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
         return least_squares_gradient(w, features, labels)
@@ -162,14 +190,20 @@ def generate_ls_task(
         labels = labels + noise_std * rng.standard_normal(n)
 
     partition = partition_data(phi, labels, devices, samples_per_device)
-    train_x, train_y = phi[:n_train], labels[:n_train]
+    splits = ((phi[:n_train], labels[:n_train]), (phi[n_train:], labels[n_train:]))
+    grams = np.stack([_gram(x) for x, _ in splits])
+    (train_x, train_y), (test_x, test_y) = splits
+    optimum = _solve_normal_equations(grams[0], train_x, train_y)
     task = SyntheticLSTask(
         d=d,
         w_star=w_star,
-        optimum=exact_optimum(train_x, train_y),
+        optimum=optimum,
         train_features=train_x,
         train_labels=train_y,
-        test_features=phi[n_train:],
-        test_labels=labels[n_train:],
+        test_features=test_x,
+        test_labels=test_y,
+        optimum_losses=np.array([least_squares_loss(optimum, x, y) for x, y in splits]),
+        optimum_gradients=np.stack([least_squares_gradient(optimum, x, y) for x, y in splits]),
+        grams=grams,
     )
     return task, partition

@@ -591,11 +591,22 @@ class TestRunFederated:
 
     def test_clean_training_reduces_loss(self):
         task, part = small_task(noise=0.05)
-        f0 = task.loss(np.zeros(task.d), task.train_features, task.train_labels)
+        f0 = task.loss(np.zeros(task.d))[0]
         traces = run_federated(
             task, part, CorruptionSpec(), clean_config(gamma0=0.8), rounds=30, seed=2
         )
         assert traces[-1].train_loss < 0.5 * f0
+
+    def test_rounds_score_the_model_without_reading_rows(self, monkeypatch):
+        """Guard: each round's losses come from the task's stored quadratics."""
+        task, part = small_task()
+
+        def refuse(*args):
+            raise AssertionError("a round read every row to score its model")
+
+        monkeypatch.setattr("fedgm.tasks.least_squares_loss", refuse)
+        traces = run_federated(task, part, CorruptionSpec(), clean_config(), rounds=5, seed=1)
+        assert len(traces) == 5
 
     def test_masked_oracle_run_close_to_plain(self):
         task, part = small_task()

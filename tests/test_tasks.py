@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from fedgm.fl_core import RoundTrace, trace_diverged
 from fedgm.tasks import (
     FederatedPartition,
     exact_optimum,
@@ -102,6 +104,71 @@ class TestGenerateLSTask:
             generate_ls_task(0, 5, 5, 0.1)
         with pytest.raises(ValueError):
             generate_ls_task(3, 5, 5, -0.1)
+
+
+# The task shapes of the benchmark's fl-attack, masked-wide and doubling
+# workloads; only doubling's labels are noiseless.
+WORKLOAD_SHAPES = {
+    "fl-attack": dict(d=10, devices=100, samples_per_device=50, noise_std=0.1),
+    "masked-wide": dict(d=100, devices=200, samples_per_device=20, noise_std=0.1),
+    "doubling": dict(d=40, devices=30, samples_per_device=120, noise_std=0.0, test_samples=100),
+}
+
+
+def direct_losses(task, w):
+    """(train, test) ``least_squares_loss`` of w, read from every row of each split."""
+    return (
+        least_squares_loss(w, task.train_features, task.train_labels),
+        least_squares_loss(w, task.test_features, task.test_labels),
+    )
+
+
+class TestQuadraticLosses:
+    """``task.loss`` evaluates each split's stored quadratic about the optimum."""
+
+    @pytest.fixture(params=WORKLOAD_SHAPES, scope="class")
+    def shape(self, request):
+        return WORKLOAD_SHAPES[request.param]
+
+    @pytest.fixture(scope="class")
+    def task(self, shape):
+        return generate_ls_task(**shape, seed=11)[0]
+
+    def test_equals_the_direct_loss_bit_for_bit_at_the_optimum(self, task):
+        got, want = task.loss(task.optimum), direct_losses(task, task.optimum)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_agrees_with_the_direct_loss(self, task, shape):
+        # Near the optimum of noiseless labels the loss is about e^T A e / 2,
+        # and both forms lose digits to rounding: at ||e|| = 1e-12 each differs
+        # from a long-double reference by 1e-6 to 1e-5 relative. So at noise 0
+        # the direct form is a reference only from ||e|| = 1e-4 up.
+        rng = np.random.default_rng(12)
+        noisy = shape["noise_std"] > 0.0
+        lowest = -12 if noisy else -4
+        points = [rng.standard_normal(task.d) for _ in range(5)] if noisy else []
+        for _ in range(40):
+            e = rng.standard_normal(task.d)
+            points.append(task.optimum + 10.0 ** rng.uniform(lowest, 2) * e / np.linalg.norm(e))
+        for w in points:
+            for got, want in zip(task.loss(w), direct_losses(task, w), strict=True):
+                assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("value", [1e160, 1e200, 1e300, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["one", "all", "alternating"])
+    def test_non_finite_or_overflowing_models_give_non_finite_losses(self, task, value, where):
+        w = task.optimum.copy()
+        if where == "one":
+            w[task.d // 2] = value
+        else:
+            w[:] = value
+            if where == "alternating":
+                w[::2] *= -1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = task.loss(w), direct_losses(task, w)
+        assert not any(np.isfinite(got)) and not any(np.isfinite(want))
+        trace = RoundTrace(0, got[0], got[1], math.inf, 1, 0, (0,))
+        assert trace_diverged([trace])
 
 
 def generate(**sizes):
