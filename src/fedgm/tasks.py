@@ -101,7 +101,8 @@ def _bounded_features(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n random directions with radii in [0.3, 1], centred, then scaled to max norm 1."""
     if d < 1:
         raise ValueError("d must be positive")
-    # Every step writes the drawn array in place, so no (n, d) temporary is made.
+    # The scaling and centring steps write the drawn array in place, so they
+    # make no (n, d) temporary.
     phi = rng.standard_normal((n, d))
     norms = np.linalg.norm(phi, axis=1)
     norms[norms == 0.0] = 1.0
@@ -190,9 +191,10 @@ def generate_ls_task(
         labels = labels + noise_std * rng.standard_normal(n)
 
     partition = partition_data(phi, labels, devices, samples_per_device)
-    splits = ((phi[:n_train], labels[:n_train]), (phi[n_train:], labels[n_train:]))
+    train_x, train_y = phi[:n_train], labels[:n_train]
+    test_x, test_y = phi[n_train:], labels[n_train:]
+    splits = ((train_x, train_y), (test_x, test_y))
     grams = np.stack([_gram(x) for x, _ in splits])
-    (train_x, train_y), (test_x, test_y) = splits
     optimum = _solve_normal_equations(grams[0], train_x, train_y)
     task = SyntheticLSTask(
         d=d,
