@@ -3,8 +3,8 @@
 Every device holds the same share of the data. Corrupted devices are
 sampled uniformly until their share strictly exceeds the target fraction
 rho, and marked in one boolean mask per run.
-Each round the attack rewrites only the corrupted rows it gathered:
-static poisoning negates their features; adaptive poisoning relabels them
+Static poisoning negates the corrupted devices' features once per run;
+each round, adaptive poisoning relabels the selected corrupted devices
 against whatever model the server broadcasts; the omniscient attack skips
 the data entirely and substitutes updates so the round's weighted mean is
 exactly the negation of its honest value.

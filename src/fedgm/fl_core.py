@@ -4,14 +4,16 @@ Each round samples a subset of devices uniformly without replacement,
 broadcasts the model, runs a faithful local update on every selected
 device (on whatever data that device holds, poisoned or not), then
 aggregates the returned models through a secure-average oracle. The
-devices are the rows of the partition's stacked (K, n, d) shard array.
-One (K,) boolean mask marks the corrupted devices for the whole run.
-Static poisoning negates the corrupted shards once per run, in one copy;
-adaptive poisoning rewrites the corrupted rows of the round's gathered
-copy of labels, and the omniscient attack those of the round's updates.
-Every device holds n samples, so each of the m selected models weighs
-1/m. Local updates read the (K, n, d) shards in place at the round's m
-selected ids, and draw from one generator per run: one call draws the
+devices are the rows of the partition's stacked (K, n, d) features and
+(K, n) labels. One (K,) boolean mask marks the corrupted devices for the
+whole run. Static poisoning negates the corrupted features once per run,
+in one copy; adaptive poisoning relabels the selected corrupted devices
+in one per-run copy of the labels, against each round's broadcast model,
+and the omniscient attack replaces the corrupted rows of the round's
+updates. Every device holds n samples, so each of the m selected models
+weighs 1/m. Local updates read features and labels in place at the
+round's m selected ids, device i's row j at flattened row j + n * i of
+both, and draw from one generator per run: one call draws the
 sample indices of every selected device for the round. How a device
 picks its samples never reaches the server, so one stream models i.i.d.
 local sampling. Rows are gathered a block of n // b steps at a time (at
@@ -188,16 +190,16 @@ def sample_devices(total: int, per_round: int, rng: np.random.Generator) -> np.n
 
 
 def _shard_rows(features: np.ndarray, selected: np.ndarray, labels: np.ndarray) -> int:
-    """Rows per shard n, after checking (K, n, d) features, m ids and (m, n) labels."""
-    m = len(selected)
+    """Rows per shard n, after checking (K, n, d) features, (K, n) labels and m integer ids."""
     if (
         features.ndim != 3
+        or labels.shape != features.shape[:2]
         or selected.ndim != 1
-        or not m
-        or labels.shape != (m, features.shape[1])
+        or selected.dtype.kind not in "iu"
+        or not len(selected)
         or not 0 <= selected.min() <= selected.max() < len(features)
     ):
-        raise ValueError("need m >= 1 ids of stacked (n, d) shards with (m, n) labels")
+        raise ValueError("need m >= 1 integer ids of stacked (n, d) shards with (K, n) labels")
     return features.shape[1]
 
 
@@ -214,26 +216,26 @@ def _local_steps(
     """SGD from w0 on m shards at once, one stacked (m, p) update per step.
 
     Shard k is ``features[selected[k]]`` (n, d) of the (K, n, d) population,
-    with labels ``labels[k]`` (n,), and ``idx`` (steps, m, b) says which
-    rows each step uses: step s uses rows ``idx[s, k]`` of shard k. Rows are
-    gathered a block of max(1, n // b) steps at a time, and a block's rows
-    are freed before the next is gathered, so a round holds at most one copy
-    of its shards.
+    with labels ``labels[selected[k]]`` (n,) of the (K, n) labels, and
+    ``idx`` (steps, m, b) says which rows each step uses: step s uses rows
+    ``idx[s, k]`` of shard k. Rows are gathered a block of max(1, n // b)
+    steps at a time, and a block's rows are freed before the next is
+    gathered, so a round holds at most one copy of its shards.
     A one-row step (b = 1) is the least-squares step computed here, the
     row times gamma times its residual, with no ``task.gradient`` call; a
-    minibatch step (b > 1) calls ``task.gradient``. Returns the (m, p)
-    average of the last ``tail`` iterates (the final iterate when tail = 1).
+    minibatch step (b > 1) calls ``task.gradient``. Only a minibatch step
+    reads ``task``, so the tail-averaged rule passes None. Returns the
+    (m, p) average of the last ``tail`` iterates (the final iterate when
+    tail = 1).
     """
-    m, n = labels.shape
+    m, n = len(selected), labels.shape[1]
     b = idx.shape[-1]
-    # Shard k's row j is row j + n * selected[k] of the flattened population
-    # and row j + n * k of the flattened round labels. A one-row step
-    # gathers (m, d) rows.
-    shape = (m,) if b == 1 else (m, 1)
+    # Row j of shard k is row j + n * selected[k] of the flattened features and labels
+    # alike (in np.intp, so narrow ids cannot wrap); a one-row step gathers (m, d) rows.
+    base = n * selected.astype(np.intp)[:, None]
     if b == 1:
-        idx = idx[..., 0]
-    feature_base, label_base = (n * selected).reshape(shape), (n * np.arange(m)).reshape(shape)
-    features, labels = features.reshape(-1, features.shape[-1]), labels.reshape(m * n)
+        idx, base = idx[..., 0], base[:, 0]
+    features, labels = features.reshape(-1, features.shape[-1]), labels.reshape(-1)
     block, first_tail = max(1, n // b), len(idx) - tail
     w = np.tile(np.asarray(w0, dtype=float), (m, 1))
     acc = np.zeros_like(w)
@@ -241,8 +243,8 @@ def _local_steps(
     r, step = np.empty(m), np.empty_like(w)
     rc = r[:, None]
     for start in range(0, len(idx), block):
-        batch = idx[start : start + block]
-        x_rows, y_rows = features[batch + feature_base], labels[batch + label_base]
+        rows = idx[start : start + block] + base
+        x_rows, y_rows = features[rows], labels[rows]
         for s, (x, y) in enumerate(zip(x_rows, y_rows), start):
             if b == 1:
                 np.vecdot(x, w, out=r)
@@ -255,7 +257,7 @@ def _local_steps(
             if s >= first_tail:
                 acc += w
         # Free this block's rows before the next block is gathered.
-        del x_rows, y_rows, x, y
+        del rows, x_rows, y_rows, x, y
     return acc / tail
 
 
@@ -272,9 +274,9 @@ def local_update_sgd(
 ) -> np.ndarray:
     """Minibatch SGD from w0 on each of m shards, batched across shards.
 
-    ``features`` (K, n, d) stacks the population's shards, read in place;
-    shard k is ``features[selected[k]]``, with labels ``labels[k]`` of the
-    round's (m, n) labels. Each shard runs ``steps`` steps
+    ``features`` (K, n, d) and ``labels`` (K, n) stack the population's
+    shards, read in place; shard k is ``features[selected[k]]``, with labels
+    ``labels[selected[k]]``. Each shard runs ``steps`` steps
     (``LocalSGD.steps(n)``, or 1 for "sgd_step"); every minibatch is a fresh
     uniform subset (without replacement) of the shard: the ``batch_size``
     smallest of n uniform keys. One call on ``rng`` draws the (steps, m, n)
@@ -292,7 +294,6 @@ def local_update_sgd(
 
 
 def local_update_tail_avg_sgd(
-    task,
     features: np.ndarray,
     selected: np.ndarray,
     labels: np.ndarray,
@@ -303,7 +304,8 @@ def local_update_tail_avg_sgd(
 ) -> np.ndarray:
     """Single-sample SGD on each of m shards, batched across shards.
 
-    Takes its shards like ``local_update_sgd``. Each shard performs
+    Takes its shards like ``local_update_sgd``, and no task: every step is
+    the one-row least-squares step. Each shard performs
     ``steps`` steps on samples drawn i.i.d. (with replacement), then
     averages iterates ceil(steps/2)+1 through steps. One call on ``rng``
     draws the (steps, m) row numbers of every shard for the round; shard
@@ -314,7 +316,7 @@ def local_update_tail_avg_sgd(
     n = _shard_rows(features, selected, labels)
     idx = rng.integers(0, n, size=(steps, len(selected)))
     tail = steps - (steps + 1) // 2
-    return _local_steps(task, features, selected, labels, w0, gamma, idx[:, :, None], tail)
+    return _local_steps(None, features, selected, labels, w0, gamma, idx[:, :, None], tail)
 
 
 def aggregate(
@@ -363,13 +365,13 @@ def run_federated(
     """Simulate the federated loop from w = 0 for the given number of rounds.
 
     ``realize`` marks the corrupted devices once, and ``partition`` is never
-    written. Local steps read the selected shards' features in place, and
-    draw their samples from one generator per run, apart from the one
-    that selects devices. Static poisoning negates the corrupted devices'
-    features once per run, in one copy of the shards. Each round gathers a
-    copy of its selected shards' labels, in which adaptive poisoning
-    relabels the corrupted rows against the broadcast model, and the
-    omniscient attack replaces the corrupted updates before aggregation.
+    written. Local steps read the selected shards' features and labels in
+    place, and draw their samples from one generator per run, apart from
+    the one that selects devices. Static poisoning negates the corrupted
+    devices' features once per run, in one copy of the features. Adaptive
+    poisoning copies the labels once per run, and each round relabels its
+    selected corrupted devices in that copy against the broadcast model.
+    The omniscient attack replaces the corrupted updates before aggregation.
     After every round, one ``task.loss(w)`` call gives the train and test
     losses on uncorrupted data, from the task's stored quadratics, and the
     squared distance to the task's pooled optimum is recorded with them. Each
@@ -386,11 +388,13 @@ def run_federated(
     server_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E7]))
     device_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFED]))
     corrupted = realize(corruption, partition.devices, fallback_seed=seed)
-    # Local steps read these shards in place; static poisoning writes a copy.
-    features = partition.device_features
+    # Local steps read these shards in place; a data attack writes one copy per run.
+    features, labels = partition.device_features, partition.device_labels
     if corruption.kind == "static_data":
         features = features.copy()
         features[corrupted] = poison_static(features[corrupted])
+    elif corruption.kind == "adaptive_data":
+        labels = labels.copy()
 
     # Equal shards: every selected device weighs n / (m * n) = 1/m.
     round_weights = np.full(config.devices_per_round, 1.0 / config.devices_per_round)
@@ -401,21 +405,21 @@ def run_federated(
         selected = sample_devices(partition.devices, config.devices_per_round, server_rng)
         gamma = config.lr.gamma_at(t)
 
-        # Advanced indexing copies the round's labels, so adaptive poisoning
-        # leaves the partition (views of the task's train data) untouched.
-        y = partition.device_labels[selected]
         corrupted_mask = corrupted[selected]
         if corruption.kind == "adaptive_data":
-            y[corrupted_mask] = poison_adaptive(features[selected[corrupted_mask]], w)
+            # One per-run copy is exact: a corrupted device's labels are read only
+            # in a round that selects it, and that round rewrites them first.
+            ids = selected[corrupted_mask]
+            labels[ids] = poison_adaptive(features[ids], w)
 
         if isinstance(local, LocalSGD):
-            steps = 1 if config.aggregator.kind == "sgd_step" else local.steps(y.shape[1])
+            steps = 1 if config.aggregator.kind == "sgd_step" else local.steps(labels.shape[1])
             updates = local_update_sgd(
-                task, features, selected, y, device_rng, w, gamma, local.batch_size, steps
+                task, features, selected, labels, device_rng, w, gamma, local.batch_size, steps
             )
         else:
             updates = local_update_tail_avg_sgd(
-                task, features, selected, y, device_rng, w, gamma, local.steps_at(t)
+                features, selected, labels, device_rng, w, gamma, local.steps_at(t)
             )
 
         if corruption.kind == "omniscient" and corrupted_mask.any():

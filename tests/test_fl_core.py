@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import inspect
 import math
 import sys
 import tracemalloc
@@ -41,16 +42,16 @@ def small_task(seed=0, noise=0.1, d=3, devices=10, n_k=20):
 
 
 def make_shards(seeds=(0,), n=20, d=3):
-    """A (2m, n, d) population, the m ids of its odd shards, their (m, n) labels and an rng.
+    """A (2m, n, d) population, the m ids of its odd shards, (2m, n) labels and an rng.
 
     Selected shard k, id 2k + 1, draws its rows and labels from ``seeds[k]``;
-    the even shards are noise that a step must never read.
+    the even shards' rows and labels are NaN, which a step must never read.
     """
     data = [np.random.default_rng(seed) for seed in seeds]
     features = np.stack(
         [x for rng in data for x in (np.full((n, d), np.nan), rng.standard_normal((n, d)))]
     )
-    labels = np.stack([rng.standard_normal(n) for rng in data])
+    labels = np.stack([y for rng in data for y in (np.full(n, np.nan), rng.standard_normal(n))])
     selected = np.arange(1, 2 * len(seeds), 2)
     return features, selected, labels, np.random.default_rng(seeds[0] + 1)
 
@@ -161,7 +162,7 @@ class TestLocalUpdates:
         w0 = np.full(3, 0.5)
         gamma = 0.2
         out = local_update_sgd(task, x, sel, y, rng, w0, gamma, batch_size=16, steps=1)
-        expected = w0 - gamma * task.gradient(w0, x[sel[0]], y[0])
+        expected = w0 - gamma * task.gradient(w0, x[sel[0]], y[sel[0]])
         assert np.allclose(out[0], expected, atol=1e-12)
 
     def test_step_count_scales_with_epochs(self):
@@ -185,39 +186,55 @@ class TestLocalUpdates:
 
     def test_tail_avg_zero_rate_returns_start(self):
         task, _ = small_task()
-        out = local_update_tail_avg_sgd(task, *make_shards(), np.ones(3), 0.0, steps=8)
+        out = local_update_tail_avg_sgd(*make_shards(), np.ones(3), 0.0, steps=8)
         assert np.allclose(out[0], np.ones(3))
 
     def test_tail_avg_reproducible_given_device_rng(self):
         task, _ = small_task()
-        a = local_update_tail_avg_sgd(task, *make_shards((7,)), np.zeros(3), 0.3, steps=10)[0]
-        b = local_update_tail_avg_sgd(task, *make_shards((7,)), np.zeros(3), 0.3, steps=10)[0]
+        a = local_update_tail_avg_sgd(*make_shards((7,)), np.zeros(3), 0.3, steps=10)[0]
+        b = local_update_tail_avg_sgd(*make_shards((7,)), np.zeros(3), 0.3, steps=10)[0]
         assert np.array_equal(a, b)
 
     def test_tail_avg_step_validation(self):
         task, _ = small_task()
         with pytest.raises(ValueError):
-            local_update_tail_avg_sgd(task, *make_shards(), np.zeros(3), 0.1, steps=1)
+            local_update_tail_avg_sgd(*make_shards(), np.zeros(3), 0.1, steps=1)
 
     def test_unequal_shards_rejected(self):
-        """Features, ids and labels must agree on m shards of n rows."""
+        """Features and labels must agree on K shards of n rows, and the m ids index them."""
         task, _ = small_task()
         x, sel, y, rng = make_shards((0, 1))
         cases = [
-            (x, sel[:0], y[:0]),  # no shards
+            (x, sel[:0], y),  # no shards
             (x[1], sel, y),  # one shard, not stacked
             (x, sel[:, None], y),  # ids not one-dimensional
-            (x, sel, y[:, :-1]),  # labels not (m, n)
-            (x, sel, y[0]),  # one shard's labels for two shards
-            (x, sel[:1], y),  # one id for two shards' labels
+            (x, sel, y[:, :-1]),  # labels not (K, n)
+            (x, sel, y[0]),  # one shard's labels for four shards
+            (x[:2], sel[:1], y),  # four shards' labels for two shards
+            (x, sel, y[sel]),  # the selected shards' labels, not the population's
             (x, sel - 2, y),  # id -1 is not a shard
             (x, sel + 1, y),  # id 4 is past the last shard
+            (x, sel.astype(float), y),  # ids not integers
+            (x, sel == 1, y),  # a mask, not ids
         ]
         for features, ids, labels in cases:
             with pytest.raises(ValueError, match="stacked"):
                 local_update_sgd(task, features, ids, labels, rng, np.zeros(3), 0.1, 5, steps=1)
             with pytest.raises(ValueError, match="stacked"):
-                local_update_tail_avg_sgd(task, features, ids, labels, rng, np.zeros(3), 0.1, 4)
+                local_update_tail_avg_sgd(features, ids, labels, rng, np.zeros(3), 0.1, 4)
+
+    def test_narrow_ids_read_the_same_shards(self):
+        """uint8 ids 3 and 5 at n = 120 are rows 360 and 600, past uint8's 255."""
+        task, _ = small_task()
+        x, sel, y, rng = make_shards((0, 1, 2), n=120)
+        wide, narrow = sel[1:], sel[1:].astype(np.uint8)
+        assert wide.dtype == np.int64 and narrow.tolist() == [3, 5]
+        for update in (
+            lambda ids, rng: local_update_sgd(task, x, ids, y, rng, np.zeros(3), 0.1, 1, 30),
+            lambda ids, rng: local_update_tail_avg_sgd(x, ids, y, rng, np.zeros(3), 0.1, 30),
+        ):
+            a, b = update(wide, copy.deepcopy(rng)), update(narrow, copy.deepcopy(rng))
+            assert np.isfinite(a).all() and np.array_equal(a, b)
 
 
 class TestBatchedLocalUpdates:
@@ -236,7 +253,7 @@ class TestBatchedLocalUpdates:
         x, sel, y, rng = make_shards((0, 10, 20))
         replay = copy.deepcopy(rng)
         w0, gamma = np.full(3, 0.2), 0.3
-        out = local_update_tail_avg_sgd(task, x, sel, y, rng, w0, gamma, steps)
+        out = local_update_tail_avg_sgd(x, sel, y, rng, w0, gamma, steps)
         assert out.shape == (3, 3)
         draws = replay.integers(0, x.shape[1], size=(steps, len(sel)))
         # one rng call per round
@@ -245,7 +262,7 @@ class TestBatchedLocalUpdates:
             w = w0.copy()
             tail = []
             for i, j in enumerate(draws[:, k]):
-                w = w - gamma * task.gradient(w, x[sel[k], j : j + 1], y[k, j : j + 1])
+                w = w - gamma * task.gradient(w, x[sel[k], j : j + 1], y[sel[k], j : j + 1])
                 if i + 1 >= (steps + 1) // 2 + 1:
                     tail.append(w)
             assert np.abs(out[k] - np.mean(tail, axis=0)).max() <= 1e-12
@@ -264,7 +281,7 @@ class TestBatchedLocalUpdates:
         for k in range(len(sel)):
             w = w0.copy()
             for j in keys[:, k].argsort(axis=1)[:, 0]:
-                w = w - gamma * task.gradient(w, x[sel[k], j : j + 1], y[k, j : j + 1])
+                w = w - gamma * task.gradient(w, x[sel[k], j : j + 1], y[sel[k], j : j + 1])
             assert np.abs(out[k] - w).max() <= 1e-12
 
     def test_sgd_rows_match_sequential_minibatch_sgd(self):
@@ -282,7 +299,7 @@ class TestBatchedLocalUpdates:
             w = w0.copy()
             for idx in keys[:, k].argsort(axis=1)[:, :batch]:
                 assert len(set(idx.tolist())) == batch
-                w = w - gamma * task.gradient(w, x[sel[k], idx], y[k, idx])
+                w = w - gamma * task.gradient(w, x[sel[k], idx], y[sel[k], idx])
             assert np.abs(out[k] - w).max() <= 1e-12
 
     def test_tail_avg_gathers_rows_a_block_at_a_time(self):
@@ -301,7 +318,7 @@ class TestBatchedLocalUpdates:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            local_update_tail_avg_sgd(task, x, sel, y, rng, np.zeros(d), 0.1, steps)
+            local_update_tail_avg_sgd(x, sel, y, rng, np.zeros(d), 0.1, steps)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -667,7 +684,7 @@ class TestRunFederated:
             return shards[ids[:, None], idx]
 
         def spy(task, features, selected, labels, w0, gamma, idx, tail):
-            x, y = rows(features, selected, idx), rows(labels, np.arange(len(selected)), idx)
+            x, y = rows(features, selected, idx), rows(labels, selected, idx)
             seen.append((x, y, idx, np.array(w0, copy=True)))
             return real_steps(task, features, selected, labels, w0, gamma, idx, tail)
 
@@ -695,21 +712,38 @@ class TestRunFederated:
                 assert np.array_equal(y[:, mask], rows(relabelled, own, idx[:, mask]))
                 assert np.array_equal(y[:, ~mask], y_part[:, ~mask])
 
-    @pytest.mark.parametrize("kind", ["none", "omniscient", "adaptive_data"])
-    def test_local_updates_read_the_partition_in_place(self, kind, monkeypatch):
-        """Without static poisoning, no round copies the population's features."""
+    @pytest.mark.parametrize("local", ["local_update_sgd", "local_update_tail_avg_sgd"])
+    @pytest.mark.parametrize("kind", ["none", "omniscient", "static_data", "adaptive_data"])
+    def test_local_updates_read_the_partition_in_place(self, kind, local, monkeypatch):
+        """No round copies the population; a data attack copies it once per run.
+
+        Static poisoning copies the features, adaptive poisoning the labels.
+        """
         seen = []
+        real = getattr(fl_core, local)
 
-        def record(task, features, *args):
-            seen.append(np.shares_memory(features, part.device_features))
-            return local_update_sgd(task, features, *args)
+        def record(*args):
+            call = inspect.signature(real).bind(*args).arguments
+            seen.append((call["features"], call["labels"]))
+            return real(*args)
 
-        monkeypatch.setattr("fedgm.fl_core.local_update_sgd", record)
+        monkeypatch.setattr(f"fedgm.fl_core.{local}", record)
         task, part = small_task()
         rho = 0.0 if kind == "none" else 0.3
         spec = CorruptionSpec(kind=kind, rho=rho, seed=7)
-        traces = run_federated(task, part, spec, clean_config(), rounds=4, seed=7)
-        assert seen == [True] * len(traces) == [True] * 4
+        if local == "local_update_sgd":
+            traces = run_federated(task, part, spec, clean_config(), rounds=4, seed=7)
+        else:
+            traces = run_rfa_doubling(task, part, spec, 5, base_steps=4, rounds=4, seed=7)
+        assert len(seen) == len(traces) == 4
+        assert sum(t.corrupted_selected for t in traces) > 0 or kind == "none"
+        in_place = [np.shares_memory(features, part.device_features) for features, _ in seen]
+        assert in_place == [kind != "static_data"] * 4
+        if kind == "adaptive_data":
+            assert all(labels is seen[0][1] for _, labels in seen)
+            assert not np.shares_memory(seen[0][1], part.device_labels)
+        else:
+            assert all(np.shares_memory(labels, part.device_labels) for _, labels in seen)
 
     def test_a_run_builds_as_many_generators_for_1000_devices_as_for_10(self, monkeypatch):
         """Devices share one draw stream, so no generator is built per device."""
