@@ -1,9 +1,10 @@
 """The secure-average oracle: masked aggregation and call accounting.
 
 Every aggregation in this package flows through one primitive, a weighted
-average of device vectors. In masked mode each device encodes its
-contribution as 64-bit fixed-point integers and adds a mask, uniform mod
-2^64 on its own. The masks of all devices sum to zero mod 2^64: m - 1 rows
+average of device vectors, passed as an (m, d) array with one row per
+device; a single device is a (1, d) array. In masked mode each device
+encodes its contribution as 64-bit fixed-point integers and adds a mask,
+uniform mod 2^64 on its own. The masks of all devices sum to zero mod 2^64: m - 1 rows
 are drawn at random and the last device takes minus their sum. That is the
 same law as the pairwise masks of secure aggregation, where each pair of
 devices shares a mask added on one side and subtracted on the other, so
@@ -48,8 +49,8 @@ print(f"  call_count    = {plain.call_count}")
 print(f"  bytes_modeled = {plain.bytes_modeled}")
 
 print("\nedge cases pinned by the tests:")
-single = SecureAverageOracle("plain").average(np.array([2.5, -1.0]), np.array([3.0]))
-print(f"  single contribution is returned unchanged: {single}")
+single = SecureAverageOracle("plain").average(np.array([[2.5, -1.0]]), np.array([3.0]))
+print(f"  a single (1, d) contribution is returned unchanged: {single}")
 pair = SecureAverageOracle("plain").average(
     np.array([[1.0, 2.0], [-1.0, -2.0]]), np.array([5.0, 5.0])
 )

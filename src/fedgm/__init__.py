@@ -31,7 +31,6 @@ from .tasks import (
     generate_ls_task,
     least_squares_gradient,
     least_squares_loss,
-    partition_data,
 )
 
 __version__ = "0.1.0"
@@ -57,7 +56,6 @@ __all__ = [
     "local_update_sgd",
     "local_update_tail_avg_sgd",
     "omniscient_updates",
-    "partition_data",
     "poison_adaptive",
     "poison_static",
     "realize",

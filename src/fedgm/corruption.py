@@ -102,7 +102,7 @@ def omniscient_updates(
     corrupted_weight = float(weights[mask].sum())
     if corrupted_weight <= 0.0:
         return out
-    honest_sum = weights[~mask] @ updates[~mask] if (~mask).any() else 0.0
+    honest_sum = weights[~mask] @ updates[~mask]
     corrupt_sum = weights[mask] @ updates[mask]
     psi = -(2.0 * honest_sum + corrupt_sum) / corrupted_weight
     out[mask] = psi

@@ -41,7 +41,8 @@ class WeightedPointSet:
     Parameters
     ----------
     points : ndarray of shape (m, d)
-        One row per point. A 1-d array is treated as m points in R^1.
+        One row per point; points in R^1 are an (m, 1) array. Any other
+        shape, a 1-d array included, raises ``ValueError``.
     weights : ndarray of shape (m,)
         Strictly positive weights, divided by their sum into a new array;
         the caller's array is not modified.
@@ -52,8 +53,6 @@ class WeightedPointSet:
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a nonempty (m, d) array")
         if not np.all(np.isfinite(pts)):
@@ -211,14 +210,12 @@ def smoothed_weiszfeld(
     pts = point_set.points
     wts = point_set.weights
     beta = wts.copy()
-    calls = 0
     converged_by = "budget"
     if point_set.m == 1:
         # A single point is its own median: no step is taken.
         z, budget, converged_by = pts[0].copy(), 0, "relative_improvement"
     elif z0 is None:
         z = np.asarray(oracle.average(pts, wts), dtype=float)
-        calls += 1
     else:
         z = z0.copy()
 
@@ -248,7 +245,6 @@ def smoothed_weiszfeld(
             break
         beta = step_beta
         z = np.asarray(oracle.average(pts, beta), dtype=float)
-        calls += 1
 
     final = trace[-1]
     return GMResult(
@@ -257,6 +253,7 @@ def smoothed_weiszfeld(
         iterations=final.t,
         beta=beta,
         converged_by=converged_by,
-        oracle_calls=calls,
+        # One call per step, plus one for a mean start with two or more points.
+        oracle_calls=final.t + (z0 is None and point_set.m > 1),
         trace=trace,
     )

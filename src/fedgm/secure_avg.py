@@ -74,12 +74,11 @@ class SecureAverageOracle:
     def average(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Weighted average of row vectors; one call on the counters.
 
-        ``values`` is (m, d) with one row per device (a 1-d array is one
-        device), ``weights`` is (m,) strictly positive.
+        ``values`` is (m, d) with one row per device, so a single device is
+        a (1, d) array and a 1-d array raises ``ValueError``. ``weights`` is
+        (m,) strictly positive.
         """
         values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            values = values[None, :]
         if values.ndim != 2 or values.shape[0] < 1:
             raise ValueError("values must be a nonempty (m, d) array")
         weights = np.asarray(weights, dtype=float).ravel()

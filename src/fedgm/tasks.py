@@ -5,7 +5,9 @@ at most 1, labels are a fixed linear function of the features plus
 Gaussian noise, and the pooled empirical minimizer comes from the normal
 equations. Each split's loss is stored as an exact quadratic about that
 minimizer, so a model is scored without reading a row. The unit feature
-scale is fixed: the constants of ``fl_core`` assume it.
+scale is fixed: the constants of ``fl_core`` assume it. ``generate_ls_task``
+is the one maker of tasks and partitions: it cuts the train rows into equal
+device shards, and every row it returns is read-only.
 """
 
 from __future__ import annotations
@@ -69,9 +71,11 @@ def exact_optimum(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
 class FederatedPartition:
     """Equal device shards as rows of stacked arrays, so every alpha_k is 1/K.
 
-    ``device_features`` (K, n, d) and ``device_labels`` (K, n) are views of
-    the pooled train arrays: row k is device k's shard. Never write into
-    them; evaluation reads the same memory.
+    ``device_features`` (K, n, d) and ``device_labels`` (K, n) are read-only
+    views of the task's train rows: row k is device k's contiguous shard.
+    They share memory with ``train_features`` and ``train_labels``, which
+    the benchmark checks and the tests read as their reference, so a write
+    into either raises.
     """
 
     device_features: np.ndarray
@@ -80,21 +84,6 @@ class FederatedPartition:
     @property
     def devices(self) -> int:
         return len(self.device_features)
-
-
-def partition_data(
-    features: np.ndarray, labels: np.ndarray, devices: int, samples_per_device: int
-) -> FederatedPartition:
-    """Split pooled data into contiguous equal device shards, as views stacked row by row."""
-    if devices < 1 or samples_per_device < 1:
-        raise ValueError("devices and samples_per_device must be positive")
-    need = devices * samples_per_device
-    if features.shape[0] < need:
-        raise ValueError("not enough samples to fill every device")
-    return FederatedPartition(
-        device_features=features[:need].reshape(devices, samples_per_device, *features.shape[1:]),
-        device_labels=labels[:need].reshape(devices, samples_per_device),
-    )
 
 
 def _bounded_features(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -173,11 +162,15 @@ def generate_ls_task(
     signal magnitude is comparable across seeds and dimensions. Labels
     are <w_star, x> plus independent Gaussian noise of standard deviation
     ``noise_std``. Everything is deterministic given ``seed``.
+
+    The first ``devices * samples_per_device`` rows are the train split,
+    and device k holds its k-th contiguous block of ``samples_per_device``
+    rows; the rest are the test split. All rows are read-only.
     """
     if noise_std < 0.0:
         raise ValueError("noise_std must be nonnegative")
-    if test_samples < 1:
-        raise ValueError("test_samples must be positive")
+    if min(devices, samples_per_device, test_samples) < 1:
+        raise ValueError("devices, samples_per_device and test_samples must be positive")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A5C]))
     n_train = devices * samples_per_device
     n = n_train + test_samples
@@ -189,9 +182,14 @@ def generate_ls_task(
     labels = phi @ w_star
     if noise_std > 0.0:
         labels = labels + noise_std * rng.standard_normal(n)
+    phi.flags.writeable = False
+    labels.flags.writeable = False
 
-    partition = partition_data(phi, labels, devices, samples_per_device)
     train_x, train_y = phi[:n_train], labels[:n_train]
+    partition = FederatedPartition(
+        train_x.reshape(devices, samples_per_device, d),
+        train_y.reshape(devices, samples_per_device),
+    )
     test_x, test_y = phi[n_train:], labels[n_train:]
     splits = ((train_x, train_y), (test_x, test_y))
     grams = np.stack([_gram(x) for x, _ in splits])

@@ -189,6 +189,15 @@ class TestOmniscientUpdates:
         assert np.array_equal(out[~mask], updates[~mask])
         assert np.allclose(out[mask][0], out[mask][1])
 
+    def test_all_corrupted_rows_return_the_negated_mean(self):
+        rng = np.random.default_rng(9)
+        updates = rng.standard_normal((4, 3))
+        weights = rng.uniform(0.2, 2.0, 4)
+        out = omniscient_updates(updates, weights, np.ones(4, dtype=bool))
+        psi = -(weights @ updates) / weights.sum()
+        assert np.array_equal(out, np.tile(psi, (4, 1)))
+        assert np.allclose((weights @ out) / weights.sum(), -(weights @ updates) / weights.sum())
+
     def test_no_corruption_is_a_copy(self):
         updates = np.ones((3, 2))
         out = omniscient_updates(updates, np.ones(3), np.zeros(3, dtype=bool))

@@ -673,6 +673,20 @@ class TestRunFederated:
         assert sum(t.corrupted_selected for t in traces) > 0
         assert [a.tobytes() for a in arrays] == before
 
+    @pytest.mark.parametrize("kind", ["none", "static_data", "adaptive_data", "omniscient"])
+    def test_read_only_shards_serve_every_corruption_kind(self, kind):
+        task, part = small_task()
+        for shards in (part.device_features, part.device_labels):
+            with pytest.raises(ValueError, match="read-only"):
+                shards[0, 0] = 0.0
+        spec = CorruptionSpec(kind=kind, rho=0.0 if kind == "none" else 0.3)
+        traces = run_federated(task, part, spec, clean_config(), rounds=6, seed=7)
+        assert len(traces) == 6
+        assert (sum(t.corrupted_selected for t in traces) > 0) == (kind != "none")
+        _, fresh = small_task()
+        assert part.device_features.tobytes() == fresh.device_features.tobytes()
+        assert part.device_labels.tobytes() == fresh.device_labels.tobytes()
+
     @pytest.mark.parametrize("kind", ["static_data", "adaptive_data"])
     def test_local_update_sees_exactly_the_poisoned_rows(self, kind, monkeypatch):
         """Every row a local step gathers is the partition's row, poisoned iff its device is."""

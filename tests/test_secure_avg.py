@@ -38,9 +38,11 @@ def quantized_sum_average(values, weights):
 class TestPlainMode:
     def test_single_contribution_is_identity(self):
         oracle = SecureAverageOracle("plain")
-        v = np.array([1.5, -2.0, 3.0])
+        v = np.array([[1.5, -2.0, 3.0]])
         out = oracle.average(v, np.array([0.7]))
-        assert np.allclose(out, v)
+        assert np.allclose(out, v[0])
+        with pytest.raises(ValueError, match=r"\(m, d\)"):
+            oracle.average(v[0], np.array([0.7]))
 
     def test_symmetric_pair_cancels(self):
         oracle = SecureAverageOracle("plain")
@@ -181,9 +183,11 @@ class TestMaskedMode:
 
     def test_single_contribution_identity_masked(self):
         oracle = SecureAverageOracle("masked", seed=0)
-        v = np.array([4.0, -1.0])
+        v = np.array([[4.0, -1.0]])
         out = oracle.average(v, np.array([2.0]))
-        assert np.allclose(out, v, atol=1e-12)
+        assert np.allclose(out, v[0], atol=1e-12)
+        with pytest.raises(ValueError, match=r"\(m, d\)"):
+            oracle.average(v[0], np.array([2.0]))
 
 
 class TestCounters:

@@ -15,7 +15,6 @@ from fedgm.tasks import (
     generate_ls_task,
     least_squares_gradient,
     least_squares_loss,
-    partition_data,
 )
 
 
@@ -230,9 +229,22 @@ class TestPartition:
         assert np.shares_memory(part.device_labels, task.train_labels)
         assert np.array_equal(part.device_labels[2], task.train_labels[10:15])
 
-    def test_insufficient_samples_raise(self):
-        with pytest.raises(ValueError):
-            partition_data(np.zeros((9, 2)), np.zeros(9), devices=2, samples_per_device=5)
+    def test_rows_are_read_only(self):
+        task, part = generate_ls_task(2, 4, 5, 0.1, seed=9)
+        for rows in (task.train_features, task.train_labels, task.test_features, task.test_labels):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 0.0
+        # A copy, such as the per-run copy that data poisoning makes, is writeable.
+        copy = part.device_features.copy()
+        copy[0] = 0.0
+        assert np.all(copy[0] == 0.0)
+
+    @pytest.mark.parametrize("size", ["devices", "samples_per_device", "test_samples"])
+    def test_each_size_must_be_positive(self, size):
+        sizes = {"devices": 2, "samples_per_device": 5, "test_samples": 3, size: 0}
+        message = "devices, samples_per_device and test_samples must be positive"
+        with pytest.raises(ValueError, match=message):
+            generate_ls_task(d=2, noise_std=0.1, **sizes)
 
 
 class TestBatchedGradient:
