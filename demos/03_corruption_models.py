@@ -3,8 +3,8 @@
 Every device holds the same share of the data. Corrupted devices are
 sampled uniformly until their share strictly exceeds the target fraction
 rho, and marked in one boolean mask per run.
-Static poisoning negates the corrupted devices' features once per run;
-each round, adaptive poisoning relabels the selected corrupted devices
+Static poisoning negates the corrupted devices' labels once per run,
+which for least squares fits exactly as negated features do; each round, adaptive poisoning relabels the selected corrupted devices
 against whatever model the server broadcasts; the omniscient attack skips
 the data entirely and substitutes updates so the round's weighted mean is
 exactly the negation of its honest value.
@@ -31,9 +31,14 @@ print("\n=== static data poisoning ===")
 rng = np.random.default_rng(1)
 x = rng.standard_normal((5, 3))
 y = rng.standard_normal(5)
-px = poison_static(x)
-print("features are negated, labels kept:")
-print(f"  x[0] = {np.round(x[0], 3)} -> {np.round(px[0], 3)}, y[0] = {y[0]:.3f}")
+py = poison_static(y)
+print("labels are negated, features kept:")
+print(f"  y = {np.round(y, 3)} -> {np.round(py, 3)}")
+# 1/2 (y - <-x, w>)^2 = 1/2 (-y - <x, w>)^2, and negation is exact in floating point.
+w_features, w_labels = exact_optimum(-x, y), exact_optimum(x, py)
+print(f"negated features fit w = {np.round(w_features, 6)}")
+print(f"negated labels fit   w = {np.round(w_labels, 6)}")
+print(f"the same bits: {w_features.tobytes() == w_labels.tobytes()}")
 
 print("\n=== adaptive data poisoning (features kept, labels replaced) ===")
 w_broadcast = np.array([1.0, -0.5, 2.0])

@@ -3,12 +3,14 @@
 ``realize`` marks the corrupted devices in a (K,) boolean mask, sampling
 K equal devices uniformly without replacement until their weight, 1/K
 each, strictly exceeds the target fraction rho. Three attack families
-act on the rows that the mask selects: static data poisoning (feature
-negation, the same in every round), adaptive data poisoning (relabel
-against the current broadcast model), and an omniscient update attack
-that replaces corrupted updates so the weighted round mean becomes the
-exact negation of what the honest mean would have been. Evaluation data is never touched by
-any of these; every transform returns fresh arrays.
+act on the rows that the mask selects: static data poisoning (label
+negation, the same in every round, which for least squares is the
+paper's feature negation), adaptive data poisoning (relabel against the
+current broadcast model), and an omniscient update attack that replaces
+corrupted updates so the weighted round mean becomes the exact negation
+of what the honest mean would have been. Both data attacks return
+labels, so no attack writes features. Evaluation data is never touched
+by any of these; every transform returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -67,9 +69,15 @@ def realize(spec: CorruptionSpec, devices: int, fallback_seed: int = 0) -> np.nd
     return mask
 
 
-def poison_static(features: np.ndarray) -> np.ndarray:
-    """Negate every feature vector; labels are left alone. Involutive."""
-    return -np.asarray(features, dtype=float)
+def poison_static(labels: np.ndarray) -> np.ndarray:
+    """Negate every label; features are left alone. Involutive.
+
+    For least squares this is the paper's feature negation: a sample
+    (x, y) has the loss 1/2 (y - <-x, w>)^2 = 1/2 (-y - <x, w>)^2, so
+    negating the features or the labels gives the same device loss, and
+    negation is exact in floating point.
+    """
+    return -np.asarray(labels, dtype=float)
 
 
 def poison_adaptive(features: np.ndarray, w: np.ndarray) -> np.ndarray:

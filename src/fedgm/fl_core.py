@@ -6,10 +6,12 @@ device (on whatever data that device holds, poisoned or not), then
 aggregates the returned models through a secure-average oracle. The
 devices are the rows of the partition's stacked (K, n, d) features and
 (K, n) labels. One (K,) boolean mask marks the corrupted devices for the
-whole run. Static poisoning negates the corrupted features once per run,
-in one copy; adaptive poisoning relabels the selected corrupted devices
-in one per-run copy of the labels, against each round's broadcast model,
-and the omniscient attack replaces the corrupted rows of the round's
+whole run. Both data attacks write one per-run copy of the labels, and
+no attack writes features: static poisoning negates the corrupted
+devices' labels once, before round 0, which for least squares is the
+same device loss as negating their features; adaptive poisoning
+relabels the selected corrupted devices against each round's broadcast
+model. The omniscient attack replaces the corrupted rows of the round's
 updates. Every device holds n samples, so each of the m selected models
 weighs 1/m. Local updates read features and labels in place at the
 round's m selected ids, device i's row j at flattened row j + n * i of
@@ -118,6 +120,7 @@ class TailAveragedSGD:
 class AggregatorSpec:
     """Which aggregator a round uses and its knobs.
 
+    ``budget`` and ``groups`` are integers (numpy's too), each at least 1.
     ``budget`` and ``rel_tol`` control the smoothed Weiszfeld solve for
     kind "rfa", which smooths at the fixed radius ``NU``. Kind
     "median_of_means" needs ``groups`` >= 2, since one group's median is
@@ -135,8 +138,9 @@ class AggregatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator kind must be one of {AGGREGATOR_KINDS}")
-        if not math.inf > self.rel_tol >= 0 or min(self.budget, self.groups) < 1:
-            raise ValueError("need finite rel_tol >= 0, and budget and groups >= 1")
+        integral = all(isinstance(c, (int, np.integer)) for c in (self.budget, self.groups))
+        if not (math.inf > self.rel_tol >= 0 and integral) or min(self.budget, self.groups) < 1:
+            raise ValueError("need finite rel_tol >= 0, and integer budget and groups >= 1")
         if self.kind == "median_of_means" and self.groups < 2:
             raise ValueError("median_of_means needs groups >= 2")
 
@@ -367,10 +371,11 @@ def run_federated(
     ``realize`` marks the corrupted devices once, and ``partition`` is never
     written. Local steps read the selected shards' features and labels in
     place, and draw their samples from one generator per run, apart from
-    the one that selects devices. Static poisoning negates the corrupted
-    devices' features once per run, in one copy of the features. Adaptive
-    poisoning copies the labels once per run, and each round relabels its
-    selected corrupted devices in that copy against the broadcast model.
+    the one that selects devices. The features are always
+    ``partition.device_features``. Either data attack copies the labels
+    once per run: static poisoning negates the corrupted devices' labels in
+    that copy before round 0, and adaptive poisoning relabels each round's
+    selected corrupted devices in it against the broadcast model.
     The omniscient attack replaces the corrupted updates before aggregation.
     After every round, one ``task.loss(w)`` call gives the train and test
     losses on uncorrupted data, from the task's stored quadratics, and the
@@ -388,13 +393,12 @@ def run_federated(
     server_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E7]))
     device_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFED]))
     corrupted = realize(corruption, partition.devices, fallback_seed=seed)
-    # Local steps read these shards in place; a data attack writes one copy per run.
+    # Local steps read these shards in place; a data attack copies the labels once per run.
     features, labels = partition.device_features, partition.device_labels
-    if corruption.kind == "static_data":
-        features = features.copy()
-        features[corrupted] = poison_static(features[corrupted])
-    elif corruption.kind == "adaptive_data":
+    if corruption.kind in ("static_data", "adaptive_data"):
         labels = labels.copy()
+    if corruption.kind == "static_data":
+        labels[corrupted] = poison_static(labels[corrupted])
 
     # Equal shards: every selected device weighs n / (m * n) = 1/m.
     round_weights = np.full(config.devices_per_round, 1.0 / config.devices_per_round)

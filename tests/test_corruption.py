@@ -133,19 +133,30 @@ class TestRealize:
 
 
 class TestPoisonTransforms:
-    def test_static_negates_features_only(self):
-        x = np.array([[1.0, -2.0], [0.5, 0.0]])
-        assert np.array_equal(poison_static(x), -x)
+    def test_static_negates_labels(self):
+        y = np.array([[1.0, -2.0], [0.5, 0.0]])
+        assert np.array_equal(poison_static(y), -y)
 
-    def test_static_returns_fresh_arrays(self):
-        x = np.ones((3, 2))
-        px = poison_static(x)
-        px[0, 0] = 99.0
-        assert x[0, 0] == 1.0
+    def test_static_returns_fresh_labels(self):
+        y = np.ones((3, 2))
+        py = poison_static(y)
+        py[0, 0] = 99.0
+        assert y[0, 0] == 1.0
 
-    def test_static_is_involutive(self):
-        x = np.random.default_rng(5).standard_normal((4, 3))
-        assert np.array_equal(poison_static(poison_static(x)), x)
+    def test_static_is_involutive_on_labels(self):
+        y = np.random.default_rng(5).standard_normal((4, 3))
+        assert np.array_equal(poison_static(poison_static(y)), y)
+
+    def test_static_label_negation_fits_as_feature_negation(self):
+        """1/2 (y - <-x, w>)^2 = 1/2 (-y - <x, w>)^2: the same optimum, bit for bit."""
+        from fedgm.tasks import exact_optimum
+
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((12, 3))
+        y = rng.standard_normal(12)
+        negated_features = exact_optimum(-x, y)
+        assert negated_features.tobytes() == exact_optimum(x, poison_static(y)).tobytes()
+        assert not np.allclose(negated_features, exact_optimum(x, y))
 
     def test_adaptive_relabels_against_broadcast(self):
         rng = np.random.default_rng(6)

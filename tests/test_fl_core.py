@@ -32,7 +32,7 @@ from fedgm.fl_core import (
 )
 from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
 from fedgm.secure_avg import SecureAverageOracle
-from fedgm.tasks import generate_ls_task
+from fedgm.tasks import FederatedPartition, generate_ls_task
 
 from conftest import displacement_bound
 
@@ -117,6 +117,16 @@ class TestSchedulesAndSpecs:
         for rel_tol in (-1e-6, math.nan, math.inf):
             with pytest.raises(ValueError):
                 AggregatorSpec(kind="rfa", rel_tol=rel_tol)
+        # A count must be an integer: the group split would truncate a float
+        # one, and the solver's range() would raise on it mid-run.
+        for count in (2.5, 2.9, 3.0, "3"):
+            with pytest.raises(ValueError, match="integer budget and groups"):
+                AggregatorSpec(kind="rfa", budget=count)
+            with pytest.raises(ValueError, match="integer budget and groups"):
+                AggregatorSpec(kind="median_of_means", groups=count)
+        for count in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert AggregatorSpec(kind="rfa", budget=count).budget == 3
+            assert AggregatorSpec(kind="median_of_means", groups=count).groups == 3
 
     def test_round_config_validation(self):
         with pytest.raises(ValueError):
@@ -715,23 +725,23 @@ class TestRunFederated:
             assert mask.sum() == trace.corrupted_selected
             x_part = rows(part.device_features, selected, idx)
             y_part = rows(part.device_labels, selected, idx)
+            # Both data attacks poison labels only: every feature row is the partition's.
+            assert np.array_equal(x, x_part)
             if kind == "static_data":
-                assert np.array_equal(x[:, mask], -x_part[:, mask])
-                assert np.array_equal(x[:, ~mask], x_part[:, ~mask])
-                assert np.array_equal(y, y_part)
+                assert np.array_equal(y[:, mask], -y_part[:, mask])
             else:
-                assert np.array_equal(x, x_part)
                 relabelled = part.device_features[selected[mask]] @ -w0
                 own = np.arange(mask.sum())
                 assert np.array_equal(y[:, mask], rows(relabelled, own, idx[:, mask]))
-                assert np.array_equal(y[:, ~mask], y_part[:, ~mask])
+            assert np.array_equal(y[:, ~mask], y_part[:, ~mask])
 
     @pytest.mark.parametrize("local", ["local_update_sgd", "local_update_tail_avg_sgd"])
     @pytest.mark.parametrize("kind", ["none", "omniscient", "static_data", "adaptive_data"])
     def test_local_updates_read_the_partition_in_place(self, kind, local, monkeypatch):
-        """No round copies the population; a data attack copies it once per run.
+        """No round copies the population; a data attack copies its labels once per run.
 
-        Static poisoning copies the features, adaptive poisoning the labels.
+        Every kind hands the partition's features; static and adaptive
+        poisoning each write one per-run copy of the labels.
         """
         seen = []
         real = getattr(fl_core, local)
@@ -751,9 +761,8 @@ class TestRunFederated:
             traces = run_rfa_doubling(task, part, spec, 5, base_steps=4, rounds=4, seed=7)
         assert len(seen) == len(traces) == 4
         assert sum(t.corrupted_selected for t in traces) > 0 or kind == "none"
-        in_place = [np.shares_memory(features, part.device_features) for features, _ in seen]
-        assert in_place == [kind != "static_data"] * 4
-        if kind == "adaptive_data":
+        assert all(features is part.device_features for features, _ in seen)
+        if kind in ("static_data", "adaptive_data"):
             assert all(labels is seen[0][1] for _, labels in seen)
             assert not np.shares_memory(seen[0][1], part.device_labels)
         else:
@@ -787,11 +796,12 @@ class TestRunFederated:
         assert counts[0] == counts[1] > 0
 
     def test_static_poisoning_negates_the_shards_once_per_run(self, monkeypatch):
+        """One ``poison_static`` call per run, on the corrupted shards' (c, n) labels."""
         calls, real_poison = [], fl_core.poison_static
 
-        def record(features):
-            calls.append(features.shape)
-            return real_poison(features)
+        def record(labels):
+            calls.append(labels.copy())
+            return real_poison(labels)
 
         monkeypatch.setattr("fedgm.fl_core.poison_static", record)
         task, part = small_task()
@@ -799,7 +809,51 @@ class TestRunFederated:
         traces = run_federated(task, part, spec, clean_config(), rounds=6, seed=7)
         assert len(traces) == 6
         corrupted = realize(spec, part.devices, fallback_seed=7)
-        assert calls == [(corrupted.sum(), *part.device_features.shape[1:])]
+        assert len(calls) == 1
+        assert calls[0].shape == (corrupted.sum(), part.device_labels.shape[1])
+        assert np.array_equal(calls[0], part.device_labels[corrupted])
+
+    @pytest.mark.parametrize(
+        "local",
+        [LocalSGD(batch_size=1), LocalSGD(batch_size=7, epochs=2), TailAveragedSGD(6, "doubling")],
+        ids=["batch1", "minibatch", "tail_avg"],
+    )
+    def test_static_poisoning_is_the_paper_feature_negation(self, local):
+        """Negated labels train as negated features do, bit for bit.
+
+        A clean run on a hand-built partition whose corrupted shards hold
+        negated features records the same floats as a static_data run.
+        """
+        task, part = small_task()
+        spec = CorruptionSpec(kind="static_data", rho=0.3, seed=4)
+        corrupted = realize(spec, part.devices, fallback_seed=4)
+        features = part.device_features.copy()
+        features[corrupted] = -features[corrupted]
+        negated = FederatedPartition(features, part.device_labels)
+        agg = AggregatorSpec(kind="rfa", budget=4)
+        config = RoundConfig(5, local, LrSchedule(gamma0=0.3), agg)
+        static = run_federated(task, part, spec, config, rounds=4, seed=4)
+        clean = run_federated(task, negated, CorruptionSpec(), config, rounds=4, seed=4)
+        assert len(static) == len(clean) == 4
+        assert sum(t.corrupted_selected for t in static) > 0
+        for a, b in zip(static, clean, strict=True):
+            floats = ("train_loss", "test_loss", "dist_to_opt_sq")
+            assert [getattr(a, f) for f in floats] == [getattr(b, f) for f in floats]
+            assert (a.oracle_calls, a.selected) == (b.oracle_calls, b.selected)
+
+    def test_static_poisoning_never_copies_the_features(self):
+        """A static_data run's traced peak is below one copy of the (K, n, d) features."""
+        task, part = generate_ls_task(50, 200, 20, 0.1, seed=0, test_samples=20)
+        spec = CorruptionSpec(kind="static_data", rho=0.25)
+        config = RoundConfig(20, LocalSGD(batch_size=5), LrSchedule(gamma0=0.3))
+        tracemalloc.start()
+        try:
+            traces = run_federated(task, part, spec, config, rounds=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(t.corrupted_selected for t in traces) > 0
+        assert peak < part.device_features.nbytes
 
     def test_adaptive_corruption_runs(self):
         task, part = small_task()

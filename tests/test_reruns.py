@@ -5,8 +5,10 @@ Python processes, with PYTHONHASHSEED 1 and 2, each run the same
 ``fedgm`` invocations in a directory of their own, and the two output
 trees must match file by file and be readable by ``fedgm report``.
 
-- Each corruption kind rewrites the round's corrupted rows on its own
-  path: updates, features or labels.
+- Each corruption kind takes its own path: the omniscient attack rewrites
+  the round's corrupted updates, static poisoning negates the corrupted
+  labels once per run, and adaptive poisoning relabels the round's
+  selected corrupted devices. No kind writes features.
 - The batch-1 config takes the one-row step that ``fl_core`` computes
   itself, without ``task.gradient``. At the default gamma0 of 18 it would
   diverge in round 2, so it runs at 1.
