@@ -110,7 +110,8 @@ def omniscient_updates(
     corrupted_weight = float(weights[mask].sum())
     if corrupted_weight <= 0.0:
         return out
-    honest_sum = weights[~mask] @ updates[~mask]
+    honest = ~mask
+    honest_sum = weights[honest] @ updates[honest]
     corrupt_sum = weights[mask] @ updates[mask]
     psi = -(2.0 * honest_sum + corrupt_sum) / corrupted_weight
     out[mask] = psi

@@ -58,6 +58,11 @@ NU = 1e-6
 AGGREGATOR_KINDS = ("mean", "rfa", "median_of_means", "sgd_step")
 
 
+def _integers(*counts) -> bool:
+    """Whether every count is an int or a numpy integer."""
+    return all(isinstance(c, (int, np.integer)) for c in counts)
+
+
 @dataclass(frozen=True)
 class LrSchedule:
     """Piecewise-constant schedule gamma_t = gamma0 * decay^(t // decay_every).
@@ -81,14 +86,17 @@ class LrSchedule:
 
 @dataclass(frozen=True)
 class LocalSGD:
-    """Minibatch SGD: ``steps(n)`` steps on n samples; kind "sgd_step" runs one."""
+    """Minibatch SGD: ``steps(n)`` steps on n samples; kind "sgd_step" runs one.
+
+    ``batch_size`` and ``epochs`` are integers (numpy's too), each at least 1.
+    """
 
     batch_size: int
     epochs: int = 1
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be positive")
+        if not _integers(self.batch_size, self.epochs) or min(self.batch_size, self.epochs) < 1:
+            raise ValueError("batch_size and epochs must be positive integers")
 
     def steps(self, n: int) -> int:
         """ceil(n * epochs / batch_size): ``epochs`` passes over n samples."""
@@ -100,7 +108,8 @@ class TailAveragedSGD:
     """Single-sample SGD averaging the last half of its iterates.
 
     Round t runs ``steps_at(t)`` steps: ``steps`` every round when
-    constant, ``steps * 2^t`` when doubling.
+    constant, ``steps * 2^t`` when doubling. ``steps`` is an integer
+    (numpy's too) of at least 2.
     """
 
     steps: int
@@ -109,8 +118,8 @@ class TailAveragedSGD:
     def __post_init__(self) -> None:
         if self.schedule not in ("doubling", "constant"):
             raise ValueError("schedule must be 'doubling' or 'constant'")
-        if self.steps < 2:
-            raise ValueError("steps must be at least 2")
+        if not _integers(self.steps) or self.steps < 2:
+            raise ValueError("steps must be an integer of at least 2")
 
     def steps_at(self, t: int) -> int:
         return self.steps * 2**t if self.schedule == "doubling" else self.steps
@@ -138,7 +147,7 @@ class AggregatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator kind must be one of {AGGREGATOR_KINDS}")
-        integral = all(isinstance(c, (int, np.integer)) for c in (self.budget, self.groups))
+        integral = _integers(self.budget, self.groups)
         if not (math.inf > self.rel_tol >= 0 and integral) or min(self.budget, self.groups) < 1:
             raise ValueError("need finite rel_tol >= 0, and integer budget and groups >= 1")
         if self.kind == "median_of_means" and self.groups < 2:
@@ -147,7 +156,10 @@ class AggregatorSpec:
 
 @dataclass(frozen=True)
 class RoundConfig:
-    """Everything one federated round needs besides the data."""
+    """Everything one federated round needs besides the data.
+
+    ``devices_per_round`` is an integer (numpy's too) of at least 1.
+    """
 
     devices_per_round: int
     local: LocalSGD | TailAveragedSGD
@@ -155,8 +167,8 @@ class RoundConfig:
     aggregator: AggregatorSpec = field(default_factory=AggregatorSpec)
 
     def __post_init__(self) -> None:
-        if self.devices_per_round < 1:
-            raise ValueError("devices_per_round must be positive")
+        if not _integers(self.devices_per_round) or self.devices_per_round < 1:
+            raise ValueError("devices_per_round must be a positive integer")
         if self.aggregator.kind == "sgd_step" and not isinstance(self.local, LocalSGD):
             raise ValueError("sgd_step requires a LocalSGD spec for its batch size")
         agg = self.aggregator
@@ -222,9 +234,10 @@ def _local_steps(
     Shard k is ``features[selected[k]]`` (n, d) of the (K, n, d) population,
     with labels ``labels[selected[k]]`` (n,) of the (K, n) labels, and
     ``idx`` (steps, m, b) says which rows each step uses: step s uses rows
-    ``idx[s, k]`` of shard k. Rows are gathered a block of max(1, n // b)
-    steps at a time, and a block's rows are freed before the next is
-    gathered, so a round holds at most one copy of its shards.
+    ``idx[s, k]`` of shard k. Rows are gathered with ``np.take`` (as the
+    ndarray method) a block of max(1, n // b) steps at a time, and a
+    block's rows are freed before the next is gathered, so a round holds at
+    most one copy of its shards.
     A one-row step (b = 1) is the least-squares step computed here, the
     row times gamma times its residual, with no ``task.gradient`` call; a
     minibatch step (b > 1) calls ``task.gradient``. Only a minibatch step
@@ -241,14 +254,15 @@ def _local_steps(
         idx, base = idx[..., 0], base[:, 0]
     features, labels = features.reshape(-1, features.shape[-1]), labels.reshape(-1)
     block, first_tail = max(1, n // b), len(idx) - tail
-    w = np.tile(np.asarray(w0, dtype=float), (m, 1))
+    w = np.empty((m, len(w0)))
+    w[...] = w0
     acc = np.zeros_like(w)
     # The one-row step's residuals, as (m,) and as an (m, 1) column, and its (m, p) step.
     r, step = np.empty(m), np.empty_like(w)
     rc = r[:, None]
     for start in range(0, len(idx), block):
         rows = idx[start : start + block] + base
-        x_rows, y_rows = features[rows], labels[rows]
+        x_rows, y_rows = features.take(rows, axis=0), labels.take(rows)
         for s, (x, y) in enumerate(zip(x_rows, y_rows), start):
             if b == 1:
                 np.vecdot(x, w, out=r)

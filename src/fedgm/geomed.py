@@ -55,12 +55,13 @@ class WeightedPointSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a nonempty (m, d) array")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         wts = np.asarray(self.weights, dtype=float).ravel()
         if wts.shape[0] != pts.shape[0]:
             raise ValueError("weights length must match number of points")
-        if not np.all(np.isfinite(wts)) or np.any(wts <= 0.0):
+        # A NaN weight makes the minimum NaN, which fails the first comparison.
+        if not (0.0 < wts.min() and wts.max() < math.inf):
             raise ValueError("weights must be finite and strictly positive")
         with np.errstate(over="ignore"):
             total = wts.sum()
@@ -126,9 +127,13 @@ class GMResult:
 
 def _smoothed_distances(r: np.ndarray, nu: float) -> np.ndarray:
     """h_nu(r) = r^2/(2 nu) + nu/2 when r <= nu, else r; g_nu(z) = sum_k a_k h_nu(||z - w_k||)."""
-    # Squaring min(r, nu), not r, keeps a huge discarded distance from overflowing.
-    near = np.minimum(r, nu)
-    return np.where(r <= nu, near * near / (2.0 * nu) + nu / 2.0, r)
+    # Only distances within nu are squared. A larger one, 1e308 or inf, is kept as it
+    # is and never squared, so it cannot overflow; NaN fails r <= nu and is kept too.
+    h = r.copy()
+    near = r <= nu
+    if near.any():
+        h[near] = np.square(r[near]) / (2.0 * nu) + nu / 2.0
+    return h
 
 
 def smoothed_weiszfeld(
@@ -202,7 +207,7 @@ def smoothed_weiszfeld(
         z0 = np.asarray(z0, dtype=float).ravel()
         if z0.shape[0] != point_set.d:
             raise ValueError("z0 dimension does not match the points")
-        if not np.all(np.isfinite(z0)):
+        if not np.isfinite(z0).all():
             raise ValueError("z0 must be finite")
     if oracle is None:
         oracle = SecureAverageOracle("plain")

@@ -84,7 +84,8 @@ class SecureAverageOracle:
         weights = np.asarray(weights, dtype=float).ravel()
         if weights.shape[0] != values.shape[0]:
             raise ValueError("weights length must match number of contributions")
-        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
+        # A NaN weight makes the minimum NaN, which fails the first comparison.
+        if not (0.0 < weights.min() and weights.max() < np.inf):
             raise ValueError("weights must be finite and strictly positive")
 
         m, d = values.shape
@@ -98,7 +99,7 @@ class SecureAverageOracle:
             # Masks cannot hide an inf and the quantizer cannot encode one, so
             # such a call falls through to the plain result; a diverging run
             # then halts as it does in plain mode.
-            if np.all(np.isfinite(contrib)):
+            if np.isfinite(contrib).all():
                 # Column c is encoded as rint(x * 2**shift_c). frexp bounds the
                 # column maximum below 2**e_c and (m - 1).bit_length() is
                 # ceil(log2 m), so the m encodings of a column sum to less than

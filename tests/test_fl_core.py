@@ -106,6 +106,26 @@ class TestSchedulesAndSpecs:
         with pytest.raises(ValueError):
             TailAveragedSGD(steps=2, schedule="tripling")
 
+    def test_counts_must_be_integers(self):
+        # A float count would run silently: LocalSGD(5, epochs=1.5) took
+        # ceil(20 * 1.5 / 5) = 6 steps on 20 samples. Other floats, and a
+        # string, raised TypeError mid-run.
+        lr = LrSchedule(gamma0=1.0)
+        local = "batch_size and epochs must be positive integers"
+        for count in (2.5, 2.9, 3.0, "3"):
+            with pytest.raises(ValueError, match=local):
+                LocalSGD(batch_size=count)
+            with pytest.raises(ValueError, match=local):
+                LocalSGD(batch_size=5, epochs=count)
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                TailAveragedSGD(steps=count)
+            with pytest.raises(ValueError, match="devices_per_round must be a positive integer"):
+                RoundConfig(devices_per_round=count, local=LocalSGD(batch_size=5), lr=lr)
+        for count in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert LocalSGD(batch_size=count, epochs=count).steps(20) == 20
+            assert TailAveragedSGD(count, "doubling").steps_at(2) == 12
+            assert RoundConfig(count, LocalSGD(batch_size=5), lr).devices_per_round == 3
+
     def test_aggregator_spec_validation(self):
         with pytest.raises(ValueError):
             AggregatorSpec(kind="trimmed_mean")
@@ -193,6 +213,34 @@ class TestLocalUpdates:
             local_update_sgd(task, *shards, np.zeros(3), 0.1, batch_size=0, steps=1)
         with pytest.raises(ValueError, match="steps"):
             local_update_sgd(task, *shards, np.zeros(3), 0.1, batch_size=5, steps=0)
+
+    def test_a_read_only_gradient_is_not_written_and_a_list_start_is_an_array_start(self):
+        task, _ = small_task()
+        returned = []
+
+        class ReadOnlyGradient:
+            def gradient(self, w, x, y):
+                g = task.gradient(w, x, y)
+                g.flags.writeable = False
+                returned.append((g, g.copy()))
+                return g
+
+        x, sel, y, _ = make_shards((3, 4, 5))
+        # A list of ints must start from the float rows that an array start gives.
+        w0 = [1, -2, 0]
+        starts = (w0, np.array(w0, dtype=float))
+        got, want = (
+            local_update_sgd(rule, x, sel, y, np.random.default_rng(7), start, 0.3, 4, steps=6)
+            for rule, start in zip((ReadOnlyGradient(), task), starts)
+        )
+        assert len(returned) == 6
+        assert all(g.tobytes() == kept.tobytes() for g, kept in returned)
+        assert got.tobytes() == want.tobytes() and w0 == [1, -2, 0]
+        got, want = (
+            local_update_tail_avg_sgd(x, sel, y, np.random.default_rng(7), start, 0.3, steps=8)
+            for start in starts
+        )
+        assert got.tobytes() == want.tobytes()
 
     def test_tail_avg_zero_rate_returns_start(self):
         task, _ = small_task()

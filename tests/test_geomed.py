@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
+from fedgm.geomed import WeightedPointSet, _smoothed_distances, smoothed_weiszfeld
 from fedgm.secure_avg import SecureAverageOracle
 
 from conftest import (
@@ -70,9 +71,29 @@ class TestWeightedPointSet:
         with pytest.raises(ValueError):
             WeightedPointSet(np.zeros((2, 2)), np.array([1.0, 0.0]))
 
-    def test_rejects_nonfinite_points(self):
-        with pytest.raises(ValueError):
-            WeightedPointSet(np.array([[np.inf, 0.0]]), np.ones(1))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -5e-324, -1.0])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rejects_nonfinite_or_nonpositive_weight_anywhere(self, bad, at):
+        weights = np.ones(3)
+        weights[at] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            WeightedPointSet(np.zeros((3, 2)), weights)
+
+    def test_rejects_nan_among_otherwise_bad_weights(self):
+        for weights in ([math.nan, -1.0, 1.0], [1.0, math.inf, math.nan], [math.nan] * 3):
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                WeightedPointSet(np.zeros((3, 2)), np.array(weights))
+
+    def test_accepts_the_extreme_positive_finite_weights(self):
+        ps = WeightedPointSet(np.zeros((3, 2)), np.array([5e-324, 1.0, 1e300]))
+        assert np.isclose(ps.weights.sum(), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_points(self, bad):
+        points = np.zeros((3, 2))
+        points[2, 1] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            WeightedPointSet(points, np.ones(3))
 
     def test_rejects_weights_whose_sum_overflows(self):
         # Each weight is finite, but dividing by their inf sum would make
@@ -140,6 +161,22 @@ class TestSmoothedNorm:
     def test_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError):
             smoothed_objective(np.ones(2), at_origin(2), 0.0)
+
+    @pytest.mark.parametrize("nu", [1e-6, 0.5])
+    def test_distances_keep_the_bits_of_the_where_form(self, nu):
+        # The form the solver used before it squared only the distances within
+        # nu. It squares min(r, nu), so it cannot overflow either.
+        r = np.array(
+            [0.0, nu / 2, nu, np.nextafter(nu, np.inf), 1.0, 1e200, 1e308, np.inf, np.nan]
+        )
+        near = np.minimum(r, nu)
+        reference = np.where(r <= nu, near * near / (2.0 * nu) + nu / 2.0, r)
+        given_r = r.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = _smoothed_distances(r, nu)
+        assert h.tobytes() == reference.tobytes()
+        assert r.tobytes() == given_r.tobytes()
 
     @given(seed=RNG_SEEDS, nu=st.floats(min_value=1e-6, max_value=10.0))
     @settings(max_examples=60, deadline=None)

@@ -190,6 +190,39 @@ class TestMaskedMode:
             oracle.average(v[0], np.array([2.0]))
 
 
+# Weights that are not finite and strictly positive, both zeros and the negative
+# subnormal nearest zero included.
+BAD_WEIGHTS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -5e-324, -1.0]
+
+
+class TestWeightValidation:
+    """Both modes reject a bad weight wherever it sits, before counting a call."""
+
+    @pytest.mark.parametrize("mode", ["plain", "masked"])
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS)
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rejects_nonfinite_or_nonpositive_weight(self, mode, bad, at):
+        oracle = SecureAverageOracle(mode, seed=0)
+        weights = np.ones(3)
+        weights[at] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            oracle.average(np.ones((3, 2)), weights)
+        assert oracle.call_count == oracle.bytes_modeled == 0
+
+    @pytest.mark.parametrize("mode", ["plain", "masked"])
+    def test_rejects_nan_among_otherwise_bad_weights(self, mode):
+        oracle = SecureAverageOracle(mode, seed=0)
+        for weights in ([math.nan, -1.0, 1.0], [1.0, math.inf, math.nan], [math.nan] * 3):
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                oracle.average(np.ones((3, 2)), np.array(weights))
+
+    @pytest.mark.parametrize("mode", ["plain", "masked"])
+    def test_accepts_the_extreme_positive_finite_weights(self, mode):
+        oracle = SecureAverageOracle(mode, seed=0)
+        out = oracle.average(np.ones((3, 2)), np.array([5e-324, 1.0, 1e308]))
+        assert np.array_equal(out, np.ones(2)) and oracle.call_count == 1
+
+
 class TestCounters:
     def test_each_average_counts_once(self):
         oracle = SecureAverageOracle("plain")
