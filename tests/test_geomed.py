@@ -88,8 +88,12 @@ class TestWeightedPointSet:
         ps = WeightedPointSet(np.zeros((3, 2)), np.array([5e-324, 1.0, 1e300]))
         assert np.isclose(ps.weights.sum(), 1.0)
 
+    def test_rejects_nonfinite_points(self):
+        with pytest.raises(ValueError):
+            WeightedPointSet(np.array([[np.inf, 0.0]]), np.ones(1))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_nonfinite_points(self, bad):
+    def test_rejects_a_nonfinite_coordinate_anywhere(self, bad):
         points = np.zeros((3, 2))
         points[2, 1] = bad
         with pytest.raises(ValueError, match="points must be finite"):
@@ -164,8 +168,8 @@ class TestSmoothedNorm:
 
     @pytest.mark.parametrize("nu", [1e-6, 0.5])
     def test_distances_keep_the_bits_of_the_where_form(self, nu):
-        # The form the solver used before it squared only the distances within
-        # nu. It squares min(r, nu), so it cannot overflow either.
+        # The reference: h_nu in one np.where, which squares min(r, nu), so
+        # that no distance overflows.
         r = np.array(
             [0.0, nu / 2, nu, np.nextafter(nu, np.inf), 1.0, 1e200, 1e308, np.inf, np.nan]
         )
