@@ -58,9 +58,18 @@ NU = 1e-6
 AGGREGATOR_KINDS = ("mean", "rfa", "median_of_means", "sgd_step")
 
 
-def _integers(*counts) -> bool:
-    """Whether every count is an int or a numpy integer."""
-    return all(isinstance(c, (int, np.integer)) for c in counts)
+def _store_counts(spec, message: str, *names: str, least: int = 1) -> None:
+    """Store each named count of a frozen spec as an int, else raise ``ValueError(message)``.
+
+    A count must be an int or a numpy integer of at least ``least``. Storing
+    it as an int keeps a narrow numpy integer from overflowing in later
+    arithmetic, such as ``steps * 2**t`` or a solver's ``budget + 1``.
+    """
+    counts = [getattr(spec, name) for name in names]
+    if not all(isinstance(c, (int, np.integer)) for c in counts) or min(counts) < least:
+        raise ValueError(message)
+    for name, count in zip(names, counts):
+        object.__setattr__(spec, name, int(count))
 
 
 @dataclass(frozen=True)
@@ -88,15 +97,15 @@ class LrSchedule:
 class LocalSGD:
     """Minibatch SGD: ``steps(n)`` steps on n samples; kind "sgd_step" runs one.
 
-    ``batch_size`` and ``epochs`` are integers (numpy's too), each at least 1.
+    ``batch_size`` and ``epochs`` are integers (numpy's too, stored as int),
+    each at least 1.
     """
 
     batch_size: int
     epochs: int = 1
 
     def __post_init__(self) -> None:
-        if not _integers(self.batch_size, self.epochs) or min(self.batch_size, self.epochs) < 1:
-            raise ValueError("batch_size and epochs must be positive integers")
+        _store_counts(self, "batch_size and epochs must be integers >= 1", "batch_size", "epochs")
 
     def steps(self, n: int) -> int:
         """ceil(n * epochs / batch_size): ``epochs`` passes over n samples."""
@@ -109,7 +118,7 @@ class TailAveragedSGD:
 
     Round t runs ``steps_at(t)`` steps: ``steps`` every round when
     constant, ``steps * 2^t`` when doubling. ``steps`` is an integer
-    (numpy's too) of at least 2.
+    (numpy's too, stored as int) of at least 2.
     """
 
     steps: int
@@ -118,8 +127,7 @@ class TailAveragedSGD:
     def __post_init__(self) -> None:
         if self.schedule not in ("doubling", "constant"):
             raise ValueError("schedule must be 'doubling' or 'constant'")
-        if not _integers(self.steps) or self.steps < 2:
-            raise ValueError("steps must be an integer of at least 2")
+        _store_counts(self, "steps must be an integer >= 2", "steps", least=2)
 
     def steps_at(self, t: int) -> int:
         return self.steps * 2**t if self.schedule == "doubling" else self.steps
@@ -129,7 +137,8 @@ class TailAveragedSGD:
 class AggregatorSpec:
     """Which aggregator a round uses and its knobs.
 
-    ``budget`` and ``groups`` are integers (numpy's too), each at least 1.
+    ``budget`` and ``groups`` are integers (numpy's too, stored as int),
+    each at least 1.
     ``budget`` and ``rel_tol`` control the smoothed Weiszfeld solve for
     kind "rfa", which smooths at the fixed radius ``NU``. Kind
     "median_of_means" needs ``groups`` >= 2, since one group's median is
@@ -147,9 +156,9 @@ class AggregatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator kind must be one of {AGGREGATOR_KINDS}")
-        integral = _integers(self.budget, self.groups)
-        if not (math.inf > self.rel_tol >= 0 and integral) or min(self.budget, self.groups) < 1:
-            raise ValueError("need finite rel_tol >= 0, and integer budget and groups >= 1")
+        if not math.inf > self.rel_tol >= 0:
+            raise ValueError("rel_tol must be finite and nonnegative")
+        _store_counts(self, "need integer budget and groups >= 1", "budget", "groups")
         if self.kind == "median_of_means" and self.groups < 2:
             raise ValueError("median_of_means needs groups >= 2")
 
@@ -158,7 +167,8 @@ class AggregatorSpec:
 class RoundConfig:
     """Everything one federated round needs besides the data.
 
-    ``devices_per_round`` is an integer (numpy's too) of at least 1.
+    ``devices_per_round`` is an integer (numpy's too, stored as int) of at
+    least 1.
     """
 
     devices_per_round: int
@@ -167,8 +177,7 @@ class RoundConfig:
     aggregator: AggregatorSpec = field(default_factory=AggregatorSpec)
 
     def __post_init__(self) -> None:
-        if not _integers(self.devices_per_round) or self.devices_per_round < 1:
-            raise ValueError("devices_per_round must be a positive integer")
+        _store_counts(self, "devices_per_round must be an integer >= 1", "devices_per_round")
         if self.aggregator.kind == "sgd_step" and not isinstance(self.local, LocalSGD):
             raise ValueError("sgd_step requires a LocalSGD spec for its batch size")
         agg = self.aggregator

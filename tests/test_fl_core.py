@@ -111,20 +111,44 @@ class TestSchedulesAndSpecs:
         # ceil(20 * 1.5 / 5) = 6 steps on 20 samples. Other floats, and a
         # string, raised TypeError mid-run.
         lr = LrSchedule(gamma0=1.0)
-        local = "batch_size and epochs must be positive integers"
+        local = "batch_size and epochs must be integers >= 1"
         for count in (2.5, 2.9, 3.0, "3"):
             with pytest.raises(ValueError, match=local):
                 LocalSGD(batch_size=count)
             with pytest.raises(ValueError, match=local):
                 LocalSGD(batch_size=5, epochs=count)
-            with pytest.raises(ValueError, match="steps must be an integer"):
+            with pytest.raises(ValueError, match="steps must be an integer >= 2"):
                 TailAveragedSGD(steps=count)
-            with pytest.raises(ValueError, match="devices_per_round must be a positive integer"):
+            with pytest.raises(ValueError, match="devices_per_round must be an integer >= 1"):
                 RoundConfig(devices_per_round=count, local=LocalSGD(batch_size=5), lr=lr)
         for count in (np.int64(3), np.int32(3), np.uint8(3)):
             assert LocalSGD(batch_size=count, epochs=count).steps(20) == 20
             assert TailAveragedSGD(count, "doubling").steps_at(2) == 12
             assert RoundConfig(count, LocalSGD(batch_size=5), lr).devices_per_round == 3
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        # Kept as given, a narrow numpy integer overflowed mid-run: uint8
+        # epochs wrapped n * epochs, and a uint8 budget of 255 made the solver
+        # loop over range(255 + 1) = range(0) and raise IndexError.
+        lr = LrSchedule(gamma0=1.0)
+        specs = {
+            LocalSGD(np.uint8(5), np.uint8(3)): ("batch_size", "epochs"),
+            TailAveragedSGD(np.uint8(2), "doubling"): ("steps",),
+            AggregatorSpec("median_of_means", np.uint8(255), groups=np.int16(2)): (
+                "budget",
+                "groups",
+            ),
+            RoundConfig(np.uint8(10), LocalSGD(5), lr): ("devices_per_round",),
+        }
+        for spec, names in specs.items():
+            assert all(type(getattr(spec, name)) is int for name in names)
+        assert LocalSGD(5, epochs=np.uint8(3)).steps(100) == 60
+        assert TailAveragedSGD(np.uint8(2), "doubling").steps_at(8) == 512
+        oracle = SecureAverageOracle("plain")
+        updates = np.random.default_rng(0).standard_normal((5, 3))
+        spec = AggregatorSpec("rfa", np.uint8(255), rel_tol=0.0)
+        aggregate(updates, np.full(5, 0.2), spec, oracle, np.zeros(3))
+        assert 1 <= oracle.call_count <= 255
 
     def test_aggregator_spec_validation(self):
         with pytest.raises(ValueError):
