@@ -131,17 +131,15 @@ class TestSchedulesAndSpecs:
         # epochs wrapped n * epochs, and a uint8 budget of 255 made the solver
         # loop over range(255 + 1) = range(0) and raise IndexError.
         lr = LrSchedule(gamma0=1.0)
-        specs = {
-            LocalSGD(np.uint8(5), np.uint8(3)): ("batch_size", "epochs"),
-            TailAveragedSGD(np.uint8(2), "doubling"): ("steps",),
-            AggregatorSpec("median_of_means", np.uint8(255), groups=np.int16(2)): (
-                "budget",
-                "groups",
-            ),
-            RoundConfig(np.uint8(10), LocalSGD(5), lr): ("devices_per_round",),
-        }
-        for spec, names in specs.items():
-            assert all(type(getattr(spec, name)) is int for name in names)
+        specs = [
+            LocalSGD(np.uint8(5), np.uint8(3)),
+            TailAveragedSGD(np.uint8(2), "doubling"),
+            AggregatorSpec("median_of_means", np.uint8(255), groups=np.int16(2)),
+            RoundConfig(np.uint8(10), LocalSGD(5), lr),
+        ]
+        for spec in specs:
+            counts = [v for v in vars(spec).values() if isinstance(v, (int, np.integer))]
+            assert counts and all(type(c) is int for c in counts)
         assert LocalSGD(5, epochs=np.uint8(3)).steps(100) == 60
         assert TailAveragedSGD(np.uint8(2), "doubling").steps_at(8) == 512
         oracle = SecureAverageOracle("plain")
