@@ -77,7 +77,8 @@ class LrSchedule:
     """Piecewise-constant schedule gamma_t = gamma0 * decay^(t // decay_every).
 
     ``decay`` lies in (0, 1], so the rate never grows: every rate lies in
-    [0, gamma0] and is finite.
+    [0, gamma0] and is finite. ``decay_every`` is an integer (numpy's too,
+    stored as int) of at least 1.
     """
 
     gamma0: float
@@ -85,8 +86,9 @@ class LrSchedule:
     decay_every: int = 1
 
     def __post_init__(self) -> None:
-        if not (0 <= self.gamma0 < math.inf and 0 < self.decay <= 1) or self.decay_every < 1:
-            raise ValueError("need finite gamma0 >= 0, decay in (0, 1] and decay_every >= 1")
+        if not (0 <= self.gamma0 < math.inf and 0 < self.decay <= 1):
+            raise ValueError("need finite gamma0 >= 0 and decay in (0, 1]")
+        _store_counts(self, "decay_every must be an integer >= 1", "decay_every")
 
     def gamma_at(self, t: int) -> float:
         """The rate of round t, in [0, gamma0]."""
@@ -249,7 +251,11 @@ def _local_steps(
     most one copy of its shards.
     A one-row step (b = 1) is the least-squares step computed here, the
     row times gamma times its residual, with no ``task.gradient`` call; a
-    minibatch step (b > 1) calls ``task.gradient``. Only a minibatch step
+    minibatch step (b > 1) calls ``task.gradient``. Both scale by gamma as
+    a float64 0-d array, made once per call: numpy multiplies by an array
+    operand faster than by a Python scalar, which takes its slower scalar
+    promotion path, and the product has the same bits either way (a
+    float32 rate is widened exactly). Only a minibatch step
     reads ``task``, so the tail-averaged rule passes None. Returns the
     (m, p) average of the last ``tail`` iterates (the final iterate when
     tail = 1).
@@ -263,6 +269,7 @@ def _local_steps(
         idx, base = idx[..., 0], base[:, 0]
     features, labels = features.reshape(-1, features.shape[-1]), labels.reshape(-1)
     block, first_tail = max(1, n // b), len(idx) - tail
+    g = np.asarray(gamma, dtype=float)
     w = np.empty((m, len(w0)))
     w[...] = w0
     acc = np.zeros_like(w)
@@ -276,11 +283,11 @@ def _local_steps(
             if b == 1:
                 np.vecdot(x, w, out=r)
                 r -= y
-                r *= gamma
+                r *= g
                 np.multiply(x, rc, out=step)
                 w -= step
             else:
-                w -= gamma * task.gradient(w, x, y)
+                w -= task.gradient(w, x, y) * g
             if s >= first_tail:
                 acc += w
         # Free this block's rows before the next block is gathered.

@@ -112,6 +112,10 @@ class TestSchedulesAndSpecs:
         # string, raised TypeError mid-run.
         lr = LrSchedule(gamma0=1.0)
         local = "batch_size and epochs must be integers >= 1"
+        # decay_every = nan made every rate NaN.
+        for count in (math.nan, math.inf, 2.5, "3"):
+            with pytest.raises(ValueError, match="decay_every must be an integer >= 1"):
+                LrSchedule(1.0, 0.5, count)
         for count in (2.5, 2.9, 3.0, "3"):
             with pytest.raises(ValueError, match=local):
                 LocalSGD(batch_size=count)
@@ -125,13 +129,16 @@ class TestSchedulesAndSpecs:
             assert LocalSGD(batch_size=count, epochs=count).steps(20) == 20
             assert TailAveragedSGD(count, "doubling").steps_at(2) == 12
             assert RoundConfig(count, LocalSGD(batch_size=5), lr).devices_per_round == 3
+            assert LrSchedule(8.0, 0.5, count).gamma_at(5) == 4.0
 
     def test_numpy_integer_counts_are_stored_as_int(self):
         # Kept as given, a narrow numpy integer overflowed mid-run: uint8
         # epochs wrapped n * epochs, and a uint8 budget of 255 made the solver
-        # loop over range(255 + 1) = range(0) and raise IndexError.
+        # loop over range(255 + 1) = range(0) and raise IndexError, and a
+        # uint8 decay_every of 200 raised OverflowError at round 300.
         lr = LrSchedule(gamma0=1.0)
         specs = [
+            LrSchedule(1.0, 0.5, np.uint8(200)),
             LocalSGD(np.uint8(5), np.uint8(3)),
             TailAveragedSGD(np.uint8(2), "doubling"),
             AggregatorSpec("median_of_means", np.uint8(255), groups=np.int16(2)),
@@ -142,6 +149,7 @@ class TestSchedulesAndSpecs:
             assert counts and all(type(c) is int for c in counts)
         assert LocalSGD(5, epochs=np.uint8(3)).steps(100) == 60
         assert TailAveragedSGD(np.uint8(2), "doubling").steps_at(8) == 512
+        assert LrSchedule(1.0, 0.5, np.uint8(200)).gamma_at(300) == 0.5
         oracle = SecureAverageOracle("plain")
         updates = np.random.default_rng(0).standard_normal((5, 3))
         spec = AggregatorSpec("rfa", np.uint8(255), rel_tol=0.0)
@@ -317,6 +325,30 @@ class TestLocalUpdates:
             assert np.isfinite(a).all() and np.array_equal(a, b)
 
 
+def python_float_local_steps(task, x, sel, y, w0, gamma, idx, tail):
+    """The reference: the batched local steps with every step scaled by ``float(gamma)``.
+
+    ``idx`` (steps, m, b) holds the round's draws; a one-row step (b = 1) is
+    the row times gamma times its residual, a minibatch step calls
+    ``task.gradient``. Returns the average of the last ``tail`` iterates.
+    """
+    gamma, n = float(gamma), x.shape[1]
+    flat_x, flat_y = x.reshape(-1, x.shape[-1]), y.reshape(-1)
+    w = np.empty((len(sel), len(w0)))
+    w[...] = w0
+    acc = np.zeros_like(w)
+    for s, rows in enumerate(idx + n * sel[:, None]):
+        xs, ys = flat_x[rows], flat_y[rows]
+        if idx.shape[-1] == 1:
+            residuals = (np.vecdot(xs[:, 0], w) - ys[:, 0]) * gamma
+            w -= xs[:, 0] * residuals[:, None]
+        else:
+            w -= gamma * task.gradient(w, xs, ys)
+        if s >= len(idx) - tail:
+            acc += w
+    return acc / tail
+
+
 class TestBatchedLocalUpdates:
     """Each row of a batched local update matches a one-device Python loop.
 
@@ -363,6 +395,28 @@ class TestBatchedLocalUpdates:
             for j in keys[:, k].argsort(axis=1)[:, 0]:
                 w = w - gamma * task.gradient(w, x[sel[k], j : j + 1], y[sel[k], j : j + 1])
             assert np.abs(out[k] - w).max() <= 1e-12
+
+    # A rate of 0, the least subnormal, an inexact one, an exact one and one
+    # that grows the iterates, each as a Python float, a float64 and a float32.
+    @pytest.mark.parametrize("rate", [0.0, 5e-324, 0.37, 0.5, 18.0])
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32])
+    def test_every_rate_type_scales_with_the_bits_of_a_python_float(self, rate, kind):
+        task, _ = small_task()
+        x, sel, y, rng = make_shards((0, 10, 20))
+        gamma, w0, steps = kind(rate), np.full(3, 0.2), 47
+        replay = copy.deepcopy(rng)
+        got = local_update_tail_avg_sgd(x, sel, y, rng, w0, gamma, steps)
+        idx = replay.integers(0, x.shape[1], size=(steps, len(sel)))[:, :, None]
+        tail = steps - (steps + 1) // 2
+        want = python_float_local_steps(None, x, sel, y, w0, gamma, idx, tail)
+        assert got.tobytes() == want.tobytes()
+        for batch in (1, 10):
+            replay = copy.deepcopy(rng)
+            got = local_update_sgd(task, x, sel, y, rng, w0, gamma, batch, steps)
+            keys = replay.random((steps, len(sel), x.shape[1]))
+            idx = keys.argsort(axis=2)[:, :, :batch]
+            want = python_float_local_steps(task, x, sel, y, w0, gamma, idx, 1)
+            assert got.tobytes() == want.tobytes()
 
     def test_sgd_rows_match_sequential_minibatch_sgd(self):
         task, _ = small_task()

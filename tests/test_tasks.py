@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from fedgm.fl_core import RoundTrace, trace_diverged
 from fedgm.tasks import (
     FederatedPartition,
+    _bounded_features,
     exact_optimum,
     generate_ls_task,
     least_squares_gradient,
@@ -103,6 +105,46 @@ class TestGenerateLSTask:
             generate_ls_task(0, 5, 5, 0.1)
         with pytest.raises(ValueError):
             generate_ls_task(3, 5, 5, -0.1)
+
+
+def whole_array_bounded_features(rng, n, d):
+    """The reference: ``_bounded_features`` with each row-norm pass one ``np.linalg.norm`` call."""
+    phi = rng.standard_normal((n, d))
+    norms = np.linalg.norm(phi, axis=1)
+    norms[norms == 0.0] = 1.0
+    radii = rng.uniform(0.3, 1.0, size=n)
+    phi /= norms[:, None]
+    phi *= radii[:, None]
+    phi -= phi.mean(axis=0)
+    max_norm = float(np.linalg.norm(phi, axis=1).max())
+    if max_norm > 0.0:
+        phi *= 1.0 / max_norm
+    return phi
+
+
+class TestBoundedFeatures:
+    """The row norms are squared a block of rows at a time, with ``norm``'s bits."""
+
+    # One row, a few rows, many narrow rows, the masked-wide shape, and rows
+    # wider than one 256 KB block.
+    @pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (6000, 10), (5000, 100), (2, 40000)])
+    def test_equals_the_whole_array_norms_bit_for_bit(self, n, d):
+        for seed in (0, 1):
+            got = _bounded_features(np.random.default_rng(seed), n, d)
+            want = whole_array_bounded_features(np.random.default_rng(seed), n, d)
+            assert got.tobytes() == want.tobytes()
+
+    def test_makes_no_whole_array_temporary(self):
+        """Guard: ``np.linalg.norm`` squared into two (n, d) temporaries, about twice the peak."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            phi = _bounded_features(np.random.default_rng(0), 5000, 100)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * phi.nbytes
 
 
 # The task shapes of the benchmark's fl-attack, masked-wide and doubling
