@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .corruption import CorruptionSpec, omniscient_updates, poison_adaptive, poison_static, realize
-from .geomed import WeightedPointSet, smoothed_weiszfeld
+from .geomed import WeightedPointSet, _count, smoothed_weiszfeld
 from .secure_avg import SecureAverageOracle
 
 # Both assume the unit feature scale of ``tasks``, every feature norm at most 1: the
@@ -65,11 +65,8 @@ def _store_counts(spec, message: str, *names: str, least: int = 1) -> None:
     it as an int keeps a narrow numpy integer from overflowing in later
     arithmetic, such as ``steps * 2**t`` or a solver's ``budget + 1``.
     """
-    counts = [getattr(spec, name) for name in names]
-    if not all(isinstance(c, (int, np.integer)) for c in counts) or min(counts) < least:
-        raise ValueError(message)
-    for name, count in zip(names, counts):
-        object.__setattr__(spec, name, int(count))
+    for name in names:
+        object.__setattr__(spec, name, _count(getattr(spec, name), message, least))
 
 
 @dataclass(frozen=True)
@@ -250,8 +247,14 @@ def _local_steps(
     block's rows are freed before the next is gathered, so a round holds at
     most one copy of its shards.
     A one-row step (b = 1) is the least-squares step computed here, the
-    row times gamma times its residual, with no ``task.gradient`` call; a
-    minibatch step (b > 1) calls ``task.gradient``. Both scale by gamma as
+    row times gamma times its residual, with no ``task.gradient`` call. It
+    copies the scaled residual column into every column of an (m, p) buffer
+    and multiplies that buffer by the rows in place: the copy is a plain
+    strided assignment and a same-shape product takes numpy's simple loop,
+    while the broadcasting product of the (m, p) rows and the (m, 1) column
+    runs numpy's general iterator, whose setup costs more than the m * p
+    products at these sizes. The products, and so the bits, are the same.
+    A minibatch step (b > 1) calls ``task.gradient``. Both scale by gamma as
     a float64 0-d array, made once per call: numpy multiplies by an array
     operand faster than by a Python scalar, which takes its slower scalar
     promotion path, and the product has the same bits either way (a
@@ -273,7 +276,8 @@ def _local_steps(
     w = np.empty((m, len(w0)))
     w[...] = w0
     acc = np.zeros_like(w)
-    # The one-row step's residuals, as (m,) and as an (m, 1) column, and its (m, p) step.
+    # The one-row step's residuals, as (m,) and as an (m, 1) column, and its (m, p) step,
+    # which first holds each row's residual in every column.
     r, step = np.empty(m), np.empty_like(w)
     rc = r[:, None]
     for start in range(0, len(idx), block):
@@ -284,7 +288,8 @@ def _local_steps(
                 np.vecdot(x, w, out=r)
                 r -= y
                 r *= g
-                np.multiply(x, rc, out=step)
+                step[...] = rc
+                step *= x
                 w -= step
             else:
                 w -= task.gradient(w, x, y) * g
@@ -314,15 +319,16 @@ def local_update_sgd(
     (``LocalSGD.steps(n)``, or 1 for "sgd_step"); every minibatch is a fresh
     uniform subset (without replacement) of the shard: the ``batch_size``
     smallest of n uniform keys. One call on ``rng`` draws the (steps, m, n)
-    keys of every shard for the round; shard k's are column k. Returns the
-    (m, p) final iterates, row k for shard k; gamma = 0 returns w0 in every
-    row.
+    keys of every shard for the round; shard k's are column k. ``batch_size``
+    (in [1, n]) and ``steps`` (at least 1) are ints or numpy integers, used
+    as ints. Returns the (m, p) final iterates, row k for shard k; gamma = 0
+    returns w0 in every row.
     """
     n = _shard_rows(features, selected, labels)
-    if batch_size < 1 or batch_size > n:
-        raise ValueError("batch_size must lie in [1, n]")
-    if steps < 1:
-        raise ValueError("steps must be positive")
+    batch_size = _count(batch_size, "batch_size must be an integer in [1, n]")
+    if batch_size > n:
+        raise ValueError("batch_size must be an integer in [1, n]")
+    steps = _count(steps, "steps must be a positive integer")
     idx = rng.random((steps, len(selected), n)).argsort(axis=2)[:, :, :batch_size]
     return _local_steps(task, features, selected, labels, w0, gamma, idx, tail=1)
 
@@ -341,12 +347,13 @@ def local_update_tail_avg_sgd(
     Takes its shards like ``local_update_sgd``, and no task: every step is
     the one-row least-squares step. Each shard performs
     ``steps`` steps on samples drawn i.i.d. (with replacement), then
-    averages iterates ceil(steps/2)+1 through steps. One call on ``rng``
+    averages iterates ceil(steps/2)+1 through steps. ``steps`` is an int
+    or numpy integer of at least 2, used as an int, so a narrow integer
+    cannot wrap the tail's length. One call on ``rng``
     draws the (steps, m) row numbers of every shard for the round; shard
     k's are column k. Returns the (m, p) averages, row k for shard k.
     """
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
+    steps = _count(steps, "steps must be an integer >= 2", least=2)
     n = _shard_rows(features, selected, labels)
     idx = rng.integers(0, n, size=(steps, len(selected)))
     tail = steps - (steps + 1) // 2

@@ -34,6 +34,18 @@ from .secure_avg import SecureAverageOracle
 _BLOCK_BYTES = 256 * 1024
 
 
+def _count(value, message: str, least: int = 1) -> int:
+    """``value`` as an int if it is an int or numpy integer of at least ``least``.
+
+    Anything else raises ``ValueError(message)``. As an int, a count cannot
+    wrap in later arithmetic the way a narrow numpy integer can, such as
+    ``budget + 1`` at ``np.uint8(255)``.
+    """
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(message)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class WeightedPointSet:
     """Points in R^d with positive weights divided by their sum.
@@ -155,8 +167,9 @@ def smoothed_weiszfeld(
         reweights are capped at a_k / nu and the iteration is defined
         everywhere, including on top of a data point.
     budget : int
-        Maximum number of averaging steps (>= 1). Each step costs one
-        oracle call.
+        Maximum number of averaging steps: an int or numpy integer of at
+        least 1, checked before any oracle call and used as an int. Each
+        step costs one oracle call.
     rel_tol : float
         Stop once the relative improvement of the smoothed objective
         between consecutive iterates falls to this level or below.
@@ -182,6 +195,10 @@ def smoothed_weiszfeld(
     Each iterate computes the m distances once and derives g, g_nu, the
     reweights beta_k = a_k / max(nu, ||z - w_k||) and their sum L from
     them; the next iterate is the beta-weighted average of the points.
+    When no distance lies within nu, as at most iterates, h_nu(r) = r and
+    max(nu, r) = r, so g_nu is g and beta_k = a_k / ||z - w_k||, taken
+    from the same products with the same bits; only an iterate with some
+    distance within nu computes h_nu and the clamp.
     The distances are computed a block of rows at a time: at most 256 KB, or
     8 rows if a row is larger. Each block of points minus a block filled
     with z goes to a scratch block, whose ``np.vecdot`` with itself writes
@@ -197,8 +214,7 @@ def smoothed_weiszfeld(
     the convex hull of the points. With a single point the exact answer is
     returned immediately with zero iterations.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = _count(budget, "budget must be an integer >= 1")
     if not 0.0 <= rel_tol < math.inf:
         raise ValueError("rel_tol must be finite and nonnegative")
     if not 0.0 < nu < math.inf:
@@ -237,11 +253,14 @@ def smoothed_weiszfeld(
             np.subtract(pts[lo : lo + rows], z_rows, out=block)
             np.vecdot(block, block, out=r[lo : lo + rows])
         np.sqrt(r, out=r)
-        g_nu = float(wts @ _smoothed_distances(r, nu))
-        step_beta = wts / np.maximum(r, nu)
-        trace.append(
-            IterationRecord(t, z.copy(), float(wts @ r), g_nu, float(step_beta.sum()))
-        )
+        g = float(wts @ r)
+        if (r <= nu).any():
+            g_nu = float(wts @ _smoothed_distances(r, nu))
+            step_beta = wts / np.maximum(r, nu)
+        else:
+            # h_nu(r) = max(r, nu) = r for every distance, NaN and inf included.
+            g_nu, step_beta = g, wts / r
+        trace.append(IterationRecord(t, z.copy(), g, g_nu, float(step_beta.sum())))
         # g_nu >= nu/2 always, so the ratio below is well defined
         if t > 0 and abs(trace[-2].g_nu - g_nu) / g_nu <= rel_tol:
             converged_by = "relative_improvement"

@@ -12,9 +12,12 @@ device shards, and every row it returns is read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geomed import _count
 
 
 def least_squares_loss(w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -100,9 +103,10 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _bounded_features(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """n random directions with radii in [0.3, 1], centred, then scaled to max norm 1."""
-    if d < 1:
-        raise ValueError("d must be positive")
+    """n random directions with radii in [0.3, 1], centred, then scaled to max norm 1.
+
+    ``generate_ls_task``, the one caller, has checked that n and d are at least 1.
+    """
     # The scaling and centring steps write the drawn array in place, and the
     # row norms square a block at a time, so no step makes an (n, d) temporary.
     phi = rng.standard_normal((n, d))
@@ -179,11 +183,17 @@ def generate_ls_task(
     The first ``devices * samples_per_device`` rows are the train split,
     and device k holds its k-th contiguous block of ``samples_per_device``
     rows; the rest are the test split. All rows are read-only.
+    ``noise_std`` is finite and nonnegative. ``d``, ``devices``,
+    ``samples_per_device`` and ``test_samples`` are ints or numpy integers
+    of at least 1, used as ints, so a narrow integer cannot wrap the row
+    count.
     """
-    if noise_std < 0.0:
-        raise ValueError("noise_std must be nonnegative")
-    if min(devices, samples_per_device, test_samples) < 1:
-        raise ValueError("devices, samples_per_device and test_samples must be positive")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError("noise_std must be finite and nonnegative")
+    message = "d, devices, samples_per_device and test_samples must be positive integers"
+    d, devices, samples_per_device, test_samples = (
+        _count(v, message) for v in (d, devices, samples_per_device, test_samples)
+    )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A5C]))
     n_train = devices * samples_per_device
     n = n_train + test_samples

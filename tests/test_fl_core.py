@@ -325,6 +325,36 @@ class TestLocalUpdates:
             assert np.isfinite(a).all() and np.array_equal(a, b)
 
 
+    def test_local_update_counts_follow_the_spec_rule(self):
+        """Counts are ints or numpy integers, used as ints, as in the specs.
+
+        A uint8 ``steps`` of 255 wrapped steps + 1 to 0, so the tail averaged
+        all 255 iterates instead of the last 127, and a ``batch_size`` of 2.5
+        raised TypeError from slicing.
+        """
+        task, _ = small_task()
+        x, sel, y, rng = make_shards((0, 10))
+        w0 = np.full(3, 0.2)
+
+        def tail_avg(steps):
+            return local_update_tail_avg_sgd(x, sel, y, copy.deepcopy(rng), w0, 0.3, steps)
+
+        def sgd(batch_size, steps):
+            return local_update_sgd(task, x, sel, y, copy.deepcopy(rng), w0, 0.3, batch_size, steps)
+
+        assert tail_avg(np.uint8(255)).tobytes() == tail_avg(255).tobytes()
+        assert sgd(np.uint8(5), np.uint8(200)).tobytes() == sgd(5, 200).tobytes()
+        for bad in (2.5, 3.0, math.nan, "3"):
+            with pytest.raises(ValueError, match="steps must be an integer >= 2"):
+                tail_avg(bad)
+            with pytest.raises(ValueError, match=r"batch_size must be an integer in \[1, n\]"):
+                sgd(bad, 2)
+            with pytest.raises(ValueError, match="steps must be a positive integer"):
+                sgd(2, bad)
+        with pytest.raises(ValueError, match=r"batch_size must be an integer in \[1, n\]"):
+            sgd(np.uint8(21), 2)
+
+
 def python_float_local_steps(task, x, sel, y, w0, gamma, idx, tail):
     """The reference: the batched local steps with every step scaled by ``float(gamma)``.
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedgm import geomed
 from fedgm.geomed import WeightedPointSet, _smoothed_distances, smoothed_weiszfeld
 from fedgm.secure_avg import SecureAverageOracle
 
@@ -417,6 +418,66 @@ class TestSmoothedWeiszfeld:
             assert rec.lipschitz == lipschitz_constant(eta_update(rec.z, ps, nu), ps)
         dists = row_distances(ps.points, res.trace[-2].z)
         assert np.array_equal(res.beta, ps.weights / np.maximum(dists, nu))
+
+    def test_both_branches_of_the_iterate_keep_the_reference_bits(self, monkeypatch):
+        """An iterate with no distance within nu takes g_nu = g and beta = a / r.
+
+        Only an iterate with some distance within nu calls
+        ``_smoothed_distances``. On either branch every record, and the final
+        beta, keep the bits of the reference helpers.
+        """
+        nu = 1e-3
+        spread = np.random.default_rng(5).standard_normal((6, 3))
+        cases = {
+            # The start is a data point, so one distance is 0 at t = 0.
+            "start_on_a_point": (WeightedPointSet(spread, np.ones(6)), spread[2]),
+            # Two coincident points hold 6/11 of the weight, so the median is
+            # their point and the iterates come within nu of it.
+            "coincident": (
+                WeightedPointSet(np.vstack([spread[:1], spread]), [3, 3, 1, 1, 1, 1, 1]),
+                None,
+            ),
+            # Started at the mean, every iterate stays far from every point.
+            "far": (WeightedPointSet(spread, np.ones(6)), None),
+        }
+        calls = []
+
+        def counted(r, nu):
+            calls.append(nu)
+            return _smoothed_distances(r, nu)
+
+        monkeypatch.setattr(geomed, "_smoothed_distances", counted)
+        near = {}
+        for name, (ps, z0) in cases.items():
+            calls.clear()
+            res = smoothed_weiszfeld(ps, nu=nu, budget=60, rel_tol=0.0, z0=z0)
+            assert res.iterations >= 1
+            near[name] = [bool((row_distances(ps.points, rec.z) <= nu).any()) for rec in res.trace]
+            assert len(calls) == sum(near[name])
+            for rec in res.trace:
+                assert rec.g == gm_objective(rec.z, ps)
+                assert rec.g_nu == smoothed_objective(rec.z, ps, nu)
+                assert rec.lipschitz == lipschitz_constant(eta_update(rec.z, ps, nu), ps)
+            dists = row_distances(ps.points, res.trace[-2].z)
+            assert res.beta.tobytes() == (ps.weights / np.maximum(dists, nu)).tobytes()
+        assert near["start_on_a_point"][0] and not all(near["start_on_a_point"])
+        assert any(near["coincident"]) and not all(near["coincident"])
+        assert not any(near["far"])
+
+    def test_budget_must_be_an_integer_before_any_oracle_call(self):
+        # A uint8 budget of 255 wrapped budget + 1 to 0 and raised IndexError
+        # on an empty trace, and 2.5 raised TypeError from range, each after
+        # the mean start had spent an oracle call.
+        ps = random_set(3)
+        wide = smoothed_weiszfeld(ps, budget=255, rel_tol=0.0)
+        narrow = smoothed_weiszfeld(ps, budget=np.uint8(255), rel_tol=0.0)
+        assert narrow.iterations == wide.iterations
+        assert narrow.to_json_dict() == wide.to_json_dict()
+        for bad in (2.5, 3.0, math.nan, "3", np.float64(3), 0, np.int8(-1)):
+            oracle = SecureAverageOracle("plain")
+            with pytest.raises(ValueError, match="budget must be an integer >= 1"):
+                smoothed_weiszfeld(ps, budget=bad, oracle=oracle)
+            assert oracle.call_count == 0
 
     def test_default_oracle_is_plain(self):
         ps = random_set(83)

@@ -249,6 +249,31 @@ class TestGeneratorValidation:
         _, part = generate()
         assert part.devices == 4 and np.all(np.isfinite(part.device_features))
 
+    @pytest.mark.parametrize("noise_std", [math.nan, math.inf])
+    def test_noise_std_must_be_finite(self, noise_std):
+        # NaN passed the old ``noise_std < 0`` check and failed ``noise_std > 0``,
+        # so it built the noiseless task; inf gave NaN labels.
+        with pytest.raises(ValueError, match="noise_std must be finite and nonnegative"):
+            generate_ls_task(3, 4, 5, noise_std, test_samples=6)
+
+    def test_sizes_must_be_integers(self):
+        message = "d, devices, samples_per_device and test_samples must be positive integers"
+        for name in ("d", "devices", "samples_per_device", "test_samples"):
+            for bad in (2.5, 3.0, math.nan, "3"):
+                with pytest.raises(ValueError, match=message):
+                    generate(**{name: bad})
+
+    def test_narrow_integer_sizes_are_used_as_ints(self):
+        # Kept as uint8, 200 devices of 2 samples made 400 % 256 = 144 train
+        # rows, and the partition's reshape failed.
+        sizes = dict(d=3, devices=200, samples_per_device=2, test_samples=6)
+        narrow = {name: np.uint8(v) for name, v in sizes.items()}
+        task, part = generate(**narrow)
+        want_task, want_part = generate(**sizes)
+        assert part.device_features.shape == (200, 2, 3) and type(task.d) is int
+        assert part.device_labels.tobytes() == want_part.device_labels.tobytes()
+        assert task.optimum.tobytes() == want_task.optimum.tobytes()
+
 
 class TestPartition:
     def test_shapes_and_alphas(self):
