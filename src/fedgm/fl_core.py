@@ -47,8 +47,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .corruption import CorruptionSpec, omniscient_updates, poison_adaptive, poison_static, realize
-from .geomed import WeightedPointSet, _count, smoothed_weiszfeld
-from .secure_avg import SecureAverageOracle
+from .geomed import WeightedPointSet, smoothed_weiszfeld
+from .secure_avg import SecureAverageOracle, _count
 
 # Both assume the unit feature scale of ``tasks``, every feature norm at most 1: the
 # train loss that marks divergence, and the smoothing radius of every aggregation solve.

@@ -26,24 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .secure_avg import SecureAverageOracle
+from .secure_avg import SecureAverageOracle, _count
 
 # Bytes of one block of the distance pass's buffers, small enough to stay in
 # cache. 7-step solve medians, 128/256/512 KB: 8.8/8.6/9.1 ms at m=10^4,
 # d=100; 12.2/11.9/12.7 ms at m=d=1000 (1 BLAS thread, Xeon, SkylakeX core).
 _BLOCK_BYTES = 256 * 1024
-
-
-def _count(value, message: str, least: int = 1) -> int:
-    """``value`` as an int if it is an int or numpy integer of at least ``least``.
-
-    Anything else raises ``ValueError(message)``. As an int, a count cannot
-    wrap in later arithmetic the way a narrow numpy integer can, such as
-    ``budget + 1`` at ``np.uint8(255)``.
-    """
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(message)
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -143,8 +131,7 @@ def _smoothed_distances(r: np.ndarray, nu: float) -> np.ndarray:
     # is and never squared, so it cannot overflow; NaN fails r <= nu and is kept too.
     h = r.copy()
     near = r <= nu
-    if near.any():
-        h[near] = np.square(r[near]) / (2.0 * nu) + nu / 2.0
+    h[near] = np.square(r[near]) / (2.0 * nu) + nu / 2.0
     return h
 
 
@@ -195,10 +182,11 @@ def smoothed_weiszfeld(
     Each iterate computes the m distances once and derives g, g_nu, the
     reweights beta_k = a_k / max(nu, ||z - w_k||) and their sum L from
     them; the next iterate is the beta-weighted average of the points.
-    When no distance lies within nu, as at most iterates, h_nu(r) = r and
-    max(nu, r) = r, so g_nu is g and beta_k = a_k / ||z - w_k||, taken
-    from the same products with the same bits; only an iterate with some
-    distance within nu computes h_nu and the clamp.
+    When no distance lies within nu, h_nu(r) = r and max(nu, r) = r, so
+    g_nu is g and beta_k = a_k / ||z - w_k||, taken from the same products
+    with the same bits; only an iterate with some distance within nu, such
+    as a start on a data point or an iterate that has reached coincident
+    points holding most of the weight, computes h_nu and the clamp.
     The distances are computed a block of rows at a time: at most 256 KB, or
     8 rows if a row is larger. Each block of points minus a block filled
     with z goes to a scratch block, whose ``np.vecdot`` with itself writes

@@ -35,6 +35,21 @@ import numpy as np
 _SUM_BITS = 62
 
 
+def _count(value, message: str, least: int = 1) -> int:
+    """``value`` as an int if it is an int or numpy integer of at least ``least``.
+
+    Anything else raises ``ValueError(message)``. As an int, a count cannot
+    wrap in later arithmetic the way a narrow numpy integer can, such as
+    ``budget + 1`` at ``np.uint8(255)``. It lives here, in a module that
+    imports no other fedgm module and that the solver and the specs already
+    import, so they and the tasks share one count rule without the tasks
+    importing the solver.
+    """
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(message)
+    return int(value)
+
+
 def _zero_sum_masks(rng: np.random.Generator, m: int, width: int) -> np.ndarray:
     """(m, width) uint64 masks, uniform subject to each column summing to 0 mod 2**64.
 

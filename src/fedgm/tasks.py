@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomed import _count
+from .secure_avg import _count
 
 
 def least_squares_loss(w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
