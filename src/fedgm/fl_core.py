@@ -61,9 +61,9 @@ AGGREGATOR_KINDS = ("mean", "rfa", "median_of_means", "sgd_step")
 def _store_counts(spec, message: str, *names: str, least: int = 1) -> None:
     """Store each named count of a frozen spec as an int, else raise ``ValueError(message)``.
 
-    A count must be an int or a numpy integer of at least ``least``. Storing
-    it as an int keeps a narrow numpy integer from overflowing in later
-    arithmetic, such as ``steps * 2**t`` or a solver's ``budget + 1``.
+    A count follows ``secure_avg._count``: an int or numpy integer, not a
+    bool, of at least ``least``. Storing it as an int keeps a narrow numpy
+    integer from overflowing in later arithmetic, such as ``steps * 2**t``.
     """
     for name in names:
         object.__setattr__(spec, name, _count(getattr(spec, name), message, least))
@@ -207,9 +207,11 @@ TRACE_CSV_COLUMNS = tuple(f.name for f in fields(RoundTrace) if f.name != "selec
 
 
 def sample_devices(total: int, per_round: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly sample ``per_round`` distinct device ids; sorted for stable order."""
-    if per_round < 1 or per_round > total:
-        raise ValueError("per_round must lie in [1, total]")
+    """Uniformly sample ``per_round`` distinct device ids; sorted for stable order.
+
+    ``per_round`` is an int or numpy integer in [1, ``total``].
+    """
+    per_round = _count(per_round, "per_round must be an integer in [1, total]", most=total)
     return np.sort(rng.choice(total, size=per_round, replace=False))
 
 
@@ -254,11 +256,12 @@ def _local_steps(
     while the broadcasting product of the (m, p) rows and the (m, 1) column
     runs numpy's general iterator, whose setup costs more than the m * p
     products at these sizes. The products, and so the bits, are the same.
-    A minibatch step (b > 1) calls ``task.gradient``. Both scale by gamma as
-    a float64 0-d array, made once per call: numpy multiplies by an array
-    operand faster than by a Python scalar, which takes its slower scalar
-    promotion path, and the product has the same bits either way (a
-    float32 rate is widened exactly). Only a minibatch step
+    A minibatch step (b > 1) calls ``task.gradient``. A gamma that is NaN,
+    infinite or negative raises ``ValueError`` before any step. Both scale
+    by gamma as a float64 0-d array, made once per call: numpy multiplies
+    by an array operand faster than by a Python scalar, which takes its
+    slower scalar promotion path, and the product has the same bits either
+    way (a float32 rate is widened exactly). Only a minibatch step
     reads ``task``, so the tail-averaged rule passes None. Returns the
     (m, p) average of the last ``tail`` iterates (the final iterate when
     tail = 1).
@@ -273,6 +276,8 @@ def _local_steps(
     features, labels = features.reshape(-1, features.shape[-1]), labels.reshape(-1)
     block, first_tail = max(1, n // b), len(idx) - tail
     g = np.asarray(gamma, dtype=float)
+    if not 0.0 <= float(g) < math.inf:
+        raise ValueError("gamma must be finite and nonnegative")
     w = np.empty((m, len(w0)))
     w[...] = w0
     acc = np.zeros_like(w)
@@ -321,13 +326,11 @@ def local_update_sgd(
     smallest of n uniform keys. One call on ``rng`` draws the (steps, m, n)
     keys of every shard for the round; shard k's are column k. ``batch_size``
     (in [1, n]) and ``steps`` (at least 1) are ints or numpy integers, used
-    as ints. Returns the (m, p) final iterates, row k for shard k; gamma = 0
-    returns w0 in every row.
+    as ints. ``gamma`` is finite and nonnegative. Returns the (m, p) final
+    iterates, row k for shard k; gamma = 0 returns w0 in every row.
     """
     n = _shard_rows(features, selected, labels)
-    batch_size = _count(batch_size, "batch_size must be an integer in [1, n]")
-    if batch_size > n:
-        raise ValueError("batch_size must be an integer in [1, n]")
+    batch_size = _count(batch_size, "batch_size must be an integer in [1, n]", most=n)
     steps = _count(steps, "steps must be a positive integer")
     idx = rng.random((steps, len(selected), n)).argsort(axis=2)[:, :, :batch_size]
     return _local_steps(task, features, selected, labels, w0, gamma, idx, tail=1)
@@ -344,8 +347,8 @@ def local_update_tail_avg_sgd(
 ) -> np.ndarray:
     """Single-sample SGD on each of m shards, batched across shards.
 
-    Takes its shards like ``local_update_sgd``, and no task: every step is
-    the one-row least-squares step. Each shard performs
+    Takes its shards and ``gamma`` like ``local_update_sgd``, and no task:
+    every step is the one-row least-squares step. Each shard performs
     ``steps`` steps on samples drawn i.i.d. (with replacement), then
     averages iterates ceil(steps/2)+1 through steps. ``steps`` is an int
     or numpy integer of at least 2, used as an int, so a narrow integer
@@ -419,10 +422,10 @@ def run_federated(
     squared distance to the task's pooled optimum is recorded with them. Each
     round's row is appended first, and the run stops as soon as
     ``trace_diverged`` holds, so the first diverged round ends the trace.
-    rounds = 0 returns an empty trace.
+    ``rounds`` is an int or numpy integer of at least 0; rounds = 0 returns
+    an empty trace.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be nonnegative")
+    rounds = _count(rounds, "rounds must be a nonnegative integer", least=0)
     if config.devices_per_round > partition.devices:
         raise ValueError("devices_per_round exceeds the population")
     oracle = oracle if oracle is not None else SecureAverageOracle("plain")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .secure_avg import SecureAverageOracle, _count
+from .secure_avg import SecureAverageOracle, _count, _rows_and_weights
 
 # Bytes of one block of the distance pass's buffers, small enough to stay in
 # cache. 7-step solve medians, 128/256/512 KB: 8.8/8.6/9.1 ms at m=10^4,
@@ -41,28 +41,23 @@ class WeightedPointSet:
     Parameters
     ----------
     points : ndarray of shape (m, d)
-        One row per point; points in R^1 are an (m, 1) array. Any other
-        shape, a 1-d array included, raises ``ValueError``.
+        One row per point, every coordinate finite; points in R^1 are an
+        (m, 1) array. Any other shape, a 1-d array included, raises
+        ``ValueError``.
     weights : ndarray of shape (m,)
-        Strictly positive weights, divided by their sum into a new array;
-        the caller's array is not modified.
+        Finite, strictly positive weights with a finite sum, divided by
+        that sum into a new array; the caller's array is not modified. The
+        points and weights are checked by the rule the secure-average
+        oracle applies to its own input.
     """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise ValueError("points must be a nonempty (m, d) array")
+        pts, wts = _rows_and_weights(self.points, self.weights, "points")
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
-        wts = np.asarray(self.weights, dtype=float).ravel()
-        if wts.shape[0] != pts.shape[0]:
-            raise ValueError("weights length must match number of points")
-        # A NaN weight makes the minimum NaN, which fails the first comparison.
-        if not (0.0 < wts.min() and wts.max() < math.inf):
-            raise ValueError("weights must be finite and strictly positive")
         with np.errstate(over="ignore"):
             total = wts.sum()
         if not math.isfinite(total):

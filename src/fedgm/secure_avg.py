@@ -25,6 +25,12 @@ Counters track how many averages were requested and a modeled
 communication cost of m * d + m^2 units per call. That cost is the
 pairwise protocol's traffic (vectors up and pairwise key agreement), not
 the simulator's work.
+
+The module also holds the library's input rules, each written once: the
+count rule ``_count`` and the rows-and-weights rule ``_rows_and_weights``,
+which the oracle and ``geomed.WeightedPointSet`` share. It imports no other
+fedgm module, and ``geomed``, ``fl_core`` and ``tasks`` all import it, so
+each can take the rules from here without importing another.
 """
 
 from __future__ import annotations
@@ -35,19 +41,35 @@ import numpy as np
 _SUM_BITS = 62
 
 
-def _count(value, message: str, least: int = 1) -> int:
-    """``value`` as an int if it is an int or numpy integer of at least ``least``.
+def _count(value, message: str, least: int = 1, most: float = np.inf) -> int:
+    """``value`` as an int if it is an int or numpy integer in [``least``, ``most``].
 
-    Anything else raises ``ValueError(message)``. As an int, a count cannot
-    wrap in later arithmetic the way a narrow numpy integer can, such as
-    ``budget + 1`` at ``np.uint8(255)``. It lives here, in a module that
-    imports no other fedgm module and that the solver and the specs already
-    import, so they and the tasks share one count rule without the tasks
-    importing the solver.
+    Anything else, a bool included, raises ``ValueError(message)``. As an
+    int, a count cannot wrap in later arithmetic the way a narrow numpy
+    integer can, such as ``budget + 1`` at ``np.uint8(255)``.
     """
-    if not isinstance(value, (int, np.integer)) or value < least:
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and least <= value <= most):
         raise ValueError(message)
     return int(value)
+
+
+def _rows_and_weights(rows, weights, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` as a nonempty (m, d) float array and ``weights`` as an (m,) one.
+
+    The weights must be finite and strictly positive. Each failure raises
+    ``ValueError``, whose message names the rows ``name``.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or not rows.size:
+        raise ValueError(f"{name} must be a nonempty (m, d) array")
+    weights = np.asarray(weights, dtype=float).ravel()
+    if weights.shape[0] != rows.shape[0]:
+        raise ValueError(f"weights length must match number of {name}")
+    # A NaN weight makes the minimum NaN, which fails the first comparison.
+    if not (0.0 < weights.min() and weights.max() < np.inf):
+        raise ValueError("weights must be finite and strictly positive")
+    return rows, weights
 
 
 def _zero_sum_masks(rng: np.random.Generator, m: int, width: int) -> np.ndarray:
@@ -89,20 +111,11 @@ class SecureAverageOracle:
     def average(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Weighted average of row vectors; one call on the counters.
 
-        ``values`` is (m, d) with one row per device, so a single device is
-        a (1, d) array and a 1-d array raises ``ValueError``. ``weights`` is
-        (m,) strictly positive.
+        ``values`` is a nonempty (m, d) array with one row per device, so a
+        single device is a (1, d) array and a 1-d array raises
+        ``ValueError``. ``weights`` is (m,), finite and strictly positive.
         """
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[0] < 1:
-            raise ValueError("values must be a nonempty (m, d) array")
-        weights = np.asarray(weights, dtype=float).ravel()
-        if weights.shape[0] != values.shape[0]:
-            raise ValueError("weights length must match number of contributions")
-        # A NaN weight makes the minimum NaN, which fails the first comparison.
-        if not (0.0 < weights.min() and weights.max() < np.inf):
-            raise ValueError("weights must be finite and strictly positive")
-
+        values, weights = _rows_and_weights(values, weights, "values")
         m, d = values.shape
         self.call_count += 1
         self.bytes_modeled += m * d + m * m

@@ -113,10 +113,11 @@ class TestSchedulesAndSpecs:
         lr = LrSchedule(gamma0=1.0)
         local = "batch_size and epochs must be integers >= 1"
         # decay_every = nan made every rate NaN.
-        for count in (math.nan, math.inf, 2.5, "3"):
+        # A bool is not a count: LocalSGD(batch_size=True) stored 1.
+        for count in (math.nan, math.inf, 2.5, "3", True):
             with pytest.raises(ValueError, match="decay_every must be an integer >= 1"):
                 LrSchedule(1.0, 0.5, count)
-        for count in (2.5, 2.9, 3.0, "3"):
+        for count in (2.5, 2.9, 3.0, "3", True):
             with pytest.raises(ValueError, match=local):
                 LocalSGD(batch_size=count)
             with pytest.raises(ValueError, match=local):
@@ -169,7 +170,7 @@ class TestSchedulesAndSpecs:
                 AggregatorSpec(kind="rfa", rel_tol=rel_tol)
         # A count must be an integer: the group split would truncate a float
         # one, and the solver's range() would raise on it mid-run.
-        for count in (2.5, 2.9, 3.0, "3"):
+        for count in (2.5, 2.9, 3.0, "3", True):
             with pytest.raises(ValueError, match="integer budget and groups"):
                 AggregatorSpec(kind="rfa", budget=count)
             with pytest.raises(ValueError, match="integer budget and groups"):
@@ -201,11 +202,12 @@ class TestSamplingHelpers:
         assert s.min() >= 0 and s.max() < 20
 
     def test_sample_devices_range_errors(self):
+        # 2.5 and True raised numpy's TypeError.
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_devices(5, 6, rng)
-        with pytest.raises(ValueError):
-            sample_devices(5, 0, rng)
+        for per_round in (6, 0, 2.5, True):
+            with pytest.raises(ValueError, match=r"per_round must be an integer in \[1, total\]"):
+                sample_devices(5, per_round, rng)
+        assert sample_devices(5, np.uint8(5), rng).tolist() == [0, 1, 2, 3, 4]
 
 
 class TestLocalUpdates:
@@ -344,7 +346,7 @@ class TestLocalUpdates:
 
         assert tail_avg(np.uint8(255)).tobytes() == tail_avg(255).tobytes()
         assert sgd(np.uint8(5), np.uint8(200)).tobytes() == sgd(5, 200).tobytes()
-        for bad in (2.5, 3.0, math.nan, "3"):
+        for bad in (2.5, 3.0, math.nan, "3", True):
             with pytest.raises(ValueError, match="steps must be an integer >= 2"):
                 tail_avg(bad)
             with pytest.raises(ValueError, match=r"batch_size must be an integer in \[1, n\]"):
@@ -447,6 +449,26 @@ class TestBatchedLocalUpdates:
             idx = keys.argsort(axis=2)[:, :, :batch]
             want = python_float_local_steps(task, x, sel, y, w0, gamma, idx, 1)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.5])
+    def test_a_rate_that_is_not_finite_and_nonnegative_raises_before_any_step(self, rate):
+        # NaN returned an all-NaN model, inf warned mid-step, and -0.5 ran
+        # gradient ascent, each without an error.
+        task, _ = small_task()
+        x, sel, y, rng = make_shards((0, 10))
+        calls = []
+
+        class CountingTask:
+            def gradient(self, w, xb, yb):
+                calls.append(1)
+                return task.gradient(w, xb, yb)
+
+        message = "gamma must be finite and nonnegative"
+        with pytest.raises(ValueError, match=message):
+            local_update_tail_avg_sgd(x, sel, y, rng, np.zeros(3), rate, 8)
+        with pytest.raises(ValueError, match=message):
+            local_update_sgd(CountingTask(), x, sel, y, rng, np.zeros(3), rate, 5, 8)
+        assert not calls
 
     def test_sgd_rows_match_sequential_minibatch_sgd(self):
         task, _ = small_task()
@@ -652,8 +674,10 @@ class TestRunFederated:
 
     def test_validation_errors(self):
         task, part = small_task()
-        with pytest.raises(ValueError):
-            run_federated(task, part, CorruptionSpec(), clean_config(), rounds=-1)
+        # 2.5 and float64 2.0 raised TypeError from range, and True ran one round.
+        for rounds in (-1, 2.5, np.float64(2.0), True):
+            with pytest.raises(ValueError, match="rounds must be a nonnegative integer"):
+                run_federated(task, part, CorruptionSpec(), clean_config(), rounds=rounds)
         bad = RoundConfig(
             devices_per_round=part.devices + 1,
             local=LocalSGD(batch_size=5),

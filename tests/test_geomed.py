@@ -473,7 +473,7 @@ class TestSmoothedWeiszfeld:
         narrow = smoothed_weiszfeld(ps, budget=np.uint8(255), rel_tol=0.0)
         assert narrow.iterations == wide.iterations
         assert narrow.to_json_dict() == wide.to_json_dict()
-        for bad in (2.5, 3.0, math.nan, "3", np.float64(3), 0, np.int8(-1)):
+        for bad in (2.5, 3.0, math.nan, "3", np.float64(3), 0, np.int8(-1), True):
             oracle = SecureAverageOracle("plain")
             with pytest.raises(ValueError, match="budget must be an integer >= 1"):
                 smoothed_weiszfeld(ps, budget=bad, oracle=oracle)

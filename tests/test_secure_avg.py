@@ -67,6 +67,9 @@ class TestPlainMode:
             oracle.average(np.zeros((2, 2)), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             oracle.average(np.zeros((0, 2)), np.ones(0))
+        # Rows of no coordinates are empty too, as for a WeightedPointSet.
+        with pytest.raises(ValueError, match=r"nonempty \(m, d\)"):
+            oracle.average(np.zeros((2, 0)), np.ones(2))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -221,6 +224,15 @@ class TestWeightValidation:
         oracle = SecureAverageOracle(mode, seed=0)
         out = oracle.average(np.ones((3, 2)), np.array([5e-324, 1.0, 1e308]))
         assert np.array_equal(out, np.ones(2)) and oracle.call_count == 1
+
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS)
+    def test_point_sets_reject_the_same_weights_with_the_same_message(self, bad):
+        weights = np.array([1.0, bad, 1.0])
+        with pytest.raises(ValueError) as oracle_error:
+            SecureAverageOracle("plain").average(np.ones((3, 2)), weights)
+        with pytest.raises(ValueError) as point_set_error:
+            WeightedPointSet(np.ones((3, 2)), weights)
+        assert str(oracle_error.value) == str(point_set_error.value)
 
 
 class TestCounters:

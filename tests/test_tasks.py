@@ -259,7 +259,8 @@ class TestGeneratorValidation:
     def test_sizes_must_be_integers(self):
         message = "d, devices, samples_per_device and test_samples must be positive integers"
         for name in ("d", "devices", "samples_per_device", "test_samples"):
-            for bad in (2.5, 3.0, math.nan, "3"):
+            # True built a task of one dimension, device or sample.
+            for bad in (2.5, 3.0, math.nan, "3", True):
                 with pytest.raises(ValueError, match=message):
                     generate(**{name: bad})
 
