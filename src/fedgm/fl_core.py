@@ -18,11 +18,13 @@ round's m selected ids, device i's row j at flattened row j + n * i of
 both, and draw from one generator per run: one call draws the
 sample indices of every selected device for the round. How a device
 picks its samples never reaches the server, so one stream models i.i.d.
-local sampling. Rows are gathered a block of n // b steps at a time (at
-most one copy of the round's shards), and every local step updates the m
-models as one (m, p) array. A single-sample step (every tail-averaged
-step, and every step at batch size 1) is the least-squares step computed
-in ``_local_steps`` itself; a minibatch step calls ``task.gradient``.
+local sampling. Rows are gathered a block of steps at a time: n // b
+steps (at most one copy of the round's shards), cut to as many as fit in
+``_GATHER_BYTES`` (1 MiB) of rows but at least one. Every local step
+updates the m models as one (m, p) array. A single-sample step (every
+tail-averaged step, and every step at batch size 1) is the least-squares
+step computed in ``_local_steps`` itself; a minibatch step calls
+``task.gradient``.
 The aggregators are the weighted mean, the smoothed-Weiszfeld geometric
 median ("rfa"), median-of-means (group means through the oracle, then a
 server-side geometric median of the group means), and the one-step
@@ -54,6 +56,8 @@ from .secure_avg import SecureAverageOracle, _count
 # train loss that marks divergence, and the smoothing radius of every aggregation solve.
 DIVERGENCE_LOSS = 1e12
 NU = 1e-6
+# Most bytes of rows per local-step block: 800 KB steps ran faster one at a time, 256 KB slower.
+_GATHER_BYTES = 2**20
 
 AGGREGATOR_KINDS = ("mean", "rfa", "median_of_means", "sgd_step")
 
@@ -88,7 +92,8 @@ class LrSchedule:
         _store_counts(self, "decay_every must be an integer >= 1", "decay_every")
 
     def gamma_at(self, t: int) -> float:
-        """The rate of round t, in [0, gamma0]."""
+        """The rate of round t, in [0, gamma0]; t is an int or numpy integer >= 0."""
+        t = _count(t, "round t must be a nonnegative integer", least=0)
         return self.gamma0 * self.decay ** (t // self.decay_every)
 
 
@@ -129,6 +134,8 @@ class TailAveragedSGD:
         _store_counts(self, "steps must be an integer >= 2", "steps", least=2)
 
     def steps_at(self, t: int) -> int:
+        """The step count of round t; t is an int or numpy integer >= 0."""
+        t = _count(t, "round t must be a nonnegative integer", least=0)
         return self.steps * 2**t if self.schedule == "doubling" else self.steps
 
 
@@ -245,9 +252,11 @@ def _local_steps(
     with labels ``labels[selected[k]]`` (n,) of the (K, n) labels, and
     ``idx`` (steps, m, b) says which rows each step uses: step s uses rows
     ``idx[s, k]`` of shard k. Rows are gathered with ``np.take`` (as the
-    ndarray method) a block of max(1, n // b) steps at a time, and a
-    block's rows are freed before the next is gathered, so a round holds at
-    most one copy of its shards.
+    ndarray method) a block of max(1, min(n // b, _GATHER_BYTES // S))
+    steps at a time, where S = m * b * d * itemsize is one step's rows, and
+    a block's rows are freed before the next is gathered. So a round holds
+    at most one copy of its shards, and at most 1 MiB of rows unless one
+    step's rows alone are more.
     A one-row step (b = 1) is the least-squares step computed here, the
     row times gamma times its residual, with no ``task.gradient`` call. It
     copies the scaled residual column into every column of an (m, p) buffer
@@ -274,7 +283,8 @@ def _local_steps(
     if b == 1:
         idx, base = idx[..., 0], base[:, 0]
     features, labels = features.reshape(-1, features.shape[-1]), labels.reshape(-1)
-    block, first_tail = max(1, n // b), len(idx) - tail
+    step_bytes = m * b * features.shape[-1] * features.itemsize
+    block, first_tail = max(1, min(n // b, _GATHER_BYTES // step_bytes)), len(idx) - tail
     g = np.asarray(gamma, dtype=float)
     if not 0.0 <= float(g) < math.inf:
         raise ValueError("gamma must be finite and nonnegative")

@@ -96,6 +96,20 @@ class TestSchedulesAndSpecs:
         gamma = LrSchedule(gamma0, decay, decay_every).gamma_at(t)
         assert isinstance(gamma, float) and 0.0 <= gamma <= gamma0
 
+    def test_round_t_must_be_a_nonnegative_integer(self):
+        # A negative round grew the rate past gamma0 (2.0 and 8.0 at t = -1 and
+        # -3), and a fractional one gave a fractional step count (11.31 at 1.5).
+        message = "round t must be a nonnegative integer"
+        lr, local = LrSchedule(1.0, 0.5, 1), TailAveragedSGD(4, "doubling")
+        for t in (-1, -3, 1.5, np.float64(2.0), True, "2"):
+            with pytest.raises(ValueError, match=message):
+                lr.gamma_at(t)
+            with pytest.raises(ValueError, match=message):
+                local.steps_at(t)
+            with pytest.raises(ValueError, match=message):
+                TailAveragedSGD(4).steps_at(t)
+        assert lr.gamma_at(np.uint8(2)) == 0.25 and local.steps_at(np.int64(3)) == 32
+
     def test_local_spec_validation(self):
         with pytest.raises(ValueError):
             LocalSGD(batch_size=0)
@@ -389,7 +403,8 @@ class TestBatchedLocalUpdates:
     copy's state, so the round drew nothing else.
     """
 
-    # Rows are gathered n // b = 20 steps at a time: 47 steps make three
+    # At m = 3 and d = 3 the 1 MiB cap on a block's rows does not bind, so
+    # rows are gathered n // b = 20 steps at a time: 47 steps make three
     # blocks, the last one partial.
     @pytest.mark.parametrize("steps", [9, 47])
     def test_tail_avg_rows_match_one_row_loop(self, steps):
@@ -449,6 +464,34 @@ class TestBatchedLocalUpdates:
             idx = keys.argsort(axis=2)[:, :, :batch]
             want = python_float_local_steps(task, x, sel, y, w0, gamma, idx, 1)
             assert got.tobytes() == want.tobytes()
+
+    def test_blocks_cut_by_the_byte_cap_keep_the_reference_bits(self):
+        # Shapes where the cap on a block's rows, not n // b = 20, sets the block.
+        # One-row steps at m = 64, d = 256 gather 128 KiB a step, so 8 steps a
+        # block: 29 steps make blocks of 8, 8, 8 and 5. Minibatch steps at
+        # m = 50, b = 10, d = 300 gather 1.2 MB a step, so one step a block
+        # where n // b gives two.
+        m, d, steps = 64, 256, 29
+        assert fl_core._GATHER_BYTES // (m * d * 8) == 8
+        x, sel, y, rng = make_shards(range(m), d=d)
+        w0 = np.full(d, 0.01)
+        replay = copy.deepcopy(rng)
+        got = local_update_tail_avg_sgd(x, sel, y, rng, w0, 0.3, steps)
+        idx = replay.integers(0, x.shape[1], size=(steps, m))[:, :, None]
+        tail = steps - (steps + 1) // 2
+        want = python_float_local_steps(None, x, sel, y, w0, 0.3, idx, tail)
+        assert got.tobytes() == want.tobytes()
+
+        m, b, d, steps = 50, 10, 300, 5
+        assert m * b * d * 8 > fl_core._GATHER_BYTES
+        task, _ = small_task(d=d, n_k=40)
+        x, sel, y, rng = make_shards(range(m), d=d)
+        w0 = np.full(d, 0.01)
+        replay = copy.deepcopy(rng)
+        got = local_update_sgd(task, x, sel, y, rng, w0, 0.3, b, steps)
+        idx = replay.random((steps, m, x.shape[1])).argsort(axis=2)[:, :, :b]
+        want = python_float_local_steps(task, x, sel, y, w0, 0.3, idx, 1)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.5])
     def test_a_rate_that_is_not_finite_and_nonnegative_raises_before_any_step(self, rate):
@@ -511,6 +554,27 @@ class TestBatchedLocalUpdates:
         # One block's rows are alive at a time; a second copy's worth covers
         # the step buffers and small temporaries.
         assert peak < index_bytes + 2 * x[sel].nbytes
+
+    def test_sgd_gathers_one_step_at_a_time_when_a_step_is_near_the_cap(self):
+        """Guard: at masked-wide's shape a minibatch round holds one step's rows.
+
+        Each step gathers m * b * d float64 rows, 800 KB at m = 100, b = 10,
+        d = 100, so the 1 MiB cap gives one-step blocks where n // b gives
+        two. Gathering both steps at once peaked at 2.6 times one step's rows.
+        """
+        m, b, n, d, steps = 100, 10, 20, 100, 2
+        task, _ = small_task(d=d)
+        x, sel, y, rng = make_shards(range(m), n=n, d=d)
+        step_bytes = m * b * d * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            local_update_sgd(task, x, sel, y, rng, np.zeros(d), 0.1, b, steps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * step_bytes
 
 
 class TestAggregate:
