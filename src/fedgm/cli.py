@@ -8,8 +8,10 @@ and ``report`` tabulates the ``summary.json`` files of a directory tree.
 
 Exit codes are stable: 0 success, 1 usage, validation, read or write
 failure, 2 budget exhausted without meeting the relative-improvement
-tolerance. Outputs contain no timing information, so identical configs
-give byte-identical files.
+tolerance. ``simulate`` runs every seed before it writes, so nothing is
+written unless every seed completes, and a rule the library rejects at any
+seed leaves no outdir. Outputs contain no timing information, so identical
+configs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -137,32 +139,25 @@ def _coerce(name: str, value, default):
 
 
 def validate_config(config: dict) -> dict:
-    """Coerce a merged config to its defaults' types in place and range-check it."""
+    """Coerce a merged config to its defaults' types in place and check the rules the CLI owns.
+
+    The CLI owns a nonempty ``run.outdir`` and distinct seeds, which name the
+    trace files. The constructors below check the kinds and ranges of their
+    blocks. The library checks the rest (sizes, ``noise_std``, seeds,
+    ``rounds``, and the task's rows against d, ``devices_per_round`` and
+    ``batch_size``) when a seed runs, and ``_simulate`` runs every seed
+    before it writes anything.
+    """
     try:
         for block, defaults in DEFAULT_CONFIG.items():
             for key, default in defaults.items():
                 config[block][key] = _coerce(f"{block}.{key}", config[block][key], default)
-        task, corr, algo, run = (config[block] for block in DEFAULT_CONFIG)
-        for key in ("d", "devices", "samples_per_device"):
-            if task[key] < 1:
-                raise ValueError(f"task.{key} must be a positive integer")
-        # Fewer training rows than dimensions make the pooled optimum not unique.
-        if task["devices"] * task["samples_per_device"] < task["d"]:
-            raise ValueError("task.devices * task.samples_per_device must be at least task.d")
-        if task["noise_std"] < 0:
-            raise ValueError("task.noise_std must be nonnegative")
+        run = config["run"]
         if not run["outdir"]:
             raise ValueError("run.outdir must not be empty")
-        if run["rounds"] < 0 or min(run["seeds"]) < 0:
-            raise ValueError("run.rounds and run.seeds must be nonnegative")
         if len(set(run["seeds"])) < len(run["seeds"]):
             raise ValueError("run.seeds must not repeat a seed")
-        if run["devices_per_round"] > task["devices"]:
-            raise ValueError("run.devices_per_round exceeds task.devices")
-        if algo["batch_size"] > task["samples_per_device"]:
-            raise ValueError("algorithm.batch_size exceeds samples_per_device")
-        # The constructors the run uses check the remaining kinds and ranges.
-        CorruptionSpec(**corr)
+        CorruptionSpec(**config["corruption"])
         SecureAverageOracle(run["oracle_mode"])
         _round_config(config)
     except (TypeError, KeyError, OverflowError) as exc:
@@ -272,14 +267,16 @@ def _apply_overrides(config: dict, overrides: dict) -> dict:
 
 
 def _simulate(config: dict) -> None:
-    """Run every seed of a validated config and write its traces and summary.json to run.outdir."""
+    """Run every seed of a validated config, then write its traces and summary.json to run.outdir.
+
+    Nothing is written, and the outdir is not made, unless every seed completes.
+    """
     outdir = config["run"]["outdir"]
+    runs = {seed: run_one_seed(config, seed)[0] for seed in config["run"]["seeds"]}
     os.makedirs(outdir, exist_ok=True)
-    per_seed = []
-    for seed in config["run"]["seeds"]:
-        traces, _ = run_one_seed(config, seed)
+    for seed, traces in runs.items():
         write_trace_csv(os.path.join(outdir, f"{seed}.csv"), traces)
-        per_seed.append(_seed_summary(seed, traces))
+    per_seed = [_seed_summary(seed, traces) for seed, traces in runs.items()]
     write_summary_json(os.path.join(outdir, "summary.json"), config, per_seed)
     print(f"wrote {len(per_seed)} trace file(s) and summary.json to {outdir}")
 
@@ -295,7 +292,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not raw_values:
         raise ValueError("sweep needs at least one --values entry")
     # A point is the config with one more override flag, --<axis> <value>.
-    # Every point is validated before the outdir exists or any seed runs.
+    # Every point is validated before any seed runs, and a point writes
+    # nothing unless every one of its seeds completes.
     points = [
         validate_config(_apply_overrides(copy.deepcopy(config), {args.axis: raw}))
         for raw in raw_values

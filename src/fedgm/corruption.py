@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .secure_avg import _count
+
 CORRUPTION_KINDS = ("none", "static_data", "adaptive_data", "omniscient")
 
 
@@ -54,12 +56,14 @@ def realize(spec: CorruptionSpec, devices: int, fallback_seed: int = 0) -> np.nd
     Every device weighs 1/K. Devices are drawn in a uniformly random order
     until the float sum of their weights strictly exceeds ``spec.rho``, or
     the population runs out; kind "none" marks nobody. ``fallback_seed``
-    stands in for ``spec.seed`` when that is None.
+    stands in for ``spec.seed`` when that is None. The seed used is an int
+    or numpy integer of at least 0.
     """
     mask = np.zeros(devices, dtype=bool)
     if spec.kind != "none":
         seed = spec.seed if spec.seed is not None else fallback_seed
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0DE]))
+        seed = _count(seed, "seed must be a nonnegative integer", least=0)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0DE]))
         order = rng.permutation(devices)
         # The running weight first exceeds rho at position `count - 1`. Sums
         # of 1/K are inexact, so floor(rho * K) + 1 can give another count.

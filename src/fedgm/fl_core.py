@@ -432,16 +432,22 @@ def run_federated(
     squared distance to the task's pooled optimum is recorded with them. Each
     round's row is appended first, and the run stops as soon as
     ``trace_diverged`` holds, so the first diverged round ends the trace.
-    ``rounds`` is an int or numpy integer of at least 0; rounds = 0 returns
-    an empty trace.
+    ``rounds`` and ``seed`` are ints or numpy integers of at least 0;
+    rounds = 0 returns an empty trace. Before round 0 it checks that
+    ``devices_per_round`` is at most the population and a ``LocalSGD``
+    ``batch_size`` at most the shard size, so a run of 0 rounds rejects them too.
     """
     rounds = _count(rounds, "rounds must be a nonnegative integer", least=0)
+    seed = _count(seed, "seed must be a nonnegative integer", least=0)
     if config.devices_per_round > partition.devices:
         raise ValueError("devices_per_round exceeds the population")
+    local = config.local
+    if isinstance(local, LocalSGD) and local.batch_size > partition.device_labels.shape[1]:
+        raise ValueError("batch_size exceeds the shard size")
     oracle = oracle if oracle is not None else SecureAverageOracle("plain")
     # Device selection and the devices' own draws are separate streams.
-    server_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E7]))
-    device_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFED]))
+    server_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E7]))
+    device_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFED]))
     corrupted = realize(corruption, partition.devices, fallback_seed=seed)
     # Local steps read these shards in place; a data attack copies the labels once per run.
     features, labels = partition.device_features, partition.device_labels
@@ -454,7 +460,6 @@ def run_federated(
     round_weights = np.full(config.devices_per_round, 1.0 / config.devices_per_round)
     w = np.zeros_like(task.optimum)
     traces: list[RoundTrace] = []
-    local = config.local
     for t in range(rounds):
         selected = sample_devices(partition.devices, config.devices_per_round, server_rng)
         gamma = config.lr.gamma_at(t)

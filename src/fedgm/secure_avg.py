@@ -29,8 +29,8 @@ the simulator's work.
 The module also holds the library's input rules, each written once: the
 count rule ``_count`` and the rows-and-weights rule ``_rows_and_weights``,
 which the oracle and ``geomed.WeightedPointSet`` share. It imports no other
-fedgm module, and ``geomed``, ``fl_core`` and ``tasks`` all import it, so
-each can take the rules from here without importing another.
+fedgm module, and ``geomed``, ``fl_core``, ``tasks`` and ``corruption`` all
+import it, so each can take the rules from here without importing another.
 """
 
 from __future__ import annotations

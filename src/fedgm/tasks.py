@@ -186,7 +186,9 @@ def generate_ls_task(
     ``noise_std`` is finite and nonnegative. ``d``, ``devices``,
     ``samples_per_device`` and ``test_samples`` are ints or numpy integers
     of at least 1, used as ints, so a narrow integer cannot wrap the row
-    count.
+    count; ``seed`` is one of at least 0. There must be at least d train
+    rows, else the pooled optimum is not unique; this is checked before
+    anything is drawn, so a huge d fails before its d x d Gram is built.
     """
     if not 0.0 <= noise_std < math.inf:
         raise ValueError("noise_std must be finite and nonnegative")
@@ -194,8 +196,11 @@ def generate_ls_task(
     d, devices, samples_per_device, test_samples = (
         _count(v, message) for v in (d, devices, samples_per_device, test_samples)
     )
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7A5C]))
+    seed = _count(seed, "seed must be a nonnegative integer", least=0)
     n_train = devices * samples_per_device
+    if n_train < d:
+        raise ValueError("devices * samples_per_device must be at least d")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A5C]))
     n = n_train + test_samples
 
     phi = _bounded_features(rng, n, d)

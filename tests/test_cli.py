@@ -21,7 +21,9 @@ from fedgm.cli import (
     validate_config,
     write_summary_json,
 )
-from fedgm.fl_core import TRACE_CSV_COLUMNS
+from fedgm.corruption import CorruptionSpec
+from fedgm.fl_core import TRACE_CSV_COLUMNS, LocalSGD, LrSchedule, RoundConfig, run_federated
+from fedgm.tasks import generate_ls_task
 
 
 def write_config(tmp_path, **blocks):
@@ -84,12 +86,25 @@ class TestConfigHandling:
         with pytest.raises(ValueError):
             validate_config(merged)
 
-    def test_validate_rejects_oversized_batch(self):
-        merged = merge_config(
-            {"task": {"samples_per_device": 5}, "algorithm": {"batch_size": 6}}
-        )
-        with pytest.raises(ValueError):
-            validate_config(merged)
+    def test_validate_rejects_oversized_batch(self, tmp_path, capsys):
+        # run_federated states the rule, and checks it before round 0, so
+        # simulate rejects the batch before any output, at 0 rounds too.
+        for rounds in (0, 2):
+            cfg = write_config(
+                tmp_path,
+                task={"samples_per_device": 5},
+                algorithm={"batch_size": 6},
+                run={"rounds": rounds},
+            )
+            assert main(["simulate", cfg]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: batch_size exceeds the shard size\n"
+            assert not os.path.exists(tmp_path / "runs")
+        task, partition = generate_ls_task(3, 8, 5, 0.1)
+        config = RoundConfig(5, LocalSGD(batch_size=6), LrSchedule(0.5))
+        with pytest.raises(ValueError, match="^batch_size exceeds the shard size$"):
+            run_federated(task, partition, CorruptionSpec(), config, rounds=0)
 
     def test_missing_config_file_is_exit_1(self, tmp_path, capsys):
         rc = main(["simulate", str(tmp_path / "nope.json")])
@@ -253,6 +268,19 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "error: run.outdir must not be empty\n"
         assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_failure_at_a_later_seed_leaves_no_outdir(self, tmp_path, capsys, monkeypatch):
+        # Every seed runs before the outdir is made, so seed 0's trace is not written either.
+        def fail_at_seed_1(config, seed):
+            if seed == 1:
+                raise ValueError("seed 1 failed")
+            return run_one_seed(config, seed)
+
+        monkeypatch.setattr("fedgm.cli.run_one_seed", fail_at_seed_1)
+        assert main(["simulate", write_config(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: seed 1 failed\n")
+        assert not os.path.exists(tmp_path / "runs")
 
     def test_writes_trace_per_seed_and_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -449,9 +477,9 @@ class TestSimulate:
         )
         sweep = ["--axis", "rho", "--values", "0"] if command == "sweep" else []
         assert main([command, cfg, *sweep]) == 1
-        assert capsys.readouterr().err == (
-            "error: task.devices * task.samples_per_device must be at least task.d\n"
-        )
+        # generate_ls_task states the rule, and checks it before it draws a row.
+        message = "devices * samples_per_device must be at least d"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(tmp_path / "runs")
 
     @pytest.mark.parametrize(
@@ -633,6 +661,21 @@ class TestSweep:
         assert main(["sweep", cfg, "--axis", axis, "--values", values]) == 1
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "runs")
+
+    def test_point_that_fails_at_a_seed_leaves_no_outdir(self, tmp_path, capsys, monkeypatch):
+        # Each point runs every seed before it writes, so only the failed point has no outdir.
+        def fail_under_attack(config, seed):
+            if config["corruption"]["rho"] > 0 and seed == 1:
+                raise ValueError("attacked seed 1 failed")
+            return run_one_seed(config, seed)
+
+        monkeypatch.setattr("fedgm.cli.run_one_seed", fail_under_attack)
+        cfg = write_config(tmp_path, corruption={"kind": "omniscient"})
+        assert main(["sweep", cfg, "--axis", "rho", "--values", "0,0.25"]) == 1
+        assert capsys.readouterr().err == "error: attacked seed 1 failed\n"
+        assert os.listdir(tmp_path / "runs") == ["rho=0"]
+        written = sorted(os.listdir(tmp_path / "runs" / "rho=0"))
+        assert written == ["0.csv", "1.csv", "summary.json"]
 
     def test_repeated_seed_exit_1_before_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

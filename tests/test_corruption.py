@@ -126,6 +126,16 @@ class TestRealize:
         b = realize(CorruptionSpec(kind="omniscient", rho=0.25), 50, fallback_seed=2)
         assert not np.array_equal(a, b)
 
+    def test_seed_follows_the_count_rule(self):
+        # int(seed) marked seed 1's devices at 1.9.
+        for bad in (1.9, np.float64(1.0), True, -1):
+            with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+                realize(CorruptionSpec(kind="omniscient", rho=0.25, seed=bad), 50)
+            with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+                realize(CorruptionSpec(kind="omniscient", rho=0.25), 50, fallback_seed=bad)
+        spec = CorruptionSpec(kind="omniscient", rho=0.25, seed=np.uint8(1))
+        assert np.array_equal(realize(spec, 50), realize(CorruptionSpec("omniscient", 0.25, 1), 50))
+
     def test_ids_are_sorted_and_outweigh_rho(self):
         mask = realize(CorruptionSpec(kind="static_data", rho=0.3, seed=0), 20)
         assert mask.dtype == bool and mask.shape == (20,)

@@ -750,6 +750,18 @@ class TestRunFederated:
         with pytest.raises(ValueError):
             run_federated(task, part, CorruptionSpec(), bad, rounds=1)
 
+    def test_seed_follows_the_count_rule(self):
+        # int(seed) repeated seed 0's run at 0.7.
+        task, part = small_task()
+        for bad in (0.7, np.float64(1.0), True, -1):
+            with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+                run_federated(task, part, CorruptionSpec(), clean_config(), rounds=1, seed=bad)
+            with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+                run_rfa_doubling(task, part, CorruptionSpec(), 5, 2, rounds=1, seed=bad)
+        narrow = run_federated(task, part, CorruptionSpec(), clean_config(), 3, np.uint8(3))
+        plain = run_federated(task, part, CorruptionSpec(), clean_config(), 3, 3)
+        assert narrow == plain
+
     def test_deterministic_given_seed(self):
         task, part = small_task()
         a = run_federated(task, part, CorruptionSpec(), clean_config(), rounds=6, seed=3)

@@ -276,6 +276,28 @@ class TestGeneratorValidation:
         assert task.optimum.tobytes() == want_task.optimum.tobytes()
 
 
+    def test_seed_follows_the_count_rule(self):
+        # int(seed) built seed 2's task at 2.5 and seed 1's at True.
+        for bad in (2.5, np.float64(1.0), True, -1, "1", None):
+            with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+                generate(seed=bad)
+        narrow, plain = generate(seed=np.uint8(2))[0], generate(seed=2)[0]
+        assert narrow.optimum.tobytes() == plain.optimum.tobytes()
+
+    def test_fewer_train_rows_than_d_raise_before_anything_is_drawn(self):
+        # 4 devices x 5 samples = 20 train rows. At d = 2000 the rank check
+        # alone would first build a 32 MB (d, d) Gram.
+        assert generate(d=20)[0].d == 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^devices \* samples_per_device must be at least d$"):
+                generate(d=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+
 class TestPartition:
     def test_shapes_and_alphas(self):
         task, part = generate_ls_task(3, 8, 12, 0.1, seed=6)
