@@ -3,17 +3,19 @@
 Every aggregation in this package flows through one primitive, a weighted
 average of device vectors, passed as an (m, d) array with one row per
 device; a single device is a (1, d) array. In masked mode each device
-encodes its contribution as 64-bit fixed-point integers and adds a mask,
-uniform mod 2^64 on its own. The masks of all devices sum to zero mod 2^64: m - 1 rows
-are drawn at random and the last device takes minus their sum. That is the
-same law as the pairwise masks of secure aggregation, where each pair of
-devices shares a mask added on one side and subtracted on the other, so
-the server sees the same thing at O(m d) cost. Individual contributions are
-hidden, while the masks cancel exactly in the wrapping sum: the result
-equals the unmasked fixed-point sum bit for bit, whatever the mask seed,
-and differs from plain mode only by the quantization. Counters record how
-many averages were taken and a modeled communication cost of m*d + m^2
-units per call, the traffic of the pairwise protocol.
+encodes its contribution as 64-bit fixed-point integers, and the server
+sums the encodings. In the protocol being modeled, each device also adds a
+mask, uniform mod 2^64 on its own, and the masks of all devices sum to
+zero mod 2^64: m - 1 rows are uniform and the last device takes minus
+their sum. That is the same law as the pairwise masks of secure
+aggregation, where each pair of devices shares a mask added on one side
+and subtracted on the other. Individual contributions are hidden, while
+the masks cancel exactly in the wrapping sum. So the oracle draws no masks:
+its result is the unmasked fixed-point sum bit for bit, and differs from
+plain mode only by the quantization. This demo draws one set of masks to
+show what a device would send. Counters record how many averages were
+taken and a modeled communication cost of m*d + m^2 units per call, the
+traffic of the pairwise protocol.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ values = rng.standard_normal((m, d))
 weights = rng.uniform(0.5, 2.0, m)
 
 plain = SecureAverageOracle("plain")
-masked = SecureAverageOracle("masked", seed=42)
+masked = SecureAverageOracle("masked")
 
 out_plain = plain.average(values, weights)
 out_masked = masked.average(values, weights)
@@ -37,7 +39,22 @@ print(f"max deviation: {np.abs(out_plain - out_masked).max():.2e}")
 
 print("\nwhat one device would have revealed in the clear:")
 print("  contribution of device 0:", np.round(values[0], 4))
-print("  (in masked mode only mask-perturbed vectors leave a device)")
+
+# In masked mode only mask-perturbed vectors leave a device. Encode
+# [beta v, beta] per column as the oracle does, add zero-sum masks mod 2^64,
+# and show device 0's words before and after.
+contrib = np.column_stack([values * weights[:, None], weights])
+shift = 62 - np.frexp(np.abs(contrib).max(axis=0))[1] - (m - 1).bit_length()
+encoded = np.rint(np.ldexp(contrib, shift)).astype(np.int64).view(np.uint64)
+masks = np.empty_like(encoded)
+masks[:-1] = np.random.default_rng(42).bit_generator.random_raw((m - 1, d + 1))
+masks[-1] = -masks[:-1].sum(axis=0)
+sent = encoded + masks
+print("  its encoding mod 2^64:     ", encoded[0, :3], "...")
+print("  what it sends when masked: ", sent[0, :3], "...")
+total = np.ldexp(sent.sum(axis=0).view(np.int64).astype(float), -shift)
+same = np.array_equal(total[:d] / total[d], out_masked)
+print(f"  the masked words sum to the masked average's bits: {same}")
 
 print("\ncall accounting after one average of 6 vectors in R^4:")
 print(f"  call_count    = {plain.call_count}")

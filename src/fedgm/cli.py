@@ -194,7 +194,7 @@ def run_one_seed(config: dict, seed: int) -> tuple[list[RoundTrace], SecureAvera
     """Run one seeded federated experiment described by a validated config."""
     task, partition = generate_ls_task(**config["task"], seed=seed)
     corruption = CorruptionSpec(**config["corruption"])
-    oracle = SecureAverageOracle(config["run"]["oracle_mode"], seed=seed)
+    oracle = SecureAverageOracle(config["run"]["oracle_mode"])
     traces = run_federated(
         task,
         partition,
@@ -386,7 +386,9 @@ def cmd_gm_solve(args: argparse.Namespace) -> int:
         point_set, nu=args.nu, budget=args.budget, rel_tol=args.rel_tol
     )
     payload = {"schema_version": SUMMARY_SCHEMA_VERSION, **result.to_json_dict()}
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # JSON has no inf or NaN, and an overflowing solve can return them.
+    # Serialize before opening, so such a result writes no file.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text + "\n")

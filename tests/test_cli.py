@@ -230,6 +230,21 @@ class TestGmSolve:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_result_exits_1_and_writes_nothing(self, tmp_path, capsys, to_file):
+        # Step 1's distances overflow, so the objective is inf, which JSON
+        # cannot hold: no output may carry it, on stdout or in a file.
+        path = write_points(tmp_path, "9e153,0,1\n-9e153,0,1\n8e153,1,1\n")
+        output = tmp_path / "wide.json"
+        argv = ["gm-solve", path, "--budget", "1", "--rel-tol", "0"]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(argv + (["--output", str(output)] if to_file else []))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert not output.exists()
+
     def test_weights_whose_sum_overflows_exit_1(self, tmp_path, capsys):
         # Each weight is finite; only their sum overflows, which must be
         # reported as such and not as an overflow warning from numpy.

@@ -620,7 +620,7 @@ class TestAggregate:
     @pytest.mark.parametrize("mode", ["plain", "masked"])
     def test_other_kinds_ignore_z0(self, kind, mode):
         spec = AggregatorSpec(kind=kind, groups=3 if kind == "median_of_means" else 1)
-        near, far = SecureAverageOracle(mode, seed=3), SecureAverageOracle(mode, seed=3)
+        near, far = SecureAverageOracle(mode), SecureAverageOracle(mode)
         expected = aggregate(self.updates, self.weights, spec, near, z0=self.z0)
         out = aggregate(self.updates, self.weights, spec, far, z0=np.full(4, 5.0))
         assert out.tobytes() == expected.tobytes()
@@ -632,7 +632,7 @@ class TestAggregate:
         # unchanged objective stops the solve after that single call.
         updates = np.vstack([np.eye(4), -np.eye(4)])
         spec = AggregatorSpec(kind="rfa", budget=3)
-        oracle = SecureAverageOracle(mode, seed=2)
+        oracle = SecureAverageOracle(mode)
         out = aggregate(updates, np.full(8, 0.125), spec, oracle, z0=np.zeros(4))
         assert np.array_equal(out, np.zeros(4))
         assert oracle.call_count == 1
@@ -644,7 +644,7 @@ class TestAggregate:
         z0 = np.random.default_rng(11).standard_normal(4)
         inputs = [self.updates, self.weights, z0]
         before = [a.tobytes() for a in inputs]
-        aggregate(self.updates, self.weights, spec, SecureAverageOracle(mode, seed=4), z0)
+        aggregate(self.updates, self.weights, spec, SecureAverageOracle(mode), z0)
         assert [a.tobytes() for a in inputs] == before
 
     @pytest.mark.parametrize("kind", ["rfa", "median_of_means"])
@@ -656,7 +656,7 @@ class TestAggregate:
         updates[1::2, 1] = np.nan
         outs, oracles = [], []
         for spec in (AggregatorSpec(kind="mean"), AggregatorSpec(kind=kind, groups=3)):
-            oracles.append(SecureAverageOracle(mode, seed=6))
+            oracles.append(SecureAverageOracle(mode))
             outs.append(aggregate(updates, self.weights, spec, oracles[-1], self.z0))
         assert outs[1].tobytes() == outs[0].tobytes()
         assert not np.isfinite(outs[1]).all()
@@ -672,7 +672,7 @@ class TestAggregate:
         attackers = scale * rng.choice([-1.0, 1.0], (3, 5))
         updates = np.vstack([honest, attackers])
         spec = AggregatorSpec(kind="rfa", budget=3)
-        oracle = SecureAverageOracle(mode, seed=1)
+        oracle = SecureAverageOracle(mode)
         z = aggregate(updates, np.full(10, 0.1), spec, oracle, z0=np.ones(5))
         # eps = 0 gives the tightest bound, the one for the exact median.
         bound = displacement_bound(0.3, 0.0, float(np.linalg.norm(honest - 1.0, axis=1).max()))
@@ -863,7 +863,7 @@ class TestRunFederated:
             config = RoundConfig(
                 1, LocalSGD(batch_size=10), LrSchedule(gamma0=0.4), AggregatorSpec(kind=agg)
             )
-            oracle = SecureAverageOracle(mode, seed=0)
+            oracle = SecureAverageOracle(mode)
             traces[agg] = run_federated(task, part, attack, config, 8, seed=0, oracle=oracle)
         assert [t.oracle_calls for t in traces[kind]] == [1] * 8
         assert sum(t.corrupted_selected for t in traces[kind]) > 0
@@ -907,7 +907,7 @@ class TestRunFederated:
             clean_config(),
             rounds=5,
             seed=5,
-            oracle=SecureAverageOracle("masked", seed=5),
+            oracle=SecureAverageOracle("masked"),
         )
         for a, b in zip(plain, masked):
             assert a.train_loss == pytest.approx(b.train_loss, rel=1e-6)
