@@ -102,8 +102,10 @@ def omniscient_updates(
     Every corrupted device returns the same vector
     psi = -(2 * sum_honest a_k u_k + sum_corrupt a_k u_k) / sum_corrupt a_k,
     which makes the weighted mean of the returned updates equal the
-    negation of the weighted mean of the honest updates. With no corrupted
-    rows this is a no-op and a copy of the input is returned.
+    negation of the weighted mean of all the round's faithful updates, the
+    corrupted devices' own included: -(sum_k a_k u_k) / sum_k a_k over every
+    row. With no corrupted rows this is a no-op and a copy of the input is
+    returned.
     """
     updates = np.asarray(updates, dtype=float)
     weights = np.asarray(weights, dtype=float).ravel()

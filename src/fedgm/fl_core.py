@@ -15,10 +15,16 @@ model. The omniscient attack replaces the corrupted rows of the round's
 updates. Every device holds n samples, so each of the m selected models
 weighs 1/m. Local updates read features and labels in place at the
 round's m selected ids, device i's row j at flattened row j + n * i of
-both, and draw from one generator per run: one call draws the
-sample indices of every selected device for the round. How a device
-picks its samples never reaches the server, so one stream models i.i.d.
-local sampling. Rows are gathered a block of steps at a time: n // b
+both, and draw from one generator per run: each round draws the sample
+indices of every selected device as one call's worth of the stream. How
+a device picks its samples never reaches the server, so one stream
+models i.i.d. local sampling. A minibatch is the b smallest of n uniform
+keys. Up to n = 2048 they are picked by one value sort of packed
+``uint64`` words, each key's 53 bits above its row index, so equal keys
+give the lower row first; above 2048 rows by ``argsort``. Keys are drawn
+and sorted at most ``_GATHER_BYTES`` (1 MiB) of them at a time, so beyond
+its (steps, m, b) indices the draw holds one block of keys and one of
+packed words. Rows are gathered a block of steps at a time: n // b
 steps (at most one copy of the round's shards), cut to as many as fit in
 ``_GATHER_BYTES`` (1 MiB) of rows but at least one. Every local step
 updates the m models as one (m, p) array. A single-sample step (every
@@ -58,6 +64,8 @@ DIVERGENCE_LOSS = 1e12
 NU = 1e-6
 # Most bytes of rows per local-step block: 800 KB steps ran faster one at a time, 256 KB slower.
 _GATHER_BYTES = 2**20
+# Most rows a packed minibatch sort takes: 53 key bits and 11 row bits fill a uint64.
+_PACKED_ROWS = 2**11
 
 AGGREGATOR_KINDS = ("mean", "rfa", "median_of_means", "sgd_step")
 
@@ -315,6 +323,31 @@ def _local_steps(
     return acc / tail
 
 
+def _smallest_keys(keys: np.ndarray, b: int) -> np.ndarray:
+    """The positions of the b smallest keys of each last-axis row, smallest first.
+
+    ``keys`` are numpy ``random()`` doubles, each a multiple of 2^-53 in
+    [0, 1), so ``keys * 2**53`` is an exact integer below 2^53. Each is cast
+    to ``uint64``, shifted left by s = max(1, (n - 1).bit_length()) bits,
+    with its position j ORed into the low s bits, and the words are sorted:
+    numpy's value sort is vectorized where ``argsort`` is not. The first b
+    words, masked, are the positions. Distinct keys give ``argsort``'s
+    positions in its order; equal keys give the lower position first. The
+    shift and the OR act on the integers, so a key finer than 2^-53 is
+    truncated and cannot reach the position bits. For n > ``_PACKED_ROWS``
+    the position does not fit beside 53 key bits, and ``argsort`` is used.
+    """
+    n = keys.shape[-1]
+    if n > _PACKED_ROWS:
+        return keys.argsort(axis=-1)[..., :b]
+    shift = max(1, (n - 1).bit_length())
+    words = np.multiply(keys, 2.0**53, out=np.empty(keys.shape, np.uint64), casting="unsafe")
+    words <<= shift
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort(axis=-1)
+    return (words[..., :b] & ((1 << shift) - 1)).astype(np.intp)
+
+
 def local_update_sgd(
     task,
     features: np.ndarray,
@@ -333,8 +366,15 @@ def local_update_sgd(
     ``labels[selected[k]]``. Each shard runs ``steps`` steps
     (``LocalSGD.steps(n)``, or 1 for "sgd_step"); every minibatch is a fresh
     uniform subset (without replacement) of the shard: the ``batch_size``
-    smallest of n uniform keys. One call on ``rng`` draws the (steps, m, n)
-    keys of every shard for the round; shard k's are column k. ``batch_size``
+    smallest of n uniform keys, smallest first. ``rng.random`` draws the
+    (steps, m, n) keys of every shard for the round, shard k's in column
+    k, a block of max(1, ``_GATHER_BYTES`` // (m * n * 8)) steps at a
+    time. Consecutive draws continue one stream, so the rows and the
+    generator's end state are those of one call. ``_smallest_keys`` picks
+    each block's rows: up to n = 2048 by one sort of packed (key, row)
+    words, which gives ``argsort``'s rows for distinct keys and the lower
+    row first for equal ones (a tie has probability about n^2 * 2^-54 per
+    shard and step), and by ``argsort`` above 2048 rows. ``batch_size``
     (in [1, n]) and ``steps`` (at least 1) are ints or numpy integers, used
     as ints. ``gamma`` is finite and nonnegative. Returns the (m, p) final
     iterates, row k for shard k; gamma = 0 returns w0 in every row.
@@ -342,7 +382,12 @@ def local_update_sgd(
     n = _shard_rows(features, selected, labels)
     batch_size = _count(batch_size, "batch_size must be an integer in [1, n]", most=n)
     steps = _count(steps, "steps must be a positive integer")
-    idx = rng.random((steps, len(selected), n)).argsort(axis=2)[:, :, :batch_size]
+    m = len(selected)
+    idx = np.empty((steps, m, batch_size), dtype=np.intp)
+    block = max(1, _GATHER_BYTES // (m * n * 8))
+    for start in range(0, steps, block):
+        part = idx[start : start + block]
+        part[...] = _smallest_keys(rng.random((len(part), m, n)), batch_size)
     return _local_steps(task, features, selected, labels, w0, gamma, idx, tail=1)
 
 

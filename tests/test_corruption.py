@@ -197,10 +197,10 @@ class TestOmniscientUpdates:
         mask = np.zeros(m, dtype=bool)
         mask[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = True
         out = omniscient_updates(updates, weights, mask)
-        honest_mean = (weights @ updates) / weights.sum()
+        faithful_mean = (weights @ updates) / weights.sum()
         post_mean = (weights @ out) / weights.sum()
-        scale = max(1.0, float(np.abs(honest_mean).max()))
-        assert np.abs(post_mean + honest_mean).max() <= 1e-12 * scale
+        scale = max(1.0, float(np.abs(faithful_mean).max()))
+        assert np.abs(post_mean + faithful_mean).max() <= 1e-12 * scale
 
     def test_honest_rows_untouched(self):
         rng = np.random.default_rng(8)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import inspect
 import math
+import pickle
 import sys
 import tracemalloc
 
@@ -398,9 +399,10 @@ def python_float_local_steps(task, x, sel, y, w0, gamma, idx, tail):
 class TestBatchedLocalUpdates:
     """Each row of a batched local update matches a one-device Python loop.
 
-    The loop replays the round's one draw call from a copy of the rng and
+    The loop replays the round's draws as one call on a copy of the rng and
     takes column k of the draws for shard k; the rng must end in the
-    copy's state, so the round drew nothing else.
+    copy's state, so the round drew one call's worth of the stream and
+    nothing else.
     """
 
     # At m = 3 and d = 3 the 1 MiB cap on a block's rows does not bind, so
@@ -415,7 +417,7 @@ class TestBatchedLocalUpdates:
         out = local_update_tail_avg_sgd(x, sel, y, rng, w0, gamma, steps)
         assert out.shape == (3, 3)
         draws = replay.integers(0, x.shape[1], size=(steps, len(sel)))
-        # one rng call per round
+        # one call's worth of the stream
         assert rng.bit_generator.state == replay.bit_generator.state
         for k in range(len(sel)):
             w = w0.copy()
@@ -435,7 +437,7 @@ class TestBatchedLocalUpdates:
         out = local_update_sgd(task, x, sel, y, rng, w0, gamma, 1, steps)
         assert out.shape == (3, 3)
         keys = replay.random((steps, len(sel), x.shape[1]))
-        # one rng call per round
+        # one call's worth of the stream
         assert rng.bit_generator.state == replay.bit_generator.state
         for k in range(len(sel)):
             w = w0.copy()
@@ -530,6 +532,80 @@ class TestBatchedLocalUpdates:
                 assert len(set(idx.tolist())) == batch
                 w = w - gamma * task.gradient(w, x[sel[k], idx], y[sel[k], idx])
             assert np.abs(out[k] - w).max() <= 1e-12
+
+    # Minibatch rows are packed (key, row) words up to n = 2048 and argsort's
+    # rows above it; at m = 2, 40 steps of keys at n >= 2048 take two 1 MiB blocks.
+    @pytest.mark.parametrize(
+        "n, batch", [(n, b) for n in (1, 2, 3, 50, 2048, 2049) for b in sorted({1, min(3, n), n})]
+    )
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [
+            np.random.PCG64,
+            np.random.PCG64DXSM,
+            np.random.MT19937,
+            np.random.Philox,
+            np.random.SFC64,
+        ],
+    )
+    def test_sgd_rows_are_the_argsort_replay(self, bit_generator, n, batch, monkeypatch):
+        task, _ = small_task()
+        x, sel, y, _ = make_shards((0, 1), n=n)
+        rng = np.random.Generator(bit_generator(7))
+        replay = copy.deepcopy(rng)
+        seen = []
+
+        def record(task, features, selected, labels, w0, gamma, idx, tail):
+            seen.append(idx)
+            return np.zeros((len(selected), len(w0)))
+
+        monkeypatch.setattr(fl_core, "_local_steps", record)
+        steps = 40
+        local_update_sgd(task, x, sel, y, rng, np.zeros(3), 0.1, batch, steps)
+        keys = replay.random((steps, len(sel), n))
+        # one call's worth of the stream; MT19937's and Philox's states hold arrays
+        assert pickle.dumps(rng.bit_generator.state) == pickle.dumps(replay.bit_generator.state)
+        assert (keys * 2**53 == np.floor(keys * 2**53)).all()
+        (idx,) = seen
+        assert idx.dtype == np.intp and idx.shape == (steps, len(sel), batch)
+        assert np.array_equal(idx, keys.argsort(axis=2)[:, :, :batch])
+
+    def test_smallest_keys_puts_the_lower_row_first_on_a_tie(self):
+        keys = np.array([[[0.5, 0.25, 0.5, 0.25], [0.0] * 4]])
+        assert fl_core._smallest_keys(keys, 4).tolist() == [[[1, 3, 0, 2], [0, 1, 2, 3]]]
+        ties = np.zeros((1, 2, 2048))
+        assert fl_core._smallest_keys(ties, 5).tolist() == [[list(range(5))] * 2]
+        # Keys finer than 2^-53 are truncated before the row is packed, so they
+        # cannot carry into the row bits: 1.5 * 2^-53 ties with 2^-53.
+        fine = np.array([1.5, 1.0, 0.5]) * 2.0**-53
+        assert fl_core._smallest_keys(fine, 3).tolist() == [2, 0, 1]
+
+    def test_smallest_keys_above_2048_rows_are_argsorts(self):
+        # Keys on a 1/16 grid tie often; the rows follow argsort, ties included.
+        keys = np.floor(np.random.default_rng(3).random((2, 3, 2049)) * 16) / 16
+        got = fl_core._smallest_keys(keys, 40)
+        assert np.array_equal(got, keys.argsort(axis=-1)[..., :40])
+
+    def test_sgd_draws_its_keys_a_block_at_a_time(self):
+        """Guard: a long round's minibatch keys are drawn and sorted in 1 MiB blocks.
+
+        At n = 400, m = 8 and b = 1, 400 steps hold 10.24 MB of keys. Drawing
+        them in one call, with their argsort, peaked at 20.5 MB; a block of
+        keys and its packed words take 2 MiB.
+        """
+        m, n, steps = 8, 400, 400
+        task, _ = small_task()
+        x, sel, y, rng = make_shards(range(m), n=n)
+        index_bytes = steps * m * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            local_update_sgd(task, x, sel, y, rng, np.zeros(3), 0.1, 1, steps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * fl_core._GATHER_BYTES + index_bytes
 
     def test_tail_avg_gathers_rows_a_block_at_a_time(self):
         """Guard: a long round never holds every step's rows at once.
