@@ -15,11 +15,12 @@ by any of these; every transform returns fresh arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .secure_avg import _count
+from .secure_avg import _count, _real, _store
 
 CORRUPTION_KINDS = ("none", "static_data", "adaptive_data", "omniscient")
 
@@ -28,11 +29,14 @@ CORRUPTION_KINDS = ("none", "static_data", "adaptive_data", "omniscient")
 class CorruptionSpec:
     """What fraction of data weight is corrupted, and how.
 
-    Kind "none" has rho = 0 and every other kind rho > 0: rho = 0 turns an
-    attack kind into "none", and kind "none" rejects rho > 0. ``seed``
-    drives the random choice of corrupted devices; when None the runner
-    substitutes its own master seed. ``realize`` marks the corrupted
-    devices of a concrete population.
+    ``rho`` is a real in [0, 1) (an int or numpy real too), stored as a
+    float. Kind "none" has rho = 0 and every other kind rho > 0: rho = 0
+    turns an attack kind into "none", and kind "none" rejects rho > 0.
+    ``seed`` drives the random choice of corrupted devices; when None the
+    runner substitutes its own master seed. A seed that is set is an int
+    or numpy integer of at least 0, stored as an int, and is checked here
+    under every kind. ``realize`` marks the corrupted devices of a
+    concrete population.
     """
 
     kind: str = "none"
@@ -42,8 +46,9 @@ class CorruptionSpec:
     def __post_init__(self) -> None:
         if self.kind not in CORRUPTION_KINDS:
             raise ValueError(f"kind must be one of {CORRUPTION_KINDS}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
+        _store(self, _real, "rho must lie in [0, 1)", "rho", most=math.nextafter(1.0, 0.0))
+        if self.seed is not None:
+            _store(self, _count, "seed must be a nonnegative integer", "seed", least=0)
         if self.kind == "none" and self.rho > 0.0:
             raise ValueError("rho > 0 needs an attack kind")
         if self.kind != "none" and self.rho == 0.0:
@@ -55,10 +60,12 @@ def realize(spec: CorruptionSpec, devices: int, fallback_seed: int = 0) -> np.nd
 
     Every device weighs 1/K. Devices are drawn in a uniformly random order
     until the float sum of their weights strictly exceeds ``spec.rho``, or
-    the population runs out; kind "none" marks nobody. ``fallback_seed``
+    the population runs out; kind "none" marks nobody. ``devices`` is an
+    int or numpy integer of at least 1, used as an int. ``fallback_seed``
     stands in for ``spec.seed`` when that is None. The seed used is an int
     or numpy integer of at least 0.
     """
+    devices = _count(devices, "devices must be a positive integer")
     mask = np.zeros(devices, dtype=bool)
     if spec.kind != "none":
         seed = spec.seed if spec.seed is not None else fallback_seed

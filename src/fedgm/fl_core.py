@@ -18,19 +18,9 @@ round's m selected ids, device i's row j at flattened row j + n * i of
 both, and draw from one generator per run: each round draws the sample
 indices of every selected device as one call's worth of the stream. How
 a device picks its samples never reaches the server, so one stream
-models i.i.d. local sampling. A minibatch is the b smallest of n uniform
-keys. Up to n = 2048 they are picked by one value sort of packed
-``uint64`` words, each key's 53 bits above its row index, so equal keys
-give the lower row first; above 2048 rows by ``argsort``. Keys are drawn
-and sorted at most ``_GATHER_BYTES`` (1 MiB) of them at a time, so beyond
-its (steps, m, b) indices the draw holds one block of keys and one of
-packed words. Rows are gathered a block of steps at a time: n // b
-steps (at most one copy of the round's shards), cut to as many as fit in
-``_GATHER_BYTES`` (1 MiB) of rows but at least one. Every local step
-updates the m models as one (m, p) array. A single-sample step (every
-tail-averaged step, and every step at batch size 1) is the least-squares
-step computed in ``_local_steps`` itself; a minibatch step calls
-``task.gradient``.
+models i.i.d. local sampling. ``local_update_sgd`` and ``_smallest_keys``
+say how a minibatch is drawn and picked, and ``_local_steps`` how rows
+are gathered and each step is taken.
 The aggregators are the weighted mean, the smoothed-Weiszfeld geometric
 median ("rfa"), median-of-means (group means through the oracle, then a
 server-side geometric median of the group means), and the one-step
@@ -56,7 +46,7 @@ import numpy as np
 
 from .corruption import CorruptionSpec, omniscient_updates, poison_adaptive, poison_static, realize
 from .geomed import WeightedPointSet, smoothed_weiszfeld
-from .secure_avg import SecureAverageOracle, _count
+from .secure_avg import SecureAverageOracle, _count, _real, _store
 
 # Both assume the unit feature scale of ``tasks``, every feature norm at most 1: the
 # train loss that marks divergence, and the smoothing radius of every aggregation solve.
@@ -70,24 +60,14 @@ _PACKED_ROWS = 2**11
 AGGREGATOR_KINDS = ("mean", "rfa", "median_of_means", "sgd_step")
 
 
-def _store_counts(spec, message: str, *names: str, least: int = 1) -> None:
-    """Store each named count of a frozen spec as an int, else raise ``ValueError(message)``.
-
-    A count follows ``secure_avg._count``: an int or numpy integer, not a
-    bool, of at least ``least``. Storing it as an int keeps a narrow numpy
-    integer from overflowing in later arithmetic, such as ``steps * 2**t``.
-    """
-    for name in names:
-        object.__setattr__(spec, name, _count(getattr(spec, name), message, least))
-
-
 @dataclass(frozen=True)
 class LrSchedule:
     """Piecewise-constant schedule gamma_t = gamma0 * decay^(t // decay_every).
 
-    ``decay`` lies in (0, 1], so the rate never grows: every rate lies in
-    [0, gamma0] and is finite. ``decay_every`` is an integer (numpy's too,
-    stored as int) of at least 1.
+    ``gamma0`` is a finite real of at least 0 and ``decay`` one in (0, 1],
+    ints and numpy reals included, each stored as a float; so the rate
+    never grows, and every rate is a float in [0, gamma0]. ``decay_every``
+    is an integer (numpy's too, stored as int) of at least 1.
     """
 
     gamma0: float
@@ -95,9 +75,10 @@ class LrSchedule:
     decay_every: int = 1
 
     def __post_init__(self) -> None:
-        if not (0 <= self.gamma0 < math.inf and 0 < self.decay <= 1):
-            raise ValueError("need finite gamma0 >= 0 and decay in (0, 1]")
-        _store_counts(self, "decay_every must be an integer >= 1", "decay_every")
+        message = "need finite gamma0 >= 0 and decay in (0, 1]"
+        _store(self, _real, message, "gamma0")
+        _store(self, _real, message, "decay", least=math.ulp(0.0), most=1.0)
+        _store(self, _count, "decay_every must be an integer >= 1", "decay_every")
 
     def gamma_at(self, t: int) -> float:
         """The rate of round t, in [0, gamma0]; t is an int or numpy integer >= 0."""
@@ -117,7 +98,7 @@ class LocalSGD:
     epochs: int = 1
 
     def __post_init__(self) -> None:
-        _store_counts(self, "batch_size and epochs must be integers >= 1", "batch_size", "epochs")
+        _store(self, _count, "batch_size and epochs must be integers >= 1", "batch_size", "epochs")
 
     def steps(self, n: int) -> int:
         """ceil(n * epochs / batch_size): ``epochs`` passes over n samples."""
@@ -139,7 +120,7 @@ class TailAveragedSGD:
     def __post_init__(self) -> None:
         if self.schedule not in ("doubling", "constant"):
             raise ValueError("schedule must be 'doubling' or 'constant'")
-        _store_counts(self, "steps must be an integer >= 2", "steps", least=2)
+        _store(self, _count, "steps must be an integer >= 2", "steps", least=2)
 
     def steps_at(self, t: int) -> int:
         """The step count of round t; t is an int or numpy integer >= 0."""
@@ -152,7 +133,8 @@ class AggregatorSpec:
     """Which aggregator a round uses and its knobs.
 
     ``budget`` and ``groups`` are integers (numpy's too, stored as int),
-    each at least 1.
+    each at least 1. ``rel_tol`` is a finite real of at least 0 (an int or
+    numpy real too, stored as a float).
     ``budget`` and ``rel_tol`` control the smoothed Weiszfeld solve for
     kind "rfa", which smooths at the fixed radius ``NU``. Kind
     "median_of_means" needs ``groups`` >= 2, since one group's median is
@@ -170,9 +152,8 @@ class AggregatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(f"aggregator kind must be one of {AGGREGATOR_KINDS}")
-        if not math.inf > self.rel_tol >= 0:
-            raise ValueError("rel_tol must be finite and nonnegative")
-        _store_counts(self, "need integer budget and groups >= 1", "budget", "groups")
+        _store(self, _real, "rel_tol must be finite and nonnegative", "rel_tol")
+        _store(self, _count, "need integer budget and groups >= 1", "budget", "groups")
         if self.kind == "median_of_means" and self.groups < 2:
             raise ValueError("median_of_means needs groups >= 2")
 
@@ -191,7 +172,7 @@ class RoundConfig:
     aggregator: AggregatorSpec = field(default_factory=AggregatorSpec)
 
     def __post_init__(self) -> None:
-        _store_counts(self, "devices_per_round must be an integer >= 1", "devices_per_round")
+        _store(self, _count, "devices_per_round must be an integer >= 1", "devices_per_round")
         if self.aggregator.kind == "sgd_step" and not isinstance(self.local, LocalSGD):
             raise ValueError("sgd_step requires a LocalSGD spec for its batch size")
         agg = self.aggregator
@@ -224,8 +205,10 @@ TRACE_CSV_COLUMNS = tuple(f.name for f in fields(RoundTrace) if f.name != "selec
 def sample_devices(total: int, per_round: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly sample ``per_round`` distinct device ids; sorted for stable order.
 
-    ``per_round`` is an int or numpy integer in [1, ``total``].
+    ``total`` is an int or numpy integer of at least 1, and ``per_round``
+    one in [1, ``total``]; both are used as ints.
     """
+    total = _count(total, "total must be a positive integer")
     per_round = _count(per_round, "per_round must be an integer in [1, total]", most=total)
     return np.sort(rng.choice(total, size=per_round, replace=False))
 
@@ -273,15 +256,16 @@ def _local_steps(
     while the broadcasting product of the (m, p) rows and the (m, 1) column
     runs numpy's general iterator, whose setup costs more than the m * p
     products at these sizes. The products, and so the bits, are the same.
-    A minibatch step (b > 1) calls ``task.gradient``. A gamma that is NaN,
-    infinite or negative raises ``ValueError`` before any step. Both scale
-    by gamma as a float64 0-d array, made once per call: numpy multiplies
-    by an array operand faster than by a Python scalar, which takes its
-    slower scalar promotion path, and the product has the same bits either
-    way (a float32 rate is widened exactly). Only a minibatch step
-    reads ``task``, so the tail-averaged rule passes None. Returns the
-    (m, p) average of the last ``tail`` iterates (the final iterate when
-    tail = 1).
+    A minibatch step (b > 1) calls ``task.gradient``. ``gamma`` is checked
+    once per call by ``secure_avg._real``, before any step: anything but a
+    finite real of at least 0 (an int or numpy real too) raises
+    ``ValueError``. Both steps scale by gamma's Python float as a float64
+    0-d array, made once per call: numpy multiplies by an array operand
+    faster than by a Python scalar, which takes its slower scalar promotion
+    path, and the product has the same bits either way (a float32 rate is
+    widened exactly). Only a minibatch step reads ``task``, so the
+    tail-averaged rule passes None. Returns the (m, p) average of the last
+    ``tail`` iterates (the final iterate when tail = 1).
     """
     m, n = len(selected), labels.shape[1]
     b = idx.shape[-1]
@@ -293,9 +277,7 @@ def _local_steps(
     features, labels = features.reshape(-1, features.shape[-1]), labels.reshape(-1)
     step_bytes = m * b * features.shape[-1] * features.itemsize
     block, first_tail = max(1, min(n // b, _GATHER_BYTES // step_bytes)), len(idx) - tail
-    g = np.asarray(gamma, dtype=float)
-    if not 0.0 <= float(g) < math.inf:
-        raise ValueError("gamma must be finite and nonnegative")
+    g = np.asarray(_real(gamma, "gamma must be finite and nonnegative"), dtype=float)
     w = np.empty((m, len(w0)))
     w[...] = w0
     acc = np.zeros_like(w)
@@ -369,15 +351,17 @@ def local_update_sgd(
     smallest of n uniform keys, smallest first. ``rng.random`` draws the
     (steps, m, n) keys of every shard for the round, shard k's in column
     k, a block of max(1, ``_GATHER_BYTES`` // (m * n * 8)) steps at a
-    time. Consecutive draws continue one stream, so the rows and the
-    generator's end state are those of one call. ``_smallest_keys`` picks
-    each block's rows: up to n = 2048 by one sort of packed (key, row)
-    words, which gives ``argsort``'s rows for distinct keys and the lower
-    row first for equal ones (a tie has probability about n^2 * 2^-54 per
-    shard and step), and by ``argsort`` above 2048 rows. ``batch_size``
-    (in [1, n]) and ``steps`` (at least 1) are ints or numpy integers, used
-    as ints. ``gamma`` is finite and nonnegative. Returns the (m, p) final
-    iterates, row k for shard k; gamma = 0 returns w0 in every row.
+    time, so beyond its (steps, m, b) indices the draw holds one block of
+    keys and one of packed words. Consecutive draws continue one stream,
+    so the rows and the generator's end state are those of one call.
+    ``_smallest_keys`` picks each block's rows: up to n = 2048 by one sort
+    of packed (key, row) words, which gives ``argsort``'s rows for distinct
+    keys and the lower row first for equal ones (a tie has probability
+    about n^2 * 2^-54 per shard and step), and by ``argsort`` above 2048
+    rows. ``batch_size`` (in [1, n]) and ``steps`` (at least 1) are ints or
+    numpy integers, used as ints. ``gamma`` is a finite real of at least 0,
+    used as a float. Returns the (m, p) final iterates, row k for shard k;
+    gamma = 0 returns w0 in every row.
     """
     n = _shard_rows(features, selected, labels)
     batch_size = _count(batch_size, "batch_size must be an integer in [1, n]", most=n)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .secure_avg import SecureAverageOracle, _count, _rows_and_weights
+from .secure_avg import SecureAverageOracle, _count, _real, _rows_and_weights
 
 # Bytes of one block of the distance pass's buffers, small enough to stay in
 # cache. 7-step solve medians, 128/256/512 KB: 8.8/8.6/9.1 ms at m=10^4,
@@ -145,16 +145,18 @@ def smoothed_weiszfeld(
     point_set : WeightedPointSet
         The weighted points.
     nu : float
-        Smoothing radius. Distances below nu are treated quadratically, so
-        reweights are capped at a_k / nu and the iteration is defined
-        everywhere, including on top of a data point.
+        Smoothing radius, a finite real above 0. Distances below nu are
+        treated quadratically, so reweights are capped at a_k / nu and the
+        iteration is defined everywhere, including on top of a data point.
     budget : int
         Maximum number of averaging steps: an int or numpy integer of at
         least 1, checked before any oracle call and used as an int. Each
         step costs one oracle call.
     rel_tol : float
         Stop once the relative improvement of the smoothed objective
-        between consecutive iterates falls to this level or below.
+        between consecutive iterates falls to this level or below; a finite
+        real of at least 0. Both ``nu`` and ``rel_tol`` may be ints or numpy
+        reals, are checked before any oracle call and are used as floats.
     z0 : ndarray, optional
         Starting point; any finite point will do. With two or more points
         at least one step is always taken, so every iterate from step 1
@@ -198,10 +200,8 @@ def smoothed_weiszfeld(
     returned immediately with zero iterations.
     """
     budget = _count(budget, "budget must be an integer >= 1")
-    if not 0.0 <= rel_tol < math.inf:
-        raise ValueError("rel_tol must be finite and nonnegative")
-    if not 0.0 < nu < math.inf:
-        raise ValueError("nu must be finite and positive")
+    rel_tol = _real(rel_tol, "rel_tol must be finite and nonnegative")
+    nu = _real(nu, "nu must be finite and positive", least=math.ulp(0.0))
     if z0 is not None:
         z0 = np.asarray(z0, dtype=float).ravel()
         if z0.shape[0] != point_set.d:

@@ -24,14 +24,38 @@ communication cost of m * d + m^2 units per call. That cost is the
 pairwise protocol's traffic (vectors up and pairwise key agreement), not
 the simulator's work.
 
-The module also holds the library's input rules, each written once: the
-count rule ``_count`` and the rows-and-weights rule ``_rows_and_weights``,
-which the oracle and ``geomed.WeightedPointSet`` share. It imports no other
-fedgm module, and ``geomed``, ``fl_core``, ``tasks`` and ``corruption`` all
-import it, so each can take the rules from here without importing another.
+The module also holds the library's input rules, each written once. It
+imports no other fedgm module, and ``geomed``, ``fl_core``, ``tasks`` and
+``corruption`` all import it, so each takes the rules from here without
+importing another. Any input that breaks a rule raises ``ValueError``.
+
+- The count rule ``_count``: an ``int`` or numpy integer, not a ``bool``,
+  within the caller's bounds, used as an ``int``. It covers every spec
+  count (``LocalSGD``'s ``batch_size`` and ``epochs``, ``TailAveragedSGD``'s
+  ``steps``, ``LrSchedule``'s ``decay_every``, ``AggregatorSpec``'s
+  ``budget`` and ``groups``, ``RoundConfig``'s ``devices_per_round`` and
+  ``CorruptionSpec``'s ``seed`` when it is set), the schedules' round
+  index, ``smoothed_weiszfeld``'s ``budget``, ``run_federated``'s
+  ``rounds``, ``sample_devices``' ``total`` and ``per_round``, the local
+  updates' ``batch_size`` and ``steps``, ``realize``'s ``devices``,
+  ``generate_ls_task``'s sizes, and the seeds of ``generate_ls_task``,
+  ``run_federated`` and ``realize``.
+- The real rule ``_real``: an ``int``, ``float``, numpy integer or numpy
+  floating value, not a ``bool``, finite and within the caller's bounds,
+  used as a ``float``. It covers ``LrSchedule``'s ``gamma0`` and ``decay``,
+  the ``rel_tol`` of ``AggregatorSpec`` and of ``smoothed_weiszfeld``,
+  ``smoothed_weiszfeld``'s ``nu``, the local updates' ``gamma``,
+  ``generate_ls_task``'s ``noise_std`` and ``CorruptionSpec``'s ``rho``.
+- ``_store`` applies either rule to named fields of a frozen spec and
+  stores what it returns.
+- The rows-and-weights rule ``_rows_and_weights``: rows are a nonempty
+  (m, d) array and their weights an (m,) array, finite and strictly
+  positive. The oracle and ``geomed.WeightedPointSet`` share it.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -50,6 +74,36 @@ def _count(value, message: str, least: int = 1, most: float = np.inf) -> int:
     if not (integer and least <= value <= most):
         raise ValueError(message)
     return int(value)
+
+
+def _real(value, message: str, least: float = 0.0, most: float = sys.float_info.max) -> float:
+    """``value`` as a float if it is a finite int, float or numpy real in [``least``, ``most``].
+
+    A numpy real is a numpy integer or floating value, and it is compared
+    as a Python float: compared as itself, a float32 would round a Python
+    bound to float32, so that 1 - 2**-53 became 1. Anything else raises
+    ``ValueError(message)``: a bool (whose type is not int), a str, None,
+    NaN, an infinity, or a value out of bounds. The default ``most`` is the
+    largest finite float. Open ends are written with Python floats:
+    ``least=math.ulp(0.0)`` admits exactly the floats above 0, and
+    ``most=math.nextafter(1.0, 0.0)`` exactly those below 1.
+    """
+    value = float(value) if isinstance(value, (np.integer, np.floating)) else value
+    if not (type(value) in (int, float) and least <= value <= most):
+        raise ValueError(message)
+    return float(value)
+
+
+def _store(spec, rule, message: str, *names: str, **bounds) -> None:
+    """Store each named field of a frozen spec as ``rule`` (``_count`` or ``_real``) returns it.
+
+    ``message`` and ``bounds`` go to the rule, so a field that breaks it
+    raises ``ValueError(message)``. Storing a count as an int keeps a narrow
+    numpy integer from overflowing in later arithmetic, such as
+    ``steps * 2**t``, and storing a real as a float gives float results.
+    """
+    for name in names:
+        object.__setattr__(spec, name, rule(getattr(spec, name), message, **bounds))
 
 
 def _rows_and_weights(rows, weights, name: str) -> tuple[np.ndarray, np.ndarray]:

@@ -12,12 +12,11 @@ device shards, and every row it returns is read-only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .secure_avg import _count
+from .secure_avg import _count, _real
 
 
 def least_squares_loss(w: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -183,15 +182,15 @@ def generate_ls_task(
     The first ``devices * samples_per_device`` rows are the train split,
     and device k holds its k-th contiguous block of ``samples_per_device``
     rows; the rest are the test split. All rows are read-only.
-    ``noise_std`` is finite and nonnegative. ``d``, ``devices``,
-    ``samples_per_device`` and ``test_samples`` are ints or numpy integers
-    of at least 1, used as ints, so a narrow integer cannot wrap the row
-    count; ``seed`` is one of at least 0. There must be at least d train
+    ``noise_std`` is a finite real of at least 0 (an int or numpy real
+    too), used as a float. ``d``, ``devices``, ``samples_per_device`` and
+    ``test_samples`` are ints or numpy integers of at least 1, used as
+    ints, so a narrow integer cannot wrap the row count; ``seed`` is one of
+    at least 0. There must be at least d train
     rows, else the pooled optimum is not unique; this is checked before
     anything is drawn, so a huge d fails before its d x d Gram is built.
     """
-    if not 0.0 <= noise_std < math.inf:
-        raise ValueError("noise_std must be finite and nonnegative")
+    noise_std = _real(noise_std, "noise_std must be finite and nonnegative")
     message = "d, devices, samples_per_device and test_samples must be positive integers"
     d, devices, samples_per_device, test_samples = (
         _count(v, message) for v in (d, devices, samples_per_device, test_samples)

@@ -1,4 +1,8 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Smoke test: every script under demos/ runs to completion.
+
+Each demo runs with every RuntimeWarning an error, the rule ``conftest.py``
+applies in process, so a demo that starts to overflow fails here.
+"""
 
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ def test_demo_exits_zero(demo):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -85,17 +85,24 @@ class TestSchedulesAndSpecs:
             with pytest.raises(ValueError, match=r"decay in \(0, 1\]"):
                 LrSchedule(gamma0, decay)
 
+    # Each rate is drawn as a Python float, a float64 or a float32, a float32
+    # within its own finite range and above 0 for decay, so no cast overflows.
     @given(
-        gamma0=st.floats(min_value=0.0, max_value=1e300),
+        gamma0=st.floats(min_value=0.0, max_value=1e300)
+        | st.floats(min_value=0.0, max_value=1e300).map(np.float64)
+        | st.floats(0.0, float(np.finfo(np.float32).max), width=32).map(np.float32),
         decay=st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
-        | st.sampled_from([1e-300, 5e-324, 1.0]),
+        | st.sampled_from([1e-300, 5e-324, 1.0])
+        | st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(np.float64)
+        | st.floats(min_value=0.0, max_value=1.0, exclude_min=True, width=32).map(np.float32),
         decay_every=st.integers(min_value=1, max_value=1000),
         t=st.integers(min_value=0, max_value=10**6),
     )
     @settings(max_examples=200, deadline=None)
     def test_every_rate_is_a_float_in_0_gamma0(self, gamma0, decay, decay_every, t):
+        # A float32 schedule returned numpy.float32 rates.
         gamma = LrSchedule(gamma0, decay, decay_every).gamma_at(t)
-        assert isinstance(gamma, float) and 0.0 <= gamma <= gamma0
+        assert type(gamma) is float and 0.0 <= gamma <= float(gamma0)
 
     def test_round_t_must_be_a_nonnegative_integer(self):
         # A negative round grew the rate past gamma0 (2.0 and 8.0 at t = -1 and
