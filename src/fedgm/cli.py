@@ -48,7 +48,7 @@ SUMMARY_SCHEMA_VERSION = 1
 
 # Learning-rate and local-pass defaults were tuned once on the uncorrupted
 # synthetic least-squares task and are frozen across corruption settings.
-# The rate's halving every 50 rounds is fixed in _round_config, and the
+# The rate's halving every 50 rounds is fixed in _experiment, and the
 # solver's relative tolerance and the 1000-row test set are library defaults.
 # The JSON type of each default is its key's type (see _coerce), so a real
 # default is written with a decimal point and an integer one without.
@@ -142,10 +142,10 @@ def validate_config(config: dict) -> dict:
     """Coerce a merged config to its defaults' types in place and check the rules the CLI owns.
 
     The CLI owns a nonempty ``run.outdir`` and distinct seeds, which name the
-    trace files. The constructors below check the kinds and ranges of their
-    blocks. The library checks the rest (sizes, ``noise_std``, seeds,
-    ``rounds``, and the task's rows against d, ``devices_per_round`` and
-    ``batch_size``) when a seed runs, and ``_simulate`` runs every seed
+    trace files. ``_experiment``'s constructors check the kinds and ranges
+    of their blocks. The library checks the rest (sizes, ``noise_std``,
+    seeds, ``rounds``, and the task's rows against d, ``devices_per_round``
+    and ``batch_size``) when a seed runs, and ``_simulate`` runs every seed
     before it writes anything.
     """
     try:
@@ -157,9 +157,7 @@ def validate_config(config: dict) -> dict:
             raise ValueError("run.outdir must not be empty")
         if len(set(run["seeds"])) < len(run["seeds"]):
             raise ValueError("run.seeds must not repeat a seed")
-        CorruptionSpec(**config["corruption"])
-        SecureAverageOracle(run["oracle_mode"])
-        _round_config(config)
+        _experiment(config)
     except (TypeError, KeyError, OverflowError) as exc:
         raise ValueError(f"malformed config value: {exc}") from exc
     return config
@@ -177,15 +175,25 @@ def load_config(path: str) -> dict:
     return merge_config(user)
 
 
-def _round_config(config: dict) -> RoundConfig:
+def _experiment(config: dict) -> tuple[CorruptionSpec, SecureAverageOracle, RoundConfig]:
+    """The corruption spec, oracle and round config of a coerced config.
+
+    Their constructors check the kinds and ranges of their blocks, so
+    ``validate_config`` calls this too and discards what it returns. They
+    run in that order, and the first rule broken is the error reported.
+    """
     algo, run = config["algorithm"], config["run"]
-    return RoundConfig(
-        devices_per_round=run["devices_per_round"],
-        local=LocalSGD(batch_size=algo["batch_size"], epochs=algo["epochs"]),
-        # The rate is the tuned gamma0, halved every 50 rounds, frozen like the defaults.
-        lr=LrSchedule(algo["gamma0"], 0.5, 50),
-        aggregator=AggregatorSpec(
-            kind=algo["aggregator"], budget=algo["budget"], groups=algo["groups"]
+    return (
+        CorruptionSpec(**config["corruption"]),
+        SecureAverageOracle(run["oracle_mode"]),
+        RoundConfig(
+            devices_per_round=run["devices_per_round"],
+            local=LocalSGD(batch_size=algo["batch_size"], epochs=algo["epochs"]),
+            # The rate is the tuned gamma0, halved every 50 rounds, frozen like the defaults.
+            lr=LrSchedule(algo["gamma0"], 0.5, 50),
+            aggregator=AggregatorSpec(
+                kind=algo["aggregator"], budget=algo["budget"], groups=algo["groups"]
+            ),
         ),
     )
 
@@ -193,13 +201,12 @@ def _round_config(config: dict) -> RoundConfig:
 def run_one_seed(config: dict, seed: int) -> tuple[list[RoundTrace], SecureAverageOracle]:
     """Run one seeded federated experiment described by a validated config."""
     task, partition = generate_ls_task(**config["task"], seed=seed)
-    corruption = CorruptionSpec(**config["corruption"])
-    oracle = SecureAverageOracle(config["run"]["oracle_mode"])
+    corruption, oracle, round_config = _experiment(config)
     traces = run_federated(
         task,
         partition,
         corruption,
-        _round_config(config),
+        round_config,
         rounds=config["run"]["rounds"],
         seed=seed,
         oracle=oracle,
@@ -291,7 +298,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     raw_values = _split_list(args.values)
     if not raw_values:
         raise ValueError("sweep needs at least one --values entry")
-    # A point is the config with one more override flag, --<axis> <value>.
+    # A point is the config with one more override flag, --<axis> <value>,
+    # applied after every other flag is parsed and checked, so the axis's own
+    # flag never takes effect.
     # Every point is validated before any seed runs, and a point writes
     # nothing unless every one of its seeds completes.
     points = [
@@ -381,10 +390,9 @@ def read_point_csv(path: str) -> WeightedPointSet:
 
 
 def cmd_gm_solve(args: argparse.Namespace) -> int:
-    point_set = read_point_csv(args.input)
-    result = smoothed_weiszfeld(
-        point_set, nu=args.nu, budget=args.budget, rel_tol=args.rel_tol
-    )
+    # An option not given is no attribute, so the solver's own default applies.
+    options = {k: v for k, v in vars(args).items() if k in ("nu", "budget", "rel_tol")}
+    result = smoothed_weiszfeld(read_point_csv(args.input), **options)
     payload = {"schema_version": SUMMARY_SCHEMA_VERSION, **result.to_json_dict()}
     # JSON has no inf or NaN, and an overflowing solve can return them.
     # Serialize before opening, so such a result writes no file.
@@ -403,14 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gm = sub.add_parser("gm-solve", help="solve one geometric-median instance from CSV")
     p_gm.add_argument("input", help="CSV file, one point per row, last column the weight")
-    p_gm.add_argument("--nu", type=float, default=1e-6, help="smoothing parameter")
-    p_gm.add_argument(
-        "--budget",
-        type=int,
-        default=50,
-        help="max Weiszfeld steps (the mean start adds one oracle call)",
-    )
-    p_gm.add_argument("--rel-tol", type=float, default=1e-6, help="relative improvement stop")
+    for flag, kind, text in (
+        ("--nu", float, "smoothing parameter"),
+        ("--budget", int, "max Weiszfeld steps (the mean start adds one oracle call)"),
+        ("--rel-tol", float, "relative improvement stop"),
+    ):
+        p_gm.add_argument(flag, type=kind, default=argparse.SUPPRESS, help=text)
     p_gm.add_argument("--output", help="write JSON here instead of stdout")
     p_gm.set_defaults(func=cmd_gm_solve)
 
@@ -426,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for flag, (key, choices) in OVERRIDE_FLAGS.items():
         listed = ", comma separated" if flag == "seeds" else ""
-        # The sweep varies rho along its axis.
-        for p in (p_sim,) if flag == "rho" else (p_sim, p_sweep):
+        for p in (p_sim, p_sweep):
             p.add_argument(f"--{flag}", choices=choices, help=f"override {key}{listed}")
     p_sim.set_defaults(func=cmd_simulate)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -63,13 +63,13 @@ def realize(spec: CorruptionSpec, devices: int, fallback_seed: int = 0) -> np.nd
     the population runs out; kind "none" marks nobody. ``devices`` is an
     int or numpy integer of at least 1, used as an int. ``fallback_seed``
     stands in for ``spec.seed`` when that is None. The seed used is an int
-    or numpy integer of at least 0.
+    or numpy integer of at least 0, checked under every kind.
     """
     devices = _count(devices, "devices must be a positive integer")
+    seed = spec.seed if spec.seed is not None else fallback_seed
+    seed = _count(seed, "seed must be a nonnegative integer", least=0)
     mask = np.zeros(devices, dtype=bool)
     if spec.kind != "none":
-        seed = spec.seed if spec.seed is not None else fallback_seed
-        seed = _count(seed, "seed must be a nonnegative integer", least=0)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0DE]))
         order = rng.permutation(devices)
         # The running weight first exceeds rho at position `count - 1`. Sums

@@ -5,36 +5,22 @@ broadcasts the model, runs a faithful local update on every selected
 device (on whatever data that device holds, poisoned or not), then
 aggregates the returned models through a secure-average oracle. The
 devices are the rows of the partition's stacked (K, n, d) features and
-(K, n) labels. One (K,) boolean mask marks the corrupted devices for the
-whole run. Both data attacks write one per-run copy of the labels, and
-no attack writes features: static poisoning negates the corrupted
-devices' labels once, before round 0, which for least squares is the
-same device loss as negating their features; adaptive poisoning
-relabels the selected corrupted devices against each round's broadcast
-model. The omniscient attack replaces the corrupted rows of the round's
-updates. Every device holds n samples, so each of the m selected models
-weighs 1/m. Local updates read features and labels in place at the
-round's m selected ids, device i's row j at flattened row j + n * i of
-both, and draw from one generator per run: each round draws the sample
-indices of every selected device as one call's worth of the stream. How
-a device picks its samples never reaches the server, so one stream
-models i.i.d. local sampling. ``local_update_sgd`` and ``_smallest_keys``
-say how a minibatch is drawn and picked, and ``_local_steps`` how rows
-are gathered and each step is taken.
-The aggregators are the weighted mean, the smoothed-Weiszfeld geometric
-median ("rfa"), median-of-means (group means through the oracle, then a
-server-side geometric median of the group means), and the one-step
-baseline "sgd_step", the mean of a one-step ``local_update_sgd``. Each
-round's geometric-median solve starts at the broadcast model, which the
-server already holds, so an "rfa" round costs 1 to ``budget`` oracle
-calls.
-A round of one device, or one in which no update row is entirely finite,
-costs one call under every aggregator; the latter gives a non-finite model,
-which ends the run. Each round's train and test losses come from
-``task.loss``, which evaluates the quadratics the task stored for its
-uncorrupted train and test splits in O(d^2), without reading a row.
-Doubling local steps is a ``TailAveragedSGD`` step schedule;
-``run_rfa_doubling`` is a preset of ``run_federated``.
+(K, n) labels. Every device holds n samples, so each of the m selected
+models weighs 1/m. ``run_federated`` says how the corruption model acts
+on a run and how each round is scored and stops. Local updates read
+features and labels in place at the round's m selected ids, device i's
+row j at flattened row j + n * i of both, and draw from one generator per
+run: each round draws the sample indices of every selected device as one
+call's worth of the stream. How a device picks its samples never reaches
+the server, so one stream models i.i.d. local sampling.
+``local_update_sgd`` and ``_smallest_keys`` say how a minibatch is drawn
+and picked, and ``_local_steps`` how rows are gathered and each step is
+taken. The aggregators are the weighted mean, the smoothed-Weiszfeld
+geometric median ("rfa"), median-of-means and the one-step baseline
+"sgd_step"; ``AggregatorSpec`` and ``aggregate`` say what each computes
+and what it costs in oracle calls. Doubling local steps is a
+``TailAveragedSGD`` step schedule; ``run_rfa_doubling`` is a preset of
+``run_federated``.
 """
 
 from __future__ import annotations
@@ -411,12 +397,15 @@ def aggregate(
 ) -> np.ndarray:
     """Combine per-device models according to the aggregator spec.
 
-    ``z0`` starts the "rfa" solve; the other kinds ignore it. Oracle cost:
+    ``z0`` starts the "rfa" solve; the other kinds ignore it.
+    ``run_federated`` passes the broadcast model, which the server already
+    holds, so the start costs no call. Oracle cost:
     "mean" and "sgd_step" one call, "rfa" one call per Weiszfeld step, so
     1 to ``budget``, and "median_of_means" exactly ``groups`` calls, with
     the geometric median of the group means solved server side. A single
     update row, or a set in which no row is entirely finite, goes through
-    one oracle call under every kind; the latter averages to a non-finite model.
+    one oracle call under every kind; the latter averages to a non-finite
+    model, which ends a ``run_federated`` run.
     """
     updates = np.asarray(updates, dtype=float)
     weights = np.asarray(weights, dtype=float).ravel()

@@ -28,24 +28,14 @@ The module also holds the library's input rules, each written once. It
 imports no other fedgm module, and ``geomed``, ``fl_core``, ``tasks`` and
 ``corruption`` all import it, so each takes the rules from here without
 importing another. Any input that breaks a rule raises ``ValueError``.
+The tables ``REAL_SITES`` and ``COUNT_SITES`` in ``tests/test_input_rules.py``
+list every input each scalar rule covers, with its message and bounds.
 
 - The count rule ``_count``: an ``int`` or numpy integer, not a ``bool``,
-  within the caller's bounds, used as an ``int``. It covers every spec
-  count (``LocalSGD``'s ``batch_size`` and ``epochs``, ``TailAveragedSGD``'s
-  ``steps``, ``LrSchedule``'s ``decay_every``, ``AggregatorSpec``'s
-  ``budget`` and ``groups``, ``RoundConfig``'s ``devices_per_round`` and
-  ``CorruptionSpec``'s ``seed`` when it is set), the schedules' round
-  index, ``smoothed_weiszfeld``'s ``budget``, ``run_federated``'s
-  ``rounds``, ``sample_devices``' ``total`` and ``per_round``, the local
-  updates' ``batch_size`` and ``steps``, ``realize``'s ``devices``,
-  ``generate_ls_task``'s sizes, and the seeds of ``generate_ls_task``,
-  ``run_federated`` and ``realize``.
+  within the caller's bounds, used as an ``int``.
 - The real rule ``_real``: an ``int``, ``float``, numpy integer or numpy
   floating value, not a ``bool``, finite and within the caller's bounds,
-  used as a ``float``. It covers ``LrSchedule``'s ``gamma0`` and ``decay``,
-  the ``rel_tol`` of ``AggregatorSpec`` and of ``smoothed_weiszfeld``,
-  ``smoothed_weiszfeld``'s ``nu``, the local updates' ``gamma``,
-  ``generate_ls_task``'s ``noise_std`` and ``CorruptionSpec``'s ``rho``.
+  used as a ``float``.
 - ``_store`` applies either rule to named fields of a frozen spec and
   stores what it returns.
 - The rows-and-weights rule ``_rows_and_weights``: rows are a nonempty

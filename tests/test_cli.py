@@ -17,12 +17,14 @@ from fedgm.cli import (
     DEFAULT_CONFIG,
     main,
     merge_config,
+    read_point_csv,
     run_one_seed,
     validate_config,
     write_summary_json,
 )
 from fedgm.corruption import CorruptionSpec
 from fedgm.fl_core import TRACE_CSV_COLUMNS, LocalSGD, LrSchedule, RoundConfig, run_federated
+from fedgm.geomed import smoothed_weiszfeld
 from fedgm.tasks import generate_ls_task
 
 
@@ -156,6 +158,17 @@ class TestGmSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle_calls"] == payload["iterations"] + 1
         assert payload["iterations"] <= 3
+
+    def test_options_not_given_take_the_solver_defaults(self, tmp_path):
+        # gm-solve passes the solver only the options given, so its defaults
+        # are smoothed_weiszfeld's, and writing them out changes no byte.
+        path = write_points(tmp_path, "0,0,1\n4,0,1\n0,3,1\n5,5,1\n")
+        payload = {"schema_version": 1, **smoothed_weiszfeld(read_point_csv(path)).to_json_dict()}
+        expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        out = tmp_path / "result.json"
+        for options in ([], ["--nu", "1e-6", "--budget", "50", "--rel-tol", "1e-6"]):
+            assert main(["gm-solve", path, *options, "--output", str(out)]) == 0
+            assert out.read_bytes() == expected.encode("utf-8")
 
     def test_output_file(self, tmp_path, capsys):
         path = write_points(tmp_path, EQUILATERAL)
@@ -768,6 +781,34 @@ class TestSweep:
         (final,) = summary["per_seed"]
         assert final["diverged"] == bool(algorithm)
         assert (final["final_train_loss"] is None) == bool(algorithm)
+
+    def test_aggregator_sweep_takes_the_rho_flag(self, tmp_path):
+        # Each point is simulate with the same flags plus --aggregator v, so an
+        # aggregator sweep at one rho needs no config of its own.
+        cfg = write_config(tmp_path)
+        flags = ["--corruption", "omniscient", "--rho", "0.25", "--rounds", "3"]
+        out = tmp_path / "sweep"
+        argv = ["sweep", cfg, "--axis", "aggregator", "--values", "mean,rfa", *flags]
+        assert main([*argv, "--outdir", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["aggregator=mean", "aggregator=rfa"]
+        for value in ("mean", "rfa"):
+            sim = tmp_path / value
+            assert main(["simulate", cfg, *flags, "--aggregator", value, "--outdir", str(sim)]) == 0
+            point = out / f"aggregator={value}"
+            summary = json.loads((point / "summary.json").read_text())
+            assert summary["config"]["corruption"] == {"kind": "omniscient", "rho": 0.25}
+            for seed in (0, 1):
+                assert (point / f"{seed}.csv").read_bytes() == (sim / f"{seed}.csv").read_bytes()
+
+    def test_the_axis_value_wins_over_its_flag(self, tmp_path):
+        # As a later flag wins in simulate, --<axis> v comes after the flags.
+        cfg = write_config(tmp_path)
+        flags = ["--rho", "0.1", "--corruption", "omniscient", "--rounds", "2"]
+        assert main(["sweep", cfg, "--axis", "rho", "--values", "0,0.25", *flags]) == 0
+        assert sorted(os.listdir(tmp_path / "runs")) == ["rho=0", "rho=0.25"]
+        for name, rho in (("rho=0", 0.0), ("rho=0.25", 0.25)):
+            summary = json.loads((tmp_path / "runs" / name / "summary.json").read_text())
+            assert summary["config"]["corruption"] == {"kind": "omniscient", "rho": rho}
 
     def test_rfa_weakly_dominates_mean_under_attack(self, tmp_path):
         path = tmp_path / "attack.json"

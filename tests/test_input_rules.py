@@ -17,9 +17,13 @@ import pytest
 from fedgm.corruption import CorruptionSpec, realize
 from fedgm.fl_core import (
     AggregatorSpec,
+    LocalSGD,
     LrSchedule,
+    RoundConfig,
+    TailAveragedSGD,
     local_update_sgd,
     local_update_tail_avg_sgd,
+    run_federated,
     sample_devices,
 )
 from fedgm.geomed import WeightedPointSet, smoothed_weiszfeld
@@ -36,16 +40,16 @@ NOT_REAL = (True, "0.1", None, math.nan, math.inf, -math.inf)
 RATE_RULE = "need finite gamma0 >= 0 and decay in (0, 1]"
 
 
-def sgd(gamma):
+def sgd(gamma, batch_size=5, steps=4):
     rng = np.random.default_rng(1)
     x, y = PARTITION.device_features, PARTITION.device_labels
-    return local_update_sgd(TASK, x, SELECTED, y, rng, np.zeros(3), gamma, 5, 4)
+    return local_update_sgd(TASK, x, SELECTED, y, rng, np.zeros(3), gamma, batch_size, steps)
 
 
-def tail_avg_sgd(gamma):
+def tail_avg_sgd(gamma, steps=8):
     rng = np.random.default_rng(1)
     x, y = PARTITION.device_features, PARTITION.device_labels
-    return local_update_tail_avg_sgd(x, SELECTED, y, rng, np.zeros(3), gamma, 8)
+    return local_update_tail_avg_sgd(x, SELECTED, y, rng, np.zeros(3), gamma, steps)
 
 
 def solve(**kwargs):
@@ -133,58 +137,200 @@ def test_each_real_site_takes_an_int_and_numpy_floats_as_python_floats(site):
             assert type(getattr(got, field)) is float and getattr(got, field) == float(value)
 
 
+def ls_task(**sizes):
+    """The test rows of a small task, with ``sizes`` in place of its defaults."""
+    args = {"d": 2, "devices": 4, "samples_per_device": 3, "seed": 0, "test_samples": 5}
+    return generate_ls_task(noise_std=0.1, **{**args, **sizes})[0].test_features
+
+
+def run(**kwargs):
+    config = RoundConfig(3, LocalSGD(5), LrSchedule(0.1))
+    args = {"rounds": 2, "seed": 0, **kwargs}
+    traces = run_federated(TASK, PARTITION, CorruptionSpec(), config, **args)
+    return np.array([trace.csv_row() for trace in traces])
+
+
+# Site: (call, its message, the nearest integers outside its interval, an int
+# inside it, and the field the call stores, or None where the call uses the
+# value). PARTITION has 10 devices of 20 rows, and sample_devices' total is 10.
 COUNT_SITES = {
-    "sample_devices.total": (
-        lambda v: sample_devices(v, 1, np.random.default_rng(0)),
-        "total must be a positive integer",
-        (0, -1),
+    "LrSchedule.decay_every": (
+        lambda v: LrSchedule(1.0, 0.5, v),
+        "decay_every must be an integer >= 1",
+        (0,),
+        3,
+        "decay_every",
     ),
-    "realize.devices": (
-        lambda v: realize(CorruptionSpec("omniscient", 0.25, seed=1), v),
-        "devices must be a positive integer",
-        (0, -1),
+    "LrSchedule.gamma_at": (
+        lambda v: np.float64(LrSchedule(1.0, 0.5, 2).gamma_at(v)),
+        "round t must be a nonnegative integer",
+        (-1,),
+        5,
+        None,
     ),
-    "realize.devices under kind none": (
-        lambda v: realize(CorruptionSpec(), v),
-        "devices must be a positive integer",
-        (0, -1),
+    "LocalSGD.batch_size": (
+        LocalSGD, "batch_size and epochs must be integers >= 1", (0,), 5, "batch_size"
+    ),
+    "LocalSGD.epochs": (
+        lambda v: LocalSGD(5, v), "batch_size and epochs must be integers >= 1", (0,), 2, "epochs"
+    ),
+    "TailAveragedSGD.steps": (
+        TailAveragedSGD, "steps must be an integer >= 2", (1,), 4, "steps"
+    ),
+    "TailAveragedSGD.steps_at": (
+        lambda v: np.int64(TailAveragedSGD(2, "doubling").steps_at(v)),
+        "round t must be a nonnegative integer",
+        (-1,),
+        5,
+        None,
+    ),
+    "AggregatorSpec.budget": (
+        lambda v: AggregatorSpec("rfa", v),
+        "need integer budget and groups >= 1",
+        (0,),
+        3,
+        "budget",
+    ),
+    "AggregatorSpec.groups": (
+        lambda v: AggregatorSpec("rfa", groups=v),
+        "need integer budget and groups >= 1",
+        (0,),
+        3,
+        "groups",
+    ),
+    "RoundConfig.devices_per_round": (
+        lambda v: RoundConfig(v, LocalSGD(5), LrSchedule(0.1)),
+        "devices_per_round must be an integer >= 1",
+        (0,),
+        3,
+        "devices_per_round",
     ),
     "CorruptionSpec.seed": (
         lambda v: CorruptionSpec("omniscient", 0.25, seed=v),
         "seed must be a nonnegative integer",
         (-1,),
+        3,
+        "seed",
     ),
     "CorruptionSpec.seed under kind none": (
-        lambda v: CorruptionSpec(seed=v),
+        lambda v: CorruptionSpec(seed=v), "seed must be a nonnegative integer", (-1,), 3, "seed"
+    ),
+    "sample_devices.total": (
+        lambda v: sample_devices(v, 3, np.random.default_rng(0)),
+        "total must be a positive integer",
+        (0, -1),
+        10,
+        None,
+    ),
+    "sample_devices.per_round": (
+        lambda v: sample_devices(10, v, np.random.default_rng(0)),
+        "per_round must be an integer in [1, total]",
+        (0, 11),
+        3,
+        None,
+    ),
+    "local_update_sgd.batch_size": (
+        lambda v: sgd(0.1, batch_size=v),
+        "batch_size must be an integer in [1, n]",
+        (0, 21),
+        5,
+        None,
+    ),
+    "local_update_sgd.steps": (
+        lambda v: sgd(0.1, steps=v), "steps must be a positive integer", (0,), 4, None
+    ),
+    "local_update_tail_avg_sgd.steps": (
+        lambda v: tail_avg_sgd(0.1, steps=v), "steps must be an integer >= 2", (1,), 8, None
+    ),
+    "run_federated.rounds": (
+        lambda v: run(rounds=v), "rounds must be a nonnegative integer", (-1,), 2, None
+    ),
+    "run_federated.seed": (
+        lambda v: run(seed=v), "seed must be a nonnegative integer", (-1,), 3, None
+    ),
+    "smoothed_weiszfeld.budget": (
+        lambda v: smoothed_weiszfeld(POINTS, budget=v).z,
+        "budget must be an integer >= 1",
+        (0,),
+        5,
+        None,
+    ),
+    "realize.devices": (
+        lambda v: realize(CorruptionSpec("omniscient", 0.25, seed=1), v),
+        "devices must be a positive integer",
+        (0, -1),
+        10,
+        None,
+    ),
+    "realize.devices under kind none": (
+        lambda v: realize(CorruptionSpec(), v),
+        "devices must be a positive integer",
+        (0, -1),
+        10,
+        None,
+    ),
+    "realize.fallback_seed": (
+        lambda v: realize(CorruptionSpec("omniscient", 0.25), 10, fallback_seed=v),
         "seed must be a nonnegative integer",
         (-1,),
+        3,
+        None,
+    ),
+    "realize.fallback_seed under kind none": (
+        lambda v: realize(CorruptionSpec(), 10, fallback_seed=v),
+        "seed must be a nonnegative integer",
+        (-1,),
+        3,
+        None,
+    ),
+    **{
+        f"generate_ls_task.{name}": (
+            lambda v, name=name: ls_task(**{name: v}),
+            "d, devices, samples_per_device and test_samples must be positive integers",
+            (0,),
+            2,
+            None,
+        )
+        for name in ("d", "devices", "samples_per_device", "test_samples")
+    },
+    "generate_ls_task.seed": (
+        lambda v: ls_task(seed=v), "seed must be a nonnegative integer", (-1,), 3, None
     ),
 }
-# None is no count, but an unset seed is None; 10.0 and 2.5 are floats.
+# A spec's unset seed is None, so None passes there; 10.0 and 2.5 are floats.
 NOT_COUNT = (True, "3", math.nan, math.inf, 10.0, 2.5)
+UNSET_IS_NONE = ("CorruptionSpec.seed", "CorruptionSpec.seed under kind none")
 
 
 @pytest.mark.parametrize(
     "site, value",
     [
         (site, value)
-        for site, (_, _, outside) in COUNT_SITES.items()
-        for value in NOT_COUNT + outside + (() if "seed" in site else (None,))
+        for site, row in COUNT_SITES.items()
+        for value in NOT_COUNT + row[2] + (() if site in UNSET_IS_NONE else (None,))
     ],
 )
-def test_each_count_gap_follows_the_count_rule(site, value):
+def test_each_count_site_rejects_what_is_not_a_count_in_its_interval(site, value):
     # Unchecked, sample_devices(True, 1, rng) returned [0], realize raised
-    # ZeroDivisionError at 0 devices and TypeError at 10.0, and a seed of -1 or
-    # 2.5 was accepted until realize ran, and never under kind "none".
-    call, message, _ = COUNT_SITES[site]
+    # ZeroDivisionError at 0 devices and TypeError at 10.0, a seed of -1 or
+    # 2.5 was accepted until realize ran, and never under kind "none", and
+    # realize's fallback seed was checked only under an attack kind.
+    call, message = COUNT_SITES[site][:2]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
 
 
-def test_each_count_gap_takes_numpy_integers_as_ints():
-    rng, replay = np.random.default_rng(0), np.random.default_rng(0)
-    assert np.array_equal(sample_devices(np.uint8(10), 3, rng), sample_devices(10, 3, replay))
-    spec = CorruptionSpec("omniscient", 0.25, seed=np.uint8(3))
-    assert type(spec.seed) is int and spec.seed == 3
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_each_count_site_takes_numpy_integers_as_ints(site):
+    call, _, _, integer, field = COUNT_SITES[site]
+    for value in (np.uint8(integer), np.int64(integer)):
+        got = call(value)
+        if field is None:
+            assert got.tobytes() == call(integer).tobytes()
+        else:
+            assert type(getattr(got, field)) is int and getattr(got, field) == integer
+
+
+def test_an_unset_corruption_seed_stays_none():
     assert CorruptionSpec("omniscient", 0.25).seed is None
-    assert np.array_equal(realize(spec, np.uint8(10)), realize(spec, 10))
+    assert CorruptionSpec().seed is None
