@@ -163,13 +163,40 @@ def validate_config(config: dict) -> dict:
     return config
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark.
+
+    Line endings ``\\r\\n`` and ``\\r`` are read as ``\\n``. A file that cannot
+    be opened or read raises ``ValueError("cannot read {what}: ...")``;
+    bytes that are not UTF-8 raise the decoder's ``UnicodeDecodeError``,
+    itself a ``ValueError``.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from exc
+
+
+def _write_json(path: str | None, payload: dict) -> None:
+    """Write ``payload`` as indented, key-sorted strict JSON to ``path``, or to stdout.
+
+    A ``path`` of None or ``""`` means stdout. The text is made before the
+    file is opened, so a value that strict JSON cannot hold, such as inf or
+    NaN, raises ``ValueError`` and leaves no file, whole or cut off.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def load_config(path: str) -> dict:
     """Read a JSON config file and merge it onto the defaults, unvalidated."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            user = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read config file: {exc}") from exc
+        user = json.loads(_read_text(path, "config file"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
     return merge_config(user)
@@ -238,15 +265,9 @@ def _seed_summary(seed: int, traces: list[RoundTrace]) -> dict:
 
 
 def write_summary_json(path: str, config: dict, per_seed: list[dict]) -> None:
-    summary = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "config": config,
-        "per_seed": per_seed,
-    }
-    # Serialize before opening, so a value JSON cannot encode leaves no cut-off file.
-    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
+    _write_json(
+        path, {"schema_version": SUMMARY_SCHEMA_VERSION, "config": config, "per_seed": per_seed}
+    )
 
 
 def _split_list(text: str) -> list[str]:
@@ -294,13 +315,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if getattr(args, args.axis) is not None:
+        raise ValueError(f"--{args.axis} is the sweep axis: give its values with --values")
     config = _apply_overrides(load_config(args.config), vars(args))
     raw_values = _split_list(args.values)
     if not raw_values:
         raise ValueError("sweep needs at least one --values entry")
-    # A point is the config with one more override flag, --<axis> <value>,
-    # applied after every other flag is parsed and checked, so the axis's own
-    # flag never takes effect.
+    # A point is the config with one more override flag, --<axis> <value>.
     # Every point is validated before any seed runs, and a point writes
     # nothing unless every one of its seeds completes.
     points = [
@@ -331,8 +352,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = os.path.join(dirpath, "summary.json")
         label = os.path.relpath(dirpath, args.rundir)
         try:
-            with open(path, encoding="utf-8") as fh:
-                summary = json.load(fh)
+            text = _read_text(path, "summary file")
+        except UnicodeDecodeError as exc:  # bytes that are not UTF-8 are no summary either
+            raise ValueError(f"{path}: not a fedgm summary: {exc!r}") from exc
+        try:
+            summary = json.loads(text)
             if summary["schema_version"] != SUMMARY_SCHEMA_VERSION:
                 raise ValueError(f"schema_version is not {SUMMARY_SCHEMA_VERSION}")
             per_seed = summary["per_seed"]
@@ -357,11 +381,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def read_point_csv(path: str) -> WeightedPointSet:
     """Parse a point-set CSV: one point per row, last column its weight."""
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read input file: {exc}") from exc
+    text = _read_text(path, "input file")
     points, weights, width = [], [], None
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row or all(not cell.strip() for cell in row):
@@ -375,9 +395,7 @@ def read_point_csv(path: str) -> WeightedPointSet:
         if width is None:
             width = len(values)
         elif len(values) != width:
-            raise ValueError(
-                f"line {lineno}: expected {width} columns, found {len(values)}"
-            )
+            raise ValueError(f"line {lineno}: expected {width} columns, found {len(values)}")
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"line {lineno}: non-finite value")
         if values[-1] <= 0.0:
@@ -393,15 +411,7 @@ def cmd_gm_solve(args: argparse.Namespace) -> int:
     # An option not given is no attribute, so the solver's own default applies.
     options = {k: v for k, v in vars(args).items() if k in ("nu", "budget", "rel_tol")}
     result = smoothed_weiszfeld(read_point_csv(args.input), **options)
-    payload = {"schema_version": SUMMARY_SCHEMA_VERSION, **result.to_json_dict()}
-    # JSON has no inf or NaN, and an overflowing solve can return them.
-    # Serialize before opening, so such a result writes no file.
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(args.output, {"schema_version": SUMMARY_SCHEMA_VERSION, **result.to_json_dict()})
     return 0 if result.converged_by == "relative_improvement" else 2
 
 

@@ -9,10 +9,12 @@ with bounded reweights and no division by a vanishing distance can occur.
 Each iteration computes the m distances once, a cache-sized block of rows
 at a time, derives the objective values and the reweights from them, and
 consumes exactly one weighted-average aggregation. The distances carry the
-bits of ``sqrt(vecdot(points - z, points - z))``, whose row sums follow the
-points' memory layout. OpenBLAS splits a dot of over 10^4 entries across
-threads, so reruns are byte-identical at a fixed BLAS thread count, and
-across thread counts only while d <= 10^4. Every average goes through a
+bits of ``sqrt(vecdot(points - z, points - z))`` over the C-ordered rows
+that ``WeightedPointSet`` always holds, so the bits follow the values
+alone. An iterate whose objective overflows raises ``ValueError``.
+OpenBLAS splits a dot of over 10^4 entries across threads, so reruns are
+byte-identical at a fixed BLAS thread count, and across thread counts only
+while d <= 10^4. Every average goes through a
 secure-average oracle (any object with an ``average(values, weights)``
 method; a plain ``SecureAverageOracle`` by default), which is what makes
 the solver usable on top of privacy-preserving summation: the coordinator
@@ -43,7 +45,8 @@ class WeightedPointSet:
     points : ndarray of shape (m, d)
         One row per point, every coordinate finite; points in R^1 are an
         (m, 1) array. Any other shape, a 1-d array included, raises
-        ``ValueError``.
+        ``ValueError``. Stored as a C-ordered float array, a copy unless
+        the caller's array already is one.
     weights : ndarray of shape (m,)
         Finite, strictly positive weights with a finite sum, divided by
         that sum into a new array; the caller's array is not modified. The
@@ -174,6 +177,14 @@ def smoothed_weiszfeld(
         Final point, objective values, per-iterate trace, final reweights
         and the number of oracle calls consumed.
 
+    Raises
+    ------
+    ValueError
+        For an input that breaks its rule, and with "distances overflow:
+        the objective is not finite" as soon as an iterate's objective g is
+        inf or NaN, before the next oracle call. A squared distance
+        overflows above about 1.3e154, so that is where it happens.
+
     Notes
     -----
     Each iterate computes the m distances once and derives g, g_nu, the
@@ -188,12 +199,11 @@ def smoothed_weiszfeld(
     8 rows if a row is larger. Each block of points minus a block filled
     with z goes to a scratch block, whose ``np.vecdot`` with itself writes
     one BLAS dot per row into a preallocated (m,) array that one ``np.sqrt``
-    then finishes. Both blocks are allocated once per call in the memory
-    layout of the points. The last block is shifted back to end at row m, so
-    every block has the same shape and no row is summed alone (a lone
-    F-ordered row would be summed in another order). The distances thus
-    carry the bits of ``sqrt(vecdot(points - z, points - z))``, whose row
-    sums follow the points' memory layout; no (m, d) array is allocated.
+    then finishes. Both blocks are allocated once per call. The last block
+    is shifted back to end at row m, so every block of points has the shape
+    of those two, and the rows it shares with the block before are computed
+    again with the same bits. The distances thus carry the bits of
+    ``sqrt(vecdot(points - z, points - z))``; no (m, d) array is allocated.
     Each step minimizes the quadratic surrogate at the current iterate, so
     the smoothed objective never increases; iterates from step 1 on stay in
     the convex hull of the points. With a single point the exact answer is
@@ -225,7 +235,7 @@ def smoothed_weiszfeld(
 
     m, d = pts.shape
     rows = min(m, max(8, _BLOCK_BYTES // (8 * d)))
-    block = np.empty_like(pts[:rows])  # same memory layout as pts, so rows sum in its order
+    block = np.empty((rows, d))
     z_rows = np.empty_like(block)  # z in every row: the subtraction needs no broadcast
     r = np.empty(m)
     trace: list[IterationRecord] = []
@@ -237,6 +247,8 @@ def smoothed_weiszfeld(
             np.vecdot(block, block, out=r[lo : lo + rows])
         np.sqrt(r, out=r)
         g = float(wts @ r)
+        if not math.isfinite(g):
+            raise ValueError("distances overflow: the objective is not finite")
         if (r <= nu).any():
             g_nu = float(wts @ _smoothed_distances(r, nu))
             step_beta = wts / np.maximum(r, nu)

@@ -38,9 +38,9 @@ list every input each scalar rule covers, with its message and bounds.
   used as a ``float``.
 - ``_store`` applies either rule to named fields of a frozen spec and
   stores what it returns.
-- The rows-and-weights rule ``_rows_and_weights``: rows are a nonempty
-  (m, d) array and their weights an (m,) array, finite and strictly
-  positive. The oracle and ``geomed.WeightedPointSet`` share it.
+- The rows-and-weights rule ``_rows_and_weights``: rows are a nonempty,
+  C-ordered (m, d) array and their weights an (m,) array, finite and
+  strictly positive. The oracle and ``geomed.WeightedPointSet`` share it.
 """
 
 from __future__ import annotations
@@ -97,12 +97,14 @@ def _store(spec, rule, message: str, *names: str, **bounds) -> None:
 
 
 def _rows_and_weights(rows, weights, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` as a nonempty (m, d) float array and ``weights`` as an (m,) one.
+    """``rows`` as a nonempty, C-ordered (m, d) float array and ``weights`` as an (m,) one.
 
-    The weights must be finite and strictly positive. Each failure raises
-    ``ValueError``, whose message names the rows ``name``.
+    Rows held in C order make every sum over them follow the values alone,
+    not the caller's memory layout; a C-ordered float array is returned as
+    it is. The weights must be finite and strictly positive. Each failure
+    raises ``ValueError``, whose message names the rows ``name``.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = np.ascontiguousarray(rows, dtype=float)
     if rows.ndim != 2 or not rows.size:
         raise ValueError(f"{name} must be a nonempty (m, d) array")
     weights = np.asarray(weights, dtype=float).ravel()

@@ -67,9 +67,8 @@ INTERIOR_MARGIN = 0.1
 def row_distances(points: np.ndarray, z: np.ndarray) -> np.ndarray:
     """||w_k - z|| for every row w_k, as sqrt(vecdot(points - z, points - z)).
 
-    These are the solver's bits: ``points - z`` keeps the memory layout of
-    the points, and ``np.vecdot`` sums each row in the order that layout
-    gives, as the solver's blocked distance pass does.
+    These are the solver's bits for the C-ordered points that
+    ``WeightedPointSet`` holds, as its blocked distance pass computes them.
     """
     d = points - np.asarray(z, dtype=float).ravel()
     return np.sqrt(np.vecdot(d, d))

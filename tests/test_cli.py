@@ -6,6 +6,7 @@ import contextlib
 import copy
 import csv
 import json
+import math
 import os
 import re
 import warnings
@@ -212,6 +213,17 @@ class TestGmSolve:
         assert main(["gm-solve", write_points(tmp_path, EQUILATERAL)]) == 0
         assert with_bom == capsys.readouterr().out
 
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_every_line_ending_reads_the_same(self, tmp_path, capsys, ending):
+        # The csv reader stops with a traceback at a lone carriage return, so
+        # every input is read with its line endings as "\n".
+        path = tmp_path / "ending.csv"
+        path.write_bytes(EQUILATERAL.replace("\n", ending).encode("utf-8"))
+        assert main(["gm-solve", str(path)]) == 0
+        with_ending = capsys.readouterr().out
+        assert main(["gm-solve", write_points(tmp_path, EQUILATERAL)]) == 0
+        assert with_ending == capsys.readouterr().out
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["gm-solve", str(tmp_path / "absent.csv")])
         assert rc == 1
@@ -232,8 +244,8 @@ class TestGmSolve:
         assert "must be finite" in capsys.readouterr().err
 
     def test_overflowing_distances_exit_1(self, tmp_path, capsys):
-        # A tenth of the weight near 1e200: every distance overflows, so no
-        # reweighted average exists and no NaN result may be written.
+        # A tenth of the weight near 1e200: the mean start's distances
+        # overflow, so the solver raises and nothing is written.
         rows = [f"{k},{-k},1" for k in range(9)] + ["1e200,1e200,1"]
         path = write_points(tmp_path, "\n".join(rows) + "\n")
         with pytest.warns(RuntimeWarning, match="overflow"):
@@ -245,8 +257,8 @@ class TestGmSolve:
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_non_finite_result_exits_1_and_writes_nothing(self, tmp_path, capsys, to_file):
-        # Step 1's distances overflow, so the objective is inf, which JSON
-        # cannot hold: no output may carry it, on stdout or in a file.
+        # Step 1's distances overflow, so the solver raises on its infinite
+        # objective: nothing is written, on stdout or in a file.
         path = write_points(tmp_path, "9e153,0,1\n-9e153,0,1\n8e153,1,1\n")
         output = tmp_path / "wide.json"
         argv = ["gm-solve", path, "--budget", "1", "--rel-tol", "0"]
@@ -800,15 +812,19 @@ class TestSweep:
             for seed in (0, 1):
                 assert (point / f"{seed}.csv").read_bytes() == (sim / f"{seed}.csv").read_bytes()
 
-    def test_the_axis_value_wins_over_its_flag(self, tmp_path):
-        # As a later flag wins in simulate, --<axis> v comes after the flags.
+    @pytest.mark.parametrize(
+        "axis, values, given", [("rho", "0,0.25", "0.1"), ("aggregator", "mean,rfa", "rfa")]
+    )
+    def test_the_axis_flag_is_refused(self, tmp_path, capsys, axis, values, given):
+        # Every point replaces the axis's own flag, so a value given there
+        # would be dropped: it is refused before any outdir exists.
         cfg = write_config(tmp_path)
-        flags = ["--rho", "0.1", "--corruption", "omniscient", "--rounds", "2"]
-        assert main(["sweep", cfg, "--axis", "rho", "--values", "0,0.25", *flags]) == 0
-        assert sorted(os.listdir(tmp_path / "runs")) == ["rho=0", "rho=0.25"]
-        for name, rho in (("rho=0", 0.0), ("rho=0.25", 0.25)):
-            summary = json.loads((tmp_path / "runs" / name / "summary.json").read_text())
-            assert summary["config"]["corruption"] == {"kind": "omniscient", "rho": rho}
+        flags = [f"--{axis}", given, "--corruption", "omniscient", "--rounds", "2"]
+        assert main(["sweep", cfg, "--axis", axis, "--values", values, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --{axis} is the sweep axis: give its values with --values\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_rfa_weakly_dominates_mean_under_attack(self, tmp_path):
         path = tmp_path / "attack.json"
@@ -960,6 +976,45 @@ class TestReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: no summary.json under {tmp_path}\n"
+
+    def test_unreadable_summary_exit_1(self, tmp_path, capsys):
+        # A summary.json that cannot be opened is named as unreadable, as a
+        # config or point file is, not as a foreign summary.
+        (tmp_path / "summary.json").symlink_to(tmp_path / "gone.json")
+        assert main(["report", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read summary file: [Errno 2] ")
+
+    def test_a_summary_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        # Bytes that do not decode are not a summary, and the message names the file.
+        path = tmp_path / "summary.json"
+        path.write_bytes(b"\xff{}")
+        assert main(["report", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: not a fedgm summary: "
+            "UnicodeDecodeError('utf-8', b'\\xff{}', 0, 1, 'invalid start byte')\n"
+        )
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        per_seed = [seed_summary(0, 1.0)]
+        for sub in ("plain", "bom"):
+            (tmp_path / sub).mkdir()
+            write_summary_json(str(tmp_path / sub / "summary.json"), DEFAULT_CONFIG, per_seed)
+        bom = tmp_path / "bom" / "summary.json"
+        bom.write_text("\ufeff" + bom.read_text(encoding="utf-8"), encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 0
+        rows = [l.split() for l in capsys.readouterr().out.splitlines()[2:]]
+        assert rows == [["bom", "1", "1", "1", "0"], ["plain", "1", "1", "1", "0"]]
+
+    def test_a_summary_json_cannot_hold_leaves_no_file(self, tmp_path):
+        # The text is made before the file is opened, so nothing is cut off.
+        path = tmp_path / "summary.json"
+        with pytest.raises(ValueError, match="Out of range float values"):
+            write_summary_json(str(path), DEFAULT_CONFIG, [seed_summary(0, math.nan)])
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "edit",

@@ -490,8 +490,9 @@ class TestSmoothedWeiszfeld:
         assert res.to_json_dict() == res_plain.to_json_dict()
 
     def test_overflowing_distances_raise_with_or_without_oracle(self):
-        # A tenth of the weight near 1e200 makes every distance overflow to
-        # inf, so every reweight is 0 and no average is defined.
+        # A tenth of the weight near 1e200 makes the mean start's distances
+        # overflow to inf, so its objective is not finite and the solver
+        # raises before the first step's oracle call.
         honest = np.random.default_rng(0).standard_normal((9, 2))
         pts = np.vstack([honest, [1e200, 1e200]])
         ps = WeightedPointSet(pts, np.ones(10))
@@ -502,10 +503,22 @@ class TestSmoothedWeiszfeld:
             with pytest.raises(ValueError):
                 smoothed_weiszfeld(ps, oracle=SecureAverageOracle("plain"))
 
+    @pytest.mark.parametrize("budget, rel_tol", [(1, 0.0), (5, 1e-6)])
+    def test_an_objective_that_overflows_raises_before_the_next_call(self, budget, rel_tol):
+        # Every coordinate is finite, and so is the objective at the mean
+        # start, but step 1's squared distances overflow. Whether or not the
+        # budget allows step 2, the error names the overflow and comes
+        # before step 2's average, with two calls spent.
+        ps = WeightedPointSet(np.array([[9e153, 0.0], [-9e153, 0.0], [8e153, 1.0]]), np.ones(3))
+        oracle = SecureAverageOracle("plain")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="^distances overflow: the objective is not finite$"):
+                smoothed_weiszfeld(ps, budget=budget, rel_tol=rel_tol, oracle=oracle)
+        assert oracle.call_count == 2
+
     def test_same_bits_as_the_reference_on_every_memory_layout(self):
-        # The distance buffer must follow the layout of the points: a
-        # C-ordered buffer sums the rows of an F-ordered set in another
-        # order than vecdot over points - z does.
+        # A point set holds its rows in C order whatever the caller's
+        # layout, so every layout gives the same bits.
         rng = np.random.default_rng(89)
         base = rng.standard_normal((80, 90))
         weights = rng.uniform(0.2, 2.0, 40)
@@ -522,18 +535,15 @@ class TestSmoothedWeiszfeld:
             dists = row_distances(ps.points, res.trace[-2].z)
             assert np.array_equal(res.beta, ps.weights / np.maximum(dists, nu))
             results.append(res)
-        # Across layouts only closeness holds: vecdot's row sums and the
-        # oracle's weights @ points both follow the memory layout.
         for res in results[1:]:
-            assert np.allclose(res.z, results[0].z, rtol=0.0, atol=1e-12)
-            assert np.allclose(res.beta, results[0].beta, rtol=1e-12, atol=0.0)
+            assert np.array_equal(res.z, results[0].z)
+            assert np.array_equal(res.beta, results[0].beta)
 
     @pytest.mark.parametrize("m", [41, 46])
     def test_same_bits_as_the_reference_across_block_seams(self, monkeypatch, m):
         # A 1-byte budget puts the distance pass at its floor of 8 rows per
-        # block, and m is not a multiple of 8. At m=41 a last block of the
-        # leftover row alone would sum an F-ordered row in another order
-        # than vecdot over points - z does.
+        # block, and m is not a multiple of 8, so the last block is shifted
+        # back over rows the block before it already computed.
         monkeypatch.setattr("fedgm.geomed._BLOCK_BYTES", 1)
         rng = np.random.default_rng(103)
         base = rng.standard_normal((2 * m, 90))
