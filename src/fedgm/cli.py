@@ -167,15 +167,28 @@ def _read_text(path: str, what: str) -> str:
     """The text of a UTF-8 file, without a leading byte-order mark.
 
     Line endings ``\\r\\n`` and ``\\r`` are read as ``\\n``. A file that cannot
-    be opened or read raises ``ValueError("cannot read {what}: ...")``;
-    bytes that are not UTF-8 raise the decoder's ``UnicodeDecodeError``,
-    itself a ``ValueError``.
+    be opened or read raises ``ValueError("cannot read {what}: ...")``, and
+    one whose bytes are not UTF-8 raises
+    ``ValueError("cannot read {what}: {path}: not UTF-8: ...")``.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {what}: {path}: not UTF-8: {exc}") from exc
+
+
+def _read_json(path: str, what: str):
+    """The JSON value of a file that ``_read_text`` reads.
+
+    Text that is not JSON raises ``ValueError("{path}: {what} is not JSON: ...")``.
+    """
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {what} is not JSON: {exc}") from exc
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -195,11 +208,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 def load_config(path: str) -> dict:
     """Read a JSON config file and merge it onto the defaults, unvalidated."""
-    try:
-        user = json.loads(_read_text(path, "config file"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config is not valid JSON: {exc}") from exc
-    return merge_config(user)
+    return merge_config(_read_json(path, "config file"))
 
 
 def _experiment(config: dict) -> tuple[CorruptionSpec, SecureAverageOracle, RoundConfig]:
@@ -351,12 +360,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     for dirpath in dirpaths:
         path = os.path.join(dirpath, "summary.json")
         label = os.path.relpath(dirpath, args.rundir)
+        summary = _read_json(path, "summary file")
         try:
-            text = _read_text(path, "summary file")
-        except UnicodeDecodeError as exc:  # bytes that are not UTF-8 are no summary either
-            raise ValueError(f"{path}: not a fedgm summary: {exc!r}") from exc
-        try:
-            summary = json.loads(text)
             if summary["schema_version"] != SUMMARY_SCHEMA_VERSION:
                 raise ValueError(f"schema_version is not {SUMMARY_SCHEMA_VERSION}")
             per_seed = summary["per_seed"]

@@ -402,7 +402,10 @@ def aggregate(
     holds, so the start costs no call. Oracle cost:
     "mean" and "sgd_step" one call, "rfa" one call per Weiszfeld step, so
     1 to ``budget``, and "median_of_means" exactly ``groups`` calls, with
-    the geometric median of the group means solved server side. A single
+    the geometric median of the group means solved server side. Its groups
+    are contiguous runs of the m rows in order, as ``np.array_split`` cuts
+    them: the first m % ``groups`` groups hold m // ``groups`` + 1 rows and
+    the rest m // ``groups``, and each group weighs its rows' total. A single
     update row, or a set in which no row is entirely finite, goes through
     one oracle call under every kind; the latter averages to a non-finite
     model, which ends a ``run_federated`` run.

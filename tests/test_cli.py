@@ -29,6 +29,10 @@ from fedgm.geomed import smoothed_weiszfeld
 from fedgm.tasks import generate_ls_task
 
 
+# The decoder's message for a file that starts with byte 0xff.
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
 def write_config(tmp_path, **blocks):
     """Small fast experiment config with per-test overrides."""
     cfg = {
@@ -987,16 +991,13 @@ class TestReport:
         assert captured.err.startswith("error: cannot read summary file: [Errno 2] ")
 
     def test_a_summary_that_is_not_utf8_is_named(self, tmp_path, capsys):
-        # Bytes that do not decode are not a summary, and the message names the file.
+        # Bytes that do not decode are unreadable, as for every file the CLI reads.
         path = tmp_path / "summary.json"
         path.write_bytes(b"\xff{}")
         assert main(["report", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: {path}: not a fedgm summary: "
-            "UnicodeDecodeError('utf-8', b'\\xff{}', 0, 1, 'invalid start byte')\n"
-        )
+        assert captured.err == f"error: cannot read summary file: {path}: not UTF-8: {NOT_UTF8}\n"
 
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         per_seed = [seed_summary(0, 1.0)]
@@ -1039,6 +1040,46 @@ class TestReport:
         assert rc == 1
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: ")
+
+
+# Each command and the one file it reads: (arguments, the file, its role in messages).
+READERS = {
+    "simulate": (["config.json"], "config.json", "config file"),
+    "sweep": (["config.json", "--axis", "rho", "--values", "0"], "config.json", "config file"),
+    "gm-solve": (["points.csv", "--output", "out.json"], "points.csv", "input file"),
+    "report": (["runs"], os.path.join("runs", "summary.json"), "summary file"),
+}
+
+
+class TestReadRule:
+    """Every file the CLI reads fails through one reader, which names the file."""
+
+    def run_on(self, tmp_path, monkeypatch, capsys, command, data):
+        """Run ``command`` in tmp_path on its file holding ``data``; assert it wrote nothing."""
+        args, name, role = READERS[command]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # No outdir, no --output file, nothing else.
+        assert sorted(tmp_path.rglob("*")) == before
+        return name, role, captured.err
+
+    @pytest.mark.parametrize("command", list(READERS))
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, monkeypatch, capsys, command):
+        name, role, err = self.run_on(tmp_path, monkeypatch, capsys, command, b"\xff{}")
+        assert err == f"error: cannot read {role}: {name}: not UTF-8: {NOT_UTF8}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "report"])
+    def test_text_that_is_not_json_names_the_file(self, tmp_path, monkeypatch, capsys, command):
+        name, role, err = self.run_on(tmp_path, monkeypatch, capsys, command, b"{not json")
+        assert err == (
+            f"error: {name}: {role} is not JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+        )
 
 
 class TestEntryPoint:
